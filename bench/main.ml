@@ -419,9 +419,11 @@ let fig15 () =
       (fun (b, label) ->
         let hw, sw = variant_designs b in
         let tr =
-          Runtime.run_fixed_targets ~max_time:100.0 ~hw_design:hw ~sw_design:sw
-            ~hw_targets ~sw_targets
-            [ Board.Workload.by_name "blackscholes" ]
+          (Stack.run ~max_time:100.0 ~collect_trace:true
+             (Schemes.fixed_targets_stack ~hw_design:hw ~sw_design:sw
+                ~hw_targets ~sw_targets)
+             [ Board.Workload.by_name "blackscholes" ])
+            .Stack.trace
         in
         (label, tr))
       bound_variants
@@ -553,9 +555,11 @@ let fig17 () =
         let hw = Designs.design_hw_with (Hw_layer.spec ~input_weight:w ()) in
         let sw = Designs.sw () in
         let tr =
-          Runtime.run_fixed_targets ~max_time:100.0 ~hw_design:hw ~sw_design:sw
-            ~hw_targets ~sw_targets
-            [ Board.Workload.by_name "blackscholes" ]
+          (Stack.run ~max_time:100.0 ~collect_trace:true
+             (Schemes.fixed_targets_stack ~hw_design:hw ~sw_design:sw
+                ~hw_targets ~sw_targets)
+             [ Board.Workload.by_name "blackscholes" ])
+            .Stack.trace
         in
         (w, tr))
       weights

@@ -10,9 +10,8 @@
    Each kernel runs [warmup] throwaway invocations and then [reps] timed
    repetitions (a repetition may batch several invocations so that tiny
    kernels get above timer noise); the per-invocation median and p90 of
-   the repetitions are printed, observed into an Obs.Metrics histogram
-   ("micro.<kernel>"), and written to the JSON document. Schema in
-   BENCHMARKS.md. *)
+   the repetitions are printed and written to the JSON document. Schema
+   in BENCHMARKS.md. *)
 
 open Yukta
 
@@ -299,12 +298,15 @@ let all_kernels =
 (* Harness                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [q]-quantile of an ascending sample, interpolated linearly between
+   the two nearest ranks; [nan] when empty. Also the serve bench's
+   latency percentile. *)
 let percentile sorted q =
   let n = Array.length sorted in
   if n = 0 then Float.nan
   else begin
     let rank = q *. Float.of_int (n - 1) in
-    let lo = int_of_float (Float.of_int (int_of_float rank)) in
+    let lo = int_of_float rank in
     let hi = min (n - 1) (lo + 1) in
     let frac = rank -. Float.of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
@@ -326,18 +328,13 @@ let run_spec ~smoke spec =
   for _ = 1 to warmup * spec.batch do
     f ()
   done;
-  let hist = Obs.Metrics.histogram ("micro." ^ spec.kernel) in
   let samples =
     Array.init reps (fun _ ->
         let t0 = Obs.Collector.now () in
         for _ = 1 to spec.batch do
           f ()
         done;
-        let per_invocation =
-          (Obs.Collector.now () -. t0) /. Float.of_int spec.batch
-        in
-        Obs.Metrics.observe hist per_invocation;
-        per_invocation)
+        (Obs.Collector.now () -. t0) /. Float.of_int spec.batch)
   in
   Array.sort Float.compare samples;
   {

@@ -146,13 +146,6 @@ let pump c ~scheme ~chunk =
   in
   consume parts
 
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n ->
-    let idx = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) idx))
-
 let run_throughput ~sessions ~requests ~chunk ~scheme =
   let server = Serve.Server.create ~step_budget:512 (Serve.Server.Tcp ("", 0)) in
   let port = Option.get (Serve.Server.port server) in
@@ -374,8 +367,8 @@ let main args =
   let frames, wall, latencies =
     run_throughput ~sessions ~requests ~chunk:!chunk ~scheme:!scheme
   in
-  let p50 = percentile latencies 0.50 *. 1000.0 in
-  let p99 = percentile latencies 0.99 *. 1000.0 in
+  let p50 = Micro.percentile latencies 0.50 *. 1000.0 in
+  let p99 = Micro.percentile latencies 0.99 *. 1000.0 in
   let throughput = if wall > 0.0 then float_of_int frames /. wall else 0.0 in
   Printf.printf
     "  %d frames in %.2f s  (%.0f frames/s)  step latency p50 %.2f ms  p99 \

@@ -525,10 +525,10 @@ let serve_cmd =
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Serve.Server.run ~once server;
-    let accepted, _, frames, swaps, errors = Serve.Server.stats server in
+    let s = Serve.Server.stats server in
     Printf.printf
       "server done: %d sessions, %d frames, %d controller swaps, %d errors\n"
-      accepted frames swaps errors
+      s.accepted s.frames s.swaps s.errors
   in
   Cmd.v
     (Cmd.info "serve"

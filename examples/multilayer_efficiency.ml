@@ -9,11 +9,12 @@
 
 open Yukta
 
-let run_and_report scheme workloads =
-  let r = Runtime.run scheme workloads in
-  let m = r.Runtime.metrics in
+let run_and_report key workloads =
+  let scheme = Schemes.find_exn key in
+  let r = Schemes.run scheme workloads in
+  let m = r.Stack.metrics in
   Printf.printf "%-28s time %7.1f s   energy %7.1f J   ExD %10.0f   trips %d\n%!"
-    (Runtime.scheme_name scheme)
+    scheme.Schemes.name
     m.Board.Xu3.execution_time m.Board.Xu3.total_energy
     m.Board.Xu3.energy_delay m.Board.Xu3.trips;
   m
@@ -29,8 +30,8 @@ let () =
   Printf.printf "synthesizing controllers (cached after the first run)...\n%!";
   ignore (Designs.hw ());
   ignore (Designs.sw ());
-  let base = run_and_report Runtime.Coordinated_heuristic workloads in
-  let yukta = run_and_report Runtime.Hw_ssv_os_ssv workloads in
+  let base = run_and_report "coord" workloads in
+  let yukta = run_and_report "yukta" workloads in
   Printf.printf "\nYukta vs Coordinated heuristic:\n";
   Printf.printf "  execution time: %+.1f%%\n"
     (100.0

@@ -18,22 +18,24 @@ let () =
   Printf.printf
     "targets: perf 5.5 BIPS, Pbig 2.5 W, Plittle 0.2 W, T 70 C\n\n";
   let trace =
-    Runtime.run_fixed_targets ~max_time:80.0 ~hw_design:hw ~sw_design:sw
-      ~hw_targets ~sw_targets
-      [ Board.Workload.by_name app ]
+    (Stack.run ~max_time:80.0 ~collect_trace:true
+       (Schemes.fixed_targets_stack ~hw_design:hw ~sw_design:sw ~hw_targets
+          ~sw_targets)
+       [ Board.Workload.by_name app ])
+      .Stack.trace
   in
   Printf.printf "%8s %10s %10s %8s\n" "time(s)" "Pbig(W)" "BIPS" "T(C)";
   Array.iteri
-    (fun i (p : Runtime.trace_point) ->
+    (fun i (p : Stack.trace_point) ->
       if i mod 8 = 0 then
-        Printf.printf "%8.1f %10.2f %10.2f %8.1f\n" p.Runtime.time
-          p.Runtime.power_big p.Runtime.bips p.Runtime.temperature)
+        Printf.printf "%8.1f %10.2f %10.2f %8.1f\n" p.Stack.time p.power_big
+          p.bips p.temperature)
     trace;
   (* Steady-state tracking quality. *)
   let errs =
     Array.to_list trace
     |> List.filteri (fun i _ -> i > 40)
-    |> List.map (fun (p : Runtime.trace_point) -> p.Runtime.power_big -. 2.5)
+    |> List.map (fun (p : Stack.trace_point) -> p.power_big -. 2.5)
   in
   if errs <> [] then begin
     let n = Float.of_int (List.length errs) in

@@ -4,9 +4,7 @@ type gauge = { g_name : string; mutable value : float; mutable set : bool }
 
 type histogram = {
   h_name : string;
-  buckets : float array;        (* Strictly increasing upper bounds. *)
-  counts : int array;           (* length buckets + 1 (overflow). *)
-  mutable n : int;
+  hist : Stats.Hist.t;
   mutable total : float;
   mutable min_v : float;
   mutable max_v : float;
@@ -64,32 +62,15 @@ let default_buckets =
   (* 1 us .. 1000 s, four bounds per decade. *)
   Array.init 37 (fun i -> 1e-6 *. (10.0 ** (Float.of_int i /. 4.0)))
 
-let validate_buckets b =
-  if Array.length b = 0 then
-    invalid_arg "Metrics.histogram: empty bucket array";
-  for i = 1 to Array.length b - 1 do
-    if b.(i) <= b.(i - 1) then
-      invalid_arg "Metrics.histogram: buckets must be strictly increasing"
-  done
-
-let histogram ?buckets name =
+let histogram ?(buckets = default_buckets) name =
   locked (fun () ->
       match Hashtbl.find_opt histograms name with
       | Some h -> h
       | None ->
-        let buckets =
-          match buckets with
-          | Some b ->
-            validate_buckets b;
-            Array.copy b
-          | None -> default_buckets
-        in
         let h =
           {
             h_name = name;
-            buckets;
-            counts = Array.make (Array.length buckets + 1) 0;
-            n = 0;
+            hist = Stats.Hist.create ~buckets;
             total = 0.0;
             min_v = infinity;
             max_v = neg_infinity;
@@ -99,57 +80,14 @@ let histogram ?buckets name =
         order := `H h :: !order;
         h)
 
-let bucket_index h v =
-  (* Binary search for the first upper bound >= v. *)
-  let nb = Array.length h.buckets in
-  let lo = ref 0 and hi = ref nb in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if h.buckets.(mid) >= v then hi := mid else lo := mid + 1
-  done;
-  !lo (* nb means overflow *)
-
 let observe h v =
   locked (fun () ->
-      let i = bucket_index h v in
-      h.counts.(i) <- h.counts.(i) + 1;
-      h.n <- h.n + 1;
+      Stats.Hist.observe h.hist v;
       h.total <- h.total +. v;
       if v < h.min_v then h.min_v <- v;
       if v > h.max_v then h.max_v <- v)
 
-let percentile h q =
-  if h.n = 0 then Float.nan
-  else begin
-    let q = Float.max 0.0 (Float.min 1.0 q) in
-    let rank = q *. Float.of_int h.n in
-    let nb = Array.length h.buckets in
-    let result = ref h.max_v in
-    let cum = ref 0 and stop = ref false in
-    let i = ref 0 in
-    while (not !stop) && !i <= nb do
-      let c = h.counts.(!i) in
-      if c > 0 then begin
-        let prev = Float.of_int !cum in
-        cum := !cum + c;
-        if Float.of_int !cum >= rank then begin
-          (* Interpolate inside bucket [i], clamped to the observed
-             range so single-bucket histograms stay tight. *)
-          let lo =
-            if !i = 0 then h.min_v else Float.max h.min_v h.buckets.(!i - 1)
-          in
-          let hi = if !i = nb then h.max_v else Float.min h.max_v h.buckets.(!i) in
-          let frac =
-            if c = 0 then 0.0 else (rank -. prev) /. Float.of_int c
-          in
-          result := lo +. (frac *. (hi -. lo));
-          stop := true
-        end
-      end;
-      i := !i + 1
-    done;
-    !result
-  end
+let percentile h q = Stats.Hist.percentile h.hist ~lo:h.min_v ~hi:h.max_v q
 
 type summary = {
   count : int;
@@ -163,7 +101,8 @@ type summary = {
 }
 
 let summarize h =
-  if h.n = 0 then
+  let n = Stats.Hist.count h.hist in
+  if n = 0 then
     {
       count = 0;
       total = 0.0;
@@ -176,9 +115,9 @@ let summarize h =
     }
   else
     {
-      count = h.n;
+      count = n;
       total = h.total;
-      mean = h.total /. Float.of_int h.n;
+      mean = h.total /. Float.of_int n;
       min_v = h.min_v;
       max_v = h.max_v;
       p50 = percentile h 0.5;
@@ -196,8 +135,7 @@ let reset_all () =
         gauges;
       Hashtbl.iter
         (fun _ h ->
-          Array.fill h.counts 0 (Array.length h.counts) 0;
-          h.n <- 0;
+          Stats.Hist.clear h.hist;
           h.total <- 0.0;
           h.min_v <- infinity;
           h.max_v <- neg_infinity)
@@ -237,7 +175,7 @@ let dump () =
                  ("value", Json.Float g.value);
                ])
       | `H h ->
-        if h.n = 0 then None
+        if Stats.Hist.count h.hist = 0 then None
         else begin
           let s = summarize h in
           Some

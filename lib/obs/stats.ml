@@ -119,6 +119,37 @@ module Hist = struct
 
   let counts t = Array.copy t.slots
 
+  let percentile t ~lo ~hi q =
+    if t.n = 0 then Float.nan
+    else begin
+      let q = Float.max 0.0 (Float.min 1.0 q) in
+      let rank = q *. Float.of_int t.n in
+      let nb = Array.length t.bounds in
+      let result = ref hi in
+      let cum = ref 0 and stop = ref false in
+      let i = ref 0 in
+      while (not !stop) && !i <= nb do
+        let c = t.slots.(!i) in
+        if c > 0 then begin
+          let prev = Float.of_int !cum in
+          cum := !cum + c;
+          if Float.of_int !cum >= rank then begin
+            let b_lo = if !i = 0 then lo else Float.max lo t.bounds.(!i - 1) in
+            let b_hi = if !i = nb then hi else Float.min hi t.bounds.(!i) in
+            let frac = (rank -. prev) /. Float.of_int c in
+            result := b_lo +. (frac *. (b_hi -. b_lo));
+            stop := true
+          end
+        end;
+        i := !i + 1
+      done;
+      !result
+    end
+
+  let clear t =
+    Array.fill t.slots 0 (Array.length t.slots) 0;
+    t.n <- 0
+
   let copy t = { t with slots = Array.copy t.slots }
 
   let merge_into ~into src =

@@ -58,7 +58,8 @@ module Hist : sig
   (** A fixed-bucket counting histogram whose [merge] is {e exact}
       (integer counts add), unlike any mean-based summary. Bucket
       bounds are strictly increasing upper bounds; values above the
-      last bound land in an overflow slot. *)
+      last bound land in an overflow slot. {!Metrics} histograms keep
+      their counts in one. *)
 
   type t
 
@@ -77,6 +78,17 @@ module Hist : sig
   val counts : t -> int array
   (** Per-bucket counts, length [buckets + 1] (last is overflow); a
       copy. *)
+
+  val percentile : t -> lo:float -> hi:float -> float -> float
+  (** [percentile h ~lo ~hi q] for [q] in [0, 1]: the value of rank
+      [q * count], linearly interpolated inside the bucket holding it.
+      [lo] and [hi] are the observed minimum and maximum, which the
+      histogram does not keep: they close the first and the overflow
+      bucket and clamp every other bucket's edges, so a single-valued
+      histogram returns that value. [nan] when empty. *)
+
+  val clear : t -> unit
+  (** Zero every count; the bucket layout stays. *)
 
   val copy : t -> t
 

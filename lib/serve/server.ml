@@ -24,11 +24,11 @@ type conn = {
 }
 
 type stats = {
-  mutable accepted : int;
-  mutable active : int;
-  mutable frames : int;
-  mutable swaps : int;
-  mutable errors : int;
+  accepted : int;
+  active : int;
+  frames : int;
+  swaps : int;
+  errors : int;
 }
 
 type t = {
@@ -41,7 +41,12 @@ type t = {
   mutable conns : conn list;
   mutable next_id : int;
   mutable stopping : bool;
-  stats : stats;
+  mutable accepted : int;
+  (* Counters of the sessions already dropped; [stats] adds the live
+     ones. *)
+  mutable dropped_frames : int;
+  mutable dropped_swaps : int;
+  mutable dropped_errors : int;
 }
 
 let default_step_budget = 256
@@ -91,7 +96,10 @@ let create ?(idle_timeout = default_idle_timeout)
     conns = [];
     next_id = 1;
     stopping = false;
-    stats = { accepted = 0; active = 0; frames = 0; swaps = 0; errors = 0 };
+    accepted = 0;
+    dropped_frames = 0;
+    dropped_swaps = 0;
+    dropped_errors = 0;
   }
 
 let address t = t.sockaddr
@@ -102,16 +110,15 @@ let port t =
 let stop t = t.stopping <- true
 
 let stats t =
-  let s = t.stats in
   (* Fold live sessions in so the snapshot is current mid-run. *)
-  let frames = ref s.frames and swaps = ref s.swaps and errors = ref s.errors in
-  List.iter
-    (fun c ->
-      frames := !frames + Session.frames_served c.session;
-      swaps := !swaps + Session.swaps c.session;
-      errors := !errors + Session.errors c.session)
-    t.conns;
-  (s.accepted, List.length t.conns, !frames, !swaps, !errors)
+  let live f = List.fold_left (fun n c -> n + f c.session) 0 t.conns in
+  {
+    accepted = t.accepted;
+    active = List.length t.conns;
+    frames = t.dropped_frames + live Session.frames_served;
+    swaps = t.dropped_swaps + live Session.swaps;
+    errors = t.dropped_errors + live Session.errors;
+  }
 
 let queue_line conn line =
   Buffer.add_string conn.outbuf line;
@@ -120,9 +127,9 @@ let queue_line conn line =
 let drop t conn =
   if List.memq conn t.conns then begin
     t.conns <- List.filter (fun c -> c != conn) t.conns;
-    t.stats.frames <- t.stats.frames + Session.frames_served conn.session;
-    t.stats.swaps <- t.stats.swaps + Session.swaps conn.session;
-    t.stats.errors <- t.stats.errors + Session.errors conn.session;
+    t.dropped_frames <- t.dropped_frames + Session.frames_served conn.session;
+    t.dropped_swaps <- t.dropped_swaps + Session.swaps conn.session;
+    t.dropped_errors <- t.dropped_errors + Session.errors conn.session;
     Session.finish conn.session;
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
   end
@@ -133,7 +140,7 @@ let accept_ready t now =
     Unix.set_nonblock fd;
     let session = Session.create ~id:t.next_id () in
     t.next_id <- t.next_id + 1;
-    t.stats.accepted <- t.stats.accepted + 1;
+    t.accepted <- t.accepted + 1;
     t.conns <-
       {
         fd;
@@ -265,7 +272,7 @@ let shutdown t =
 
 let run ?(once = false) t =
   let finished () =
-    t.stopping || (once && t.stats.accepted > 0 && t.conns = [])
+    t.stopping || (once && t.accepted > 0 && t.conns = [])
   in
   (try
      while not (finished ()) do

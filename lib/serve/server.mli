@@ -49,6 +49,13 @@ val stop : t -> unit
 (** Make {!run} return after the current iteration. Safe to call from
     a signal handler. *)
 
-val stats : t -> int * int * int * int * int
-(** [(accepted, active, frames, swaps, errors)] — totals over the
-    server lifetime, including live sessions. *)
+type stats = {
+  accepted : int;  (** Connections accepted. *)
+  active : int;    (** Connections open now. *)
+  frames : int;    (** Frame lines sent, one per stepped epoch. *)
+  swaps : int;     (** Adaptive controller swaps. *)
+  errors : int;    (** Requests answered with an [error] line. *)
+}
+
+val stats : t -> stats
+(** Totals over the server lifetime, including live sessions. *)

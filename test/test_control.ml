@@ -700,89 +700,6 @@ let round2_cases =
 
 
 (* ------------------------------------------------------------------ *)
-(* Pid                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Simple discrete plant driven by the PID: y' = 0.9 y + 0.1 u. *)
-let pid_plant () =
-  let y = ref 0.0 in
-  fun u ->
-    y := (0.9 *. !y) +. (0.1 *. u);
-    !y
-
-let test_pid_tracks_setpoint () =
-  let pid =
-    Pid.make ~gains:{ Pid.kp = 2.0; ki = 1.0; kd = 0.0 } ~period:0.1 ()
-  in
-  let plant = pid_plant () in
-  let y = ref 0.0 in
-  for _ = 1 to 300 do
-    let u = Pid.step pid ~setpoint:2.0 ~measurement:!y in
-    y := plant u
-  done;
-  check_bool "integral action removes offset" true (Float.abs (!y -. 2.0) < 0.02)
-
-let test_pid_antiwindup () =
-  (* Saturated command: the integrator must not wind up so far that
-     recovery takes forever. *)
-  let pid =
-    Pid.make ~u_min:(-1.0) ~u_max:1.0
-      ~gains:{ Pid.kp = 1.0; ki = 5.0; kd = 0.0 }
-      ~period:0.1 ()
-  in
-  let plant = pid_plant () in
-  let y = ref 0.0 in
-  (* Unreachable setpoint for a while. *)
-  for _ = 1 to 100 do
-    y := plant (Pid.step pid ~setpoint:50.0 ~measurement:!y)
-  done;
-  (* Now an easy setpoint: with anti-windup the command leaves the rail
-     within a few steps once the error flips. *)
-  let recovered = ref false in
-  for _ = 1 to 30 do
-    let u = Pid.step pid ~setpoint:0.2 ~measurement:!y in
-    y := plant u;
-    if u < 1.0 then recovered := true
-  done;
-  check_bool "recovers from saturation" true !recovered
-
-let test_pid_zn_table () =
-  let g = Pid.tune_ziegler_nichols ~ku:4.0 ~tu:2.0 `Pid in
-  check_float "kp" 2.4 g.Pid.kp;
-  check_float "ki" 2.4 g.Pid.ki;
-  check_float "kd" 0.6 g.Pid.kd;
-  let p = Pid.tune_ziegler_nichols ~ku:4.0 ~tu:2.0 `P in
-  check_float "pure P has no ki" 0.0 p.Pid.ki
-
-let test_pid_reset () =
-  let pid =
-    Pid.make ~gains:{ Pid.kp = 1.0; ki = 1.0; kd = 0.0 } ~period:0.1 ()
-  in
-  let u1 = Pid.step pid ~setpoint:1.0 ~measurement:0.0 in
-  ignore (Pid.step pid ~setpoint:1.0 ~measurement:0.0);
-  Pid.reset pid;
-  check_float "reset repeats" u1 (Pid.step pid ~setpoint:1.0 ~measurement:0.0)
-
-let test_pid_relay_autotune () =
-  (* A second-order oscillatory plant yields a limit cycle under relay
-     feedback. *)
-  let x1 = ref 0.1 and x2 = ref 0.0 in
-  let plant u =
-    (* Discretized mass-spring-damper-ish dynamics. *)
-    let nx1 = !x1 +. (0.2 *. !x2) in
-    let nx2 = !x2 +. (0.2 *. ((-1.0 *. !x1) -. (0.2 *. !x2) +. u)) in
-    x1 := nx1;
-    x2 := nx2;
-    !x1
-  in
-  match Pid.relay_autotune ~plant ~period:0.2 () with
-  | Some (ku, tu) ->
-    check_bool "positive estimates" true (ku > 0.0 && tu > 0.0);
-    (* Natural frequency 1 rad/s -> period ~ 2 pi. *)
-    check_bool "period plausible" true (tu > 3.0 && tu < 13.0)
-  | None -> Alcotest.fail "relay produced no limit cycle"
-
-(* ------------------------------------------------------------------ *)
 (* Reduce                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -824,189 +741,12 @@ let test_reduce_rejects_unstable () =
     (Invalid_argument "Reduce: system must be stable") (fun () ->
       ignore (Reduce.balanced_truncation sys ~order:1))
 
-(* ------------------------------------------------------------------ *)
-(* Mpc                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let mpc_plant () =
-  Ss.make ~domain:(Ss.Discrete 1.0)
-    ~a:(Mat.of_lists [ [ 0.8 ] ])
-    ~b:(m1x1 0.5)
-    ~c:(m1x1 1.0)
-    ~d:(m1x1 0.0) ()
-
-let test_mpc_tracks () =
-  let plant = mpc_plant () in
-  let mpc =
-    Mpc.make ~plant ~horizon:10 ~q:(m1x1 1.0) ~r:(m1x1 0.01) ()
-  in
-  let x = ref 0.0 in
-  let y = ref 0.0 in
-  for _ = 1 to 60 do
-    let u = Mpc.step mpc ~measurement:[| !y |] ~reference:[| 3.0 |] in
-    x := (0.8 *. !x) +. (0.5 *. u.(0));
-    y := !x
-  done;
-  check_bool "tracks the reference" true (Float.abs (!y -. 3.0) < 0.15)
-
-let test_mpc_horizon_and_prediction () =
-  let plant = mpc_plant () in
-  let mpc = Mpc.make ~plant ~horizon:5 ~q:(m1x1 1.0) ~r:(m1x1 0.1) () in
-  check_int "horizon" 5 (Mpc.horizon mpc);
-  check_int "no prediction before step" 0 (Array.length (Mpc.predicted_outputs mpc));
-  ignore (Mpc.step mpc ~measurement:[| 0.0 |] ~reference:[| 1.0 |]);
-  let pred = Mpc.predicted_outputs mpc in
-  check_int "prediction horizon" 5 (Array.length pred);
-  (* With cheap inputs the anticipated trajectory approaches the target. *)
-  check_bool "prediction heads to target" true (pred.(4).(0) > pred.(0).(0) *. 0.9)
-
-let test_mpc_effort_tradeoff () =
-  (* Heavier input weighting means smaller first moves. *)
-  let plant = mpc_plant () in
-  let cheap = Mpc.make ~plant ~horizon:8 ~q:(m1x1 1.0) ~r:(m1x1 0.01) () in
-  let costly = Mpc.make ~plant ~horizon:8 ~q:(m1x1 1.0) ~r:(m1x1 10.0) () in
-  let u1 = Mpc.step cheap ~measurement:[| 0.0 |] ~reference:[| 1.0 |] in
-  let u2 = Mpc.step costly ~measurement:[| 0.0 |] ~reference:[| 1.0 |] in
-  check_bool "costly moves less" true (Float.abs u2.(0) < Float.abs u1.(0))
-
-let test_mpc_rejects_bad_dims () =
-  let plant = mpc_plant () in
-  Alcotest.check_raises "bad q" (Invalid_argument "Mpc.make: Q must be ny x ny")
-    (fun () ->
-      ignore (Mpc.make ~plant ~horizon:3 ~q:(Mat.identity 2) ~r:(m1x1 1.0) ()))
-
 let round3_cases =
   [
-    Alcotest.test_case "pid tracks" `Quick test_pid_tracks_setpoint;
-    Alcotest.test_case "pid antiwindup" `Quick test_pid_antiwindup;
-    Alcotest.test_case "pid ZN table" `Quick test_pid_zn_table;
-    Alcotest.test_case "pid reset" `Quick test_pid_reset;
-    Alcotest.test_case "pid relay autotune" `Quick test_pid_relay_autotune;
     Alcotest.test_case "reduce hankel" `Quick test_reduce_hankel_descending;
     Alcotest.test_case "reduce accuracy" `Quick test_reduce_truncation_accuracy;
     Alcotest.test_case "reduce tolerance" `Quick test_reduce_tolerance_mode;
     Alcotest.test_case "reduce unstable" `Quick test_reduce_rejects_unstable;
-    Alcotest.test_case "mpc tracks" `Quick test_mpc_tracks;
-    Alcotest.test_case "mpc prediction" `Quick test_mpc_horizon_and_prediction;
-    Alcotest.test_case "mpc effort tradeoff" `Quick test_mpc_effort_tradeoff;
-    Alcotest.test_case "mpc bad dims" `Quick test_mpc_rejects_bad_dims;
-  ]
-
-
-(* ------------------------------------------------------------------ *)
-(* Poly and Tf                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_poly_arith () =
-  let p = Poly.of_coefficients [ 1.0; 2.0 ] in
-  (* (1 + 2x)^2 = 1 + 4x + 4x^2 *)
-  check_bool "square" true
-    (Poly.approx_equal (Poly.mul p p) (Poly.of_coefficients [ 1.0; 4.0; 4.0 ]));
-  check_bool "sum" true
-    (Poly.approx_equal (Poly.add p p) (Poly.of_coefficients [ 2.0; 4.0 ]));
-  check_float "eval" 7.0 (Poly.eval p 3.0);
-  check_int "degree" 1 (Poly.degree p);
-  check_bool "derivative" true
-    (Poly.approx_equal (Poly.derivative (Poly.mul p p))
-       (Poly.of_coefficients [ 4.0; 8.0 ]))
-
-let test_poly_roots () =
-  let p = Poly.of_roots [ 1.0; -2.0; 0.5 ] in
-  let rs =
-    Poly.roots p |> Array.to_list
-    |> List.map (fun (z : Complex.t) -> z.re)
-    |> List.sort compare
-  in
-  (match rs with
-  | [ a; b; c ] ->
-    check_bool "roots" true
-      (Float.abs (a +. 2.0) < 1e-6 && Float.abs (b -. 0.5) < 1e-6
-      && Float.abs (c -. 1.0) < 1e-6)
-  | _ -> Alcotest.fail "expected three roots");
-  check_bool "normalize trims" true
-    (Poly.degree (Poly.of_coefficients [ 1.0; 0.0; 0.0 ]) = 0)
-
-let test_tf_roundtrip_ss () =
-  (* G(s) = (s + 2) / (s^2 + 3 s + 5). *)
-  let g =
-    Tf.make ~num:(Poly.of_coefficients [ 2.0; 1.0 ])
-      ~den:(Poly.of_coefficients [ 5.0; 3.0; 1.0 ])
-      ()
-  in
-  let sys = Tf.to_ss g in
-  check_int "order" 2 (Ss.order sys);
-  let g2 = Tf.of_ss sys in
-  (* Compare frequency responses (coefficients may differ by scaling). *)
-  List.iter
-    (fun w ->
-      let r1 = Tf.frequency_response g w and r2 = Tf.frequency_response g2 w in
-      check_bool
-        (Printf.sprintf "response at %g" w)
-        true
-        (Complex.norm (Complex.sub r1 r2) < 1e-8))
-    [ 0.0; 0.5; 2.0; 10.0 ]
-
-let test_tf_matches_ss_freq () =
-  (* The canonical realization must agree with Ss.freq_response. *)
-  let g =
-    Tf.make ~num:(Poly.of_coefficients [ 1.0 ])
-      ~den:(Poly.of_coefficients [ 1.0; 1.0 ])
-      ()
-  in
-  let sys = Tf.to_ss g in
-  let w = 1.3 in
-  let from_ss = Cmat.get (Ss.freq_response sys w) 0 0 in
-  let from_tf = Tf.frequency_response g w in
-  check_bool "same response" true
-    (Complex.norm (Complex.sub from_ss from_tf) < 1e-9)
-
-let test_tf_feedback_and_stability () =
-  (* Unstable 1/(s-1) stabilized by gain 3: closed loop 1/(s+2). *)
-  let g =
-    Tf.make ~num:Poly.one ~den:(Poly.of_coefficients [ -1.0; 1.0 ]) ()
-  in
-  let k = Tf.make ~num:(Poly.of_coefficients [ 3.0 ]) ~den:Poly.one () in
-  check_bool "open unstable" false (Tf.is_stable g);
-  let cl = Tf.feedback g k in
-  check_bool "closed stable" true (Tf.is_stable cl);
-  check_bool "pole at -2" true
-    (Float.abs ((Tf.poles cl).(0).Complex.re +. 2.0) < 1e-9)
-
-let test_tf_series_parallel () =
-  let g1 = Tf.make ~num:Poly.one ~den:(Poly.of_coefficients [ 1.0; 1.0 ]) () in
-  let g2 =
-    Tf.make ~num:(Poly.of_coefficients [ 2.0 ])
-      ~den:(Poly.of_coefficients [ 2.0; 1.0 ]) ()
-  in
-  check_float_loose "series dc" 1.0 (Tf.dcgain (Tf.series g1 g2));
-  check_float_loose "parallel dc" 2.0 (Tf.dcgain (Tf.parallel g1 g2))
-
-let test_tf_improper_rejected () =
-  Alcotest.check_raises "improper"
-    (Invalid_argument "Tf.make: improper transfer function") (fun () ->
-      ignore
-        (Tf.make ~num:(Poly.of_coefficients [ 0.0; 0.0; 1.0 ]) ~den:(Poly.of_coefficients [ 1.0; 1.0 ]) ()))
-
-let test_tf_discrete_dcgain () =
-  (* z-domain: G(z) = 1 / (z - 0.5), dc at z=1 is 2. *)
-  let g =
-    Tf.make ~domain:(Ss.Discrete 1.0) ~num:Poly.one
-      ~den:(Poly.of_coefficients [ -0.5; 1.0 ])
-      ()
-  in
-  check_float_loose "dc" 2.0 (Tf.dcgain g);
-  check_bool "stable" true (Tf.is_stable g)
-
-let poly_tf_cases =
-  [
-    Alcotest.test_case "poly arith" `Quick test_poly_arith;
-    Alcotest.test_case "poly roots" `Quick test_poly_roots;
-    Alcotest.test_case "tf roundtrip" `Quick test_tf_roundtrip_ss;
-    Alcotest.test_case "tf vs ss response" `Quick test_tf_matches_ss_freq;
-    Alcotest.test_case "tf feedback" `Quick test_tf_feedback_and_stability;
-    Alcotest.test_case "tf series/parallel" `Quick test_tf_series_parallel;
-    Alcotest.test_case "tf improper" `Quick test_tf_improper_rejected;
-    Alcotest.test_case "tf discrete" `Quick test_tf_discrete_dcgain;
   ]
 
 let () =
@@ -1107,6 +847,5 @@ let () =
         ] );
       ("edge cases", round2_cases);
       ("pid/reduce/mpc", round3_cases);
-      ("poly/tf", poly_tf_cases);
       ("properties", qcheck_cases);
     ]

@@ -434,7 +434,7 @@ let test_expm_inverse_property () =
     (Mat.approx_equal ~tol:1e-7 (Mat.mul e em) (Mat.identity 4))
 
 (* ------------------------------------------------------------------ *)
-(* In-place kernels and workspace                                      *)
+(* In-place kernels                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Exact (bit-level) equality: the in-place kernels promise the same
@@ -525,60 +525,6 @@ let test_inplace_aliasing_rules () =
      must not trip the aliasing check. *)
   let e1 = Mat.create 0 3 and e2 = Mat.create 3 0 in
   Mat.mul_into ~dst:(Mat.create 0 0) e1 e2
-
-let test_workspace_reuses_buffers () =
-  let ws = Workspace.create () in
-  let m1 = Workspace.mat ws 3 4 in
-  let m2 = Workspace.mat ws 3 4 in
-  check_bool "distinct leases" true (not (m1.Mat.data == m2.Mat.data));
-  let v1 = Workspace.vec ws 5 in
-  Workspace.reset ws;
-  let m1' = Workspace.mat ws 3 4 in
-  let m2' = Workspace.mat ws 3 4 in
-  let v1' = Workspace.vec ws 5 in
-  check_bool "mat buffer reused" true
-    (m1'.Mat.data == m1.Mat.data || m1'.Mat.data == m2.Mat.data);
-  check_bool "second mat reused" true
-    (m2'.Mat.data == m1.Mat.data || m2'.Mat.data == m2.Mat.data);
-  check_bool "vec buffer reused" true (v1' == v1);
-  (* Composite leases match the pure operations bit-for-bit. *)
-  Workspace.reset ws;
-  let a = Mat.random ~seed:21 3 4
-  and b = Mat.random ~seed:22 4 2
-  and c = Mat.random ~seed:23 2 5 in
-  Alcotest.check mat_exact "ws transpose" (Mat.transpose a)
-    (Workspace.transpose ws a);
-  Alcotest.check mat_exact "ws mul" (Mat.mul a b) (Workspace.mul ws a b);
-  Alcotest.check mat_exact "ws mul3" (Mat.mul3 a b c)
-    (Workspace.mul3 ws a b c)
-
-let test_workspace_leak_check () =
-  let ws = Workspace.create () in
-  Workspace.set_leak_check true;
-  Fun.protect
-    ~finally:(fun () -> Workspace.set_leak_check false)
-    (fun () ->
-      (* Iteration-stable lease pattern: allocates on the first pass,
-         re-leases forever after — never trips the check. *)
-      for _pass = 1 to 4 do
-        Workspace.reset ws;
-        ignore (Workspace.mat ws 3 3);
-        ignore (Workspace.vec ws 4)
-      done;
-      (* Growing pattern: a second 3x3 lease appearing only after the
-         pool has warmed up is exactly the leak the check exists for. *)
-      Workspace.reset ws;
-      ignore (Workspace.mat ws 3 3);
-      (match Workspace.mat ws 3 3 with
-      | _ -> Alcotest.fail "leaky matrix lease pattern not detected"
-      | exception Failure _ -> ());
-      (match Workspace.vec ws 9 with
-      | _ -> Alcotest.fail "leaky vector lease pattern not detected"
-      | exception Failure _ -> ());
-      (* A fresh workspace still warms up freely with the check on. *)
-      let ws2 = Workspace.create () in
-      Workspace.reset ws2;
-      ignore (Workspace.mat ws2 2 2))
 
 let contains_substring s sub =
   let ls = String.length s and lb = String.length sub in
@@ -1010,10 +956,6 @@ let () =
           Alcotest.test_case "transpose/symmetrize = pure" `Quick
             test_inplace_permutation_matches_pure;
           Alcotest.test_case "aliasing rules" `Quick test_inplace_aliasing_rules;
-          Alcotest.test_case "workspace reuse" `Quick
-            test_workspace_reuses_buffers;
-          Alcotest.test_case "workspace leak check" `Quick
-            test_workspace_leak_check;
           Alcotest.test_case "svd unconverged reported" `Quick
             test_svd_unconverged_reported;
         ] );

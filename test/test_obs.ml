@@ -588,13 +588,13 @@ let test_health_merge () =
 (* ------------------------------------------------------------------ *)
 
 let short_run () =
-  Runtime.run ~max_time:5.0 Runtime.Coordinated_heuristic
+  Schemes.run ~max_time:5.0 (Schemes.find_exn "coord")
     [ Board.Workload.by_name "blackscholes" ]
 
 let test_runtime_events_enabled () =
   let r = Obs.Collector.with_collection short_run in
   Alcotest.(check bool) "run progressed" true
-    (r.Runtime.metrics.Board.Xu3.execution_time > 0.0);
+    (r.Stack.metrics.Board.Xu3.execution_time > 0.0);
   let lines = drain_json () in
   let epochs =
     List.filter (fun j -> sfield "name" j = Some "runtime.epoch") lines

@@ -1,7 +1,6 @@
-(* Tests for the Yukta core library: signal descriptors, the interface
-   exchange, the runtime SSV controller, the target optimizer, the
-   generalized-plant construction, the heuristic baselines, and the
-   multilayer runtime. *)
+(* Tests for the Yukta core library: signal descriptors, the runtime SSV
+   controller, the target optimizer, the generalized-plant construction,
+   the heuristic baselines, and the multilayer runtime. *)
 
 open Linalg
 open Yukta
@@ -56,53 +55,6 @@ let test_signal_external_normalization () =
   in
   check_float "center" 0.0 (Signal.normalize_external e 4.0);
   check_float "max" 1.0 (Signal.normalize_external e 8.0)
-
-(* ------------------------------------------------------------------ *)
-(* Interface                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let hw_spec_small =
-  {
-    Interface.layer = "hw";
-    inputs = [ freq_input ];
-    outputs = [ perf_output ];
-    wanted_externals = [ ("threads", (0.0, 8.0)) ];
-  }
-
-let sw_spec_small =
-  {
-    Interface.layer = "sw";
-    inputs =
-      [ Signal.input ~name:"threads" ~minimum:0.0 ~maximum:8.0 ~step:1.0 ~weight:2.0 ];
-    outputs = [ Signal.output ~name:"perf" ~lo:0.0 ~hi:8.0 ~bound_fraction:0.1 () ];
-    wanted_externals = [ ("freq", (0.2, 2.0)); ("mystery", (0.0, 1.0)) ];
-  }
-
-let test_interface_resolves_input () =
-  let r = Interface.resolve ~own:hw_spec_small ~peer:sw_spec_small in
-  check_int "resolved count" 1 (List.length r.Interface.externals);
-  (match (List.hd r.Interface.externals).Signal.info with
-  | Signal.From_input ch ->
-    check_float "channel max" 8.0 ch.Control.Quantize.maximum
-  | _ -> Alcotest.fail "expected From_input");
-  check_float "no inflation" 0.0 r.Interface.guardband_inflation
-
-let test_interface_unresolved_inflates () =
-  let r = Interface.resolve ~own:sw_spec_small ~peer:hw_spec_small in
-  check_int "one unresolved" 1 (List.length r.Interface.unresolved);
-  check_bool "inflation positive" true (r.Interface.guardband_inflation > 0.0);
-  (* "freq" resolves as the hw input; "mystery" is opaque. *)
-  (match (List.hd r.Interface.externals).Signal.info with
-  | Signal.From_input _ -> ()
-  | _ -> Alcotest.fail "freq should resolve From_input")
-
-let test_interface_common_outputs () =
-  let common = Interface.common_outputs hw_spec_small sw_spec_small in
-  check_int "perf shared" 1 (List.length common);
-  let name, b1, b2 = List.hd common in
-  Alcotest.(check string) "name" "perf" name;
-  check_float "own bound" 2.0 b1;
-  check_float "peer bound" 0.8 b2
 
 (* ------------------------------------------------------------------ *)
 (* Controller (runtime state machine)                                  *)
@@ -528,7 +480,7 @@ let test_hw_decoupled_max_then_backoff () =
   check_bool "backs off after two" true (c3.Board.Xu3.freq_big < 2.0)
 
 (* ------------------------------------------------------------------ *)
-(* Runtime and experiment drivers (heuristic schemes only: fast)       *)
+(* Scheme runs and experiment drivers (heuristic schemes only: fast)   *)
 (* ------------------------------------------------------------------ *)
 
 let tiny_workload =
@@ -536,22 +488,23 @@ let tiny_workload =
 
 let test_runtime_heuristic_schemes_complete () =
   List.iter
-    (fun scheme ->
-      let r = Runtime.run ~max_time:500.0 scheme [ tiny_workload ] in
-      check_bool (Runtime.scheme_name scheme) true r.Runtime.completed;
+    (fun key ->
+      let scheme = Schemes.find_exn key in
+      let r = Schemes.run ~max_time:500.0 scheme [ tiny_workload ] in
+      check_bool scheme.Schemes.name true r.Stack.completed;
       check_bool "positive energy" true
-        (r.Runtime.metrics.Board.Xu3.total_energy > 0.0))
-    [ Runtime.Coordinated_heuristic; Runtime.Decoupled_heuristic ]
+        (r.Stack.metrics.Board.Xu3.total_energy > 0.0))
+    [ "coord"; "decoupled" ]
 
 let test_runtime_trace_collection () =
   let r =
-    Runtime.run ~max_time:500.0 ~collect_trace:true Runtime.Coordinated_heuristic
+    Schemes.run ~max_time:500.0 ~collect_trace:true (Schemes.find_exn "coord")
       [ tiny_workload ]
   in
-  check_bool "trace nonempty" true (Array.length r.Runtime.trace > 2);
-  let p = r.Runtime.trace.(1) in
+  check_bool "trace nonempty" true (Array.length r.Stack.trace > 2);
+  let p = r.Stack.trace.(1) in
   check_bool "trace fields sane" true
-    (p.Runtime.time > 0.0 && p.Runtime.power_big >= 0.0 && p.Runtime.big_cores >= 1)
+    (p.Stack.time > 0.0 && p.power_big >= 0.0 && p.big_cores >= 1)
 
 let test_experiment_normalization () =
   let coord = Schemes.find_exn "coord" in
@@ -570,8 +523,9 @@ let test_experiment_normalization () =
   | _ -> Alcotest.fail "expected one row")
 
 let test_scheme_names_distinct () =
-  let names = List.map Runtime.scheme_name Runtime.all_schemes in
-  check_int "six schemes" 6 (List.length (List.sort_uniq compare names))
+  let names = List.map (fun (s : Schemes.info) -> s.name) Schemes.all in
+  check_int "names distinct" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 (* ------------------------------------------------------------------ *)
 (* Layer / Stack / scheme registry                                     *)
@@ -822,11 +776,10 @@ let prop_schemes_complete_on_random_workloads =
         Board.Workload.synthetic ~seed ~phases:(1 + (seed mod 3)) ~ginsts:60.0 ()
       in
       List.for_all
-        (fun scheme ->
-          let r = Runtime.run ~max_time:600.0 scheme [ w ] in
-          r.Runtime.completed
-          && r.Runtime.metrics.Board.Xu3.total_energy > 0.0)
-        [ Runtime.Coordinated_heuristic; Runtime.Decoupled_heuristic ])
+        (fun key ->
+          let r = Schemes.run ~max_time:600.0 (Schemes.find_exn key) [ w ] in
+          r.Stack.completed && r.Stack.metrics.Board.Xu3.total_energy > 0.0)
+        [ "coord"; "decoupled" ])
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -850,13 +803,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_signal_validation;
           Alcotest.test_case "external normalization" `Quick
             test_signal_external_normalization;
-        ] );
-      ( "interface",
-        [
-          Alcotest.test_case "resolves input" `Quick test_interface_resolves_input;
-          Alcotest.test_case "unresolved inflates" `Quick
-            test_interface_unresolved_inflates;
-          Alcotest.test_case "common outputs" `Quick test_interface_common_outputs;
         ] );
       ( "controller",
         [
