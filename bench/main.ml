@@ -356,44 +356,30 @@ let cost () =
   Printf.printf "coefficient + state storage: %d bytes (~%.1f KB)\n"
     c.Controller.storage_bytes
     (Float.of_int c.Controller.storage_bytes /. 1024.0);
-  (* Wall-clock cost of one invocation, measured with Bechamel. *)
-  let open Bechamel in
+  (* Wall-clock cost of one invocation: the median over the micro
+     harness's timed repetitions. *)
   let ctrl = hw.Design.controller in
   let measurements = [| 5.0; 2.5; 0.25; 65.0 |] in
   let targets = [| 6.0; 3.0; 0.3; 77.0 |] in
   let externals = [| 6.0; 1.5; 1.0 |] in
-  let step_test =
-    Test.make ~name:"controller step"
-      (Staged.stage (fun () ->
-           ignore (Controller.step ctrl ~measurements ~targets ~externals)))
+  let step =
+    {
+      Micro.kernel = "controller step";
+      size = "hardware layer";
+      batch = 20000;
+      reps = 30;
+      smoke_reps = 15;
+      prepare =
+        (fun () () ->
+          ignore (Controller.step ctrl ~measurements ~targets ~externals));
+    }
   in
-  let mu_test =
-    let m =
-      Linalg.Cmat.of_real (Linalg.Mat.random ~seed:3 7 7)
-    in
-    let s = [ Control.Ssv.Full (4, 4); Control.Ssv.Full (3, 3) ] in
-    Test.make ~name:"mu upper bound (7x7)"
-      (Staged.stage (fun () -> ignore (Control.Ssv.mu_upper s m)))
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false
-                     ~predictors:[| Measure.run |])
-        (Toolkit.Instance.monotonic_clock) raw
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] ->
-          Printf.printf "  %-24s %10.2f ns/invocation\n" name est
-        | _ -> Printf.printf "  %-24s (no estimate)\n" name)
-      results
-  in
-  benchmark step_test;
-  benchmark mu_test
+  List.iter
+    (fun spec ->
+      let m = Micro.run_spec ~smoke:!smoke spec in
+      Printf.printf "  %-24s %10.2f ns/invocation (median)\n" m.Micro.m_kernel
+        (m.Micro.m_median_s *. 1e9))
+    [ step; Micro.mu_upper7 ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 15: sensitivity to output deviation bounds                   *)

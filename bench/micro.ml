@@ -126,6 +126,23 @@ let dk_design =
                ~structure ()));
   }
 
+(* The structured-singular-value upper bound of the Section VI-D cost
+   figure: a random real 7x7 matrix under two full blocks (4x4 and 3x3),
+   the D-scaling problem each frequency point of a D-step solves. *)
+let mu_upper7 =
+  {
+    kernel = "mu_upper7";
+    size = "7x7, blocks 4+3";
+    batch = 8;
+    reps = 30;
+    smoke_reps = 15;
+    prepare =
+      (fun () ->
+        let m = Linalg.Cmat.of_real (Linalg.Mat.random ~seed:3 7 7) in
+        let structure = [ Control.Ssv.Full (4, 4); Control.Ssv.Full (3, 3) ] in
+        fun () -> ignore (Control.Ssv.mu_upper structure m));
+  }
+
 (* 1000 board epochs (0.5 s each, 10 ms internal ticks = 50k ticks) on a
    workload scaled so it never finishes: the per-domain constant factor
    of every evaluation grid cell. *)
@@ -287,6 +304,7 @@ let all_kernels =
     svd 16 8;
     care 4;
     dk_design;
+    mu_upper7;
     xu3_epochs;
     controller_step;
     fleet_64boards;

@@ -89,8 +89,7 @@ let () =
   let target_fps = 30.0 in
   let quality = ref 3.0 in
   let app_layer =
-    Layer.controlled ~label:"app" ~measures:[| "fps" |]
-      ~actuates:[| "quality" |]
+    Layer.controlled ~label:"app"
       ~on_reset:(fun () -> quality := 3.0)
       ~controller:app.Design.controller
       ~targets:(Layer.Fixed [| target_fps |])

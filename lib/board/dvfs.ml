@@ -1,7 +1,5 @@
 type cluster = Big | Little
 
-let cluster_name = function Big -> "big" | Little -> "little"
-
 let f_min _ = 0.2
 
 let f_max = function Big -> 2.0 | Little -> 1.4

@@ -8,22 +8,14 @@
 
 type cluster = Big | Little
 
-val cluster_name : cluster -> string
-
 val f_min : cluster -> float
 (** 0.2 GHz for both clusters. *)
 
 val f_max : cluster -> float
 (** 2.0 GHz (big) / 1.4 GHz (little). *)
 
-val f_step : float
-(** 0.1 GHz. *)
-
 val levels : cluster -> float array
 (** All frequency levels, ascending. *)
-
-val channel : cluster -> Control.Quantize.channel
-(** The quantization descriptor handed to SSV design. *)
 
 val quantize : cluster -> float -> float
 (** Project an arbitrary request onto the DVFS table. *)

@@ -8,9 +8,6 @@
     switch penalty — the behaviour the software controller exploits when it
     packs threads to let the hardware controller power cores off. *)
 
-val ipc_peak : Dvfs.cluster -> float
-(** Peak IPC of one core: 2.0 (A15, out-of-order) / 0.9 (A7, in-order). *)
-
 val core_throughput :
   kind:Dvfs.cluster ->
   freq:float ->

@@ -55,7 +55,3 @@ let max_power kind =
       utilization = 1.0;
       temperature = 85.0;
     }
-
-let idle_power kind =
-  cluster_power kind
-    { cores_on = 1; freq = Dvfs.f_min kind; utilization = 0.0; temperature = 45.0 }

@@ -29,6 +29,3 @@ val cluster_power_on :
 
 val max_power : Dvfs.cluster -> float
 (** Power with all cores busy at maximum frequency and 85C. *)
-
-val idle_power : Dvfs.cluster -> float
-(** Power with one core on, idle, at minimum frequency and 45C. *)

@@ -124,15 +124,16 @@ let half name =
   let w = by_name name in
   scale ~threads:4 ~ginsts:(total_ginsts w /. 2.0) w
 
-let synthetic ?(seed = 1) ?(phases = 3) ?(ginsts = 600.0) ?(max_threads = 8)
-    () =
+let synthetic ?(seed = 1) ?(phases = 3) ?(ginsts = 600.0) () =
   if phases < 1 then invalid_arg "Workload.synthetic: need at least one phase";
-  let st = Random.State.make [| seed; phases; max_threads |] in
+  (* Threads per phase are drawn from 1..8; the bound is also part of
+     the RNG seed, so changing it changes every draw. *)
+  let st = Random.State.make [| seed; phases; 8 |] in
   let weights = Array.init phases (fun _ -> 0.2 +. Random.State.float st 1.0) in
   let total_w = Array.fold_left ( +. ) 0.0 weights in
   let phase i =
     {
-      threads = 1 + Random.State.int st max_threads;
+      threads = 1 + Random.State.int st 8;
       ginsts = ginsts *. weights.(i) /. total_w;
       mem_intensity = Random.State.float st 0.9;
       ipc_scale = 0.5 +. Random.State.float st 0.75;

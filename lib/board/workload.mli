@@ -62,7 +62,6 @@ val synthetic :
   ?seed:int ->
   ?phases:int ->
   ?ginsts:float ->
-  ?max_threads:int ->
   unit ->
   t
 (** Random phase-structured workload: per-phase thread counts, memory

@@ -41,17 +41,6 @@ type injector = {
   perf_gain : time:float -> float;
 }
 
-let identity_injector =
-  {
-    on_tick = (fun ~time:_ -> ());
-    sense = (fun ~time:_ o -> o);
-    transform_config = (fun ~time:_ ~current:_ c -> c);
-    transform_placement = (fun ~time:_ ~current:_ p -> p);
-    power_gain = (fun ~time:_ -> 1.0);
-    thermal_gain = (fun ~time:_ -> 1.0);
-    perf_gain = (fun ~time:_ -> 1.0);
-  }
-
 (* The per-tick mutable floats live in their own all-float record: OCaml
    stores such records as flat doubles, so each [<-] below is a plain
    store — in the mixed record they would box a fresh float and run the
@@ -123,8 +112,8 @@ let job_of_workload w =
       rem = { ginst = first.Workload.ginsts };
     }
 
-let create ?(sensor_noise = 0.0) ?(seed = 17)
-    ?(sensor_period = Sensors.power_update_period) ?injector workloads =
+let create ?(seed = 17) ?(sensor_period = Sensors.power_update_period)
+    ?injector workloads =
   if workloads = [] then invalid_arg "Board.create: no workloads";
   let jobs = List.map job_of_workload workloads in
   {
@@ -142,7 +131,7 @@ let create ?(sensor_noise = 0.0) ?(seed = 17)
         last_power_little = 0.0;
       };
     thermal = Thermal.create ();
-    sensors = Sensors.create ~noise:sensor_noise ~seed ~period:sensor_period ();
+    sensors = Sensors.create ~seed ~period:sensor_period ();
     emergency = Emergency.create ();
     requested = default_config;
     effective = default_config;
@@ -535,8 +524,6 @@ let set_power_cap t cap =
               | Some w -> Obs.Json.Float w );
           ])
   end
-
-let power_cap t = t.power_cap
 
 let time t = t.acc.time
 

@@ -88,11 +88,7 @@ type injector = {
           an IPC drop the identified model never saw). *)
 }
 
-val identity_injector : injector
-(** All hooks transparent; a convenient base to override. *)
-
 val create :
-  ?sensor_noise:float ->
   ?seed:int ->
   ?sensor_period:float ->
   ?injector:injector ->
@@ -102,8 +98,6 @@ val create :
     frequency, threads split evenly). [sensor_period] overrides the power
     sensor's 260 ms refresh (sensitivity studies); [injector] attaches
     fault-injection hooks (default: none — zero overhead). *)
-
-val default_config : config
 
 val set_config : t -> config -> unit
 (** Request a hardware configuration; values are clamped/quantized to the
@@ -125,9 +119,6 @@ val set_power_cap : t -> float option -> unit
     Enforcement is by {!Emergency}'s sustained-overage machinery
     (["power_cap"] trips clamp both clusters); boards that never receive
     a cap behave bit-identically to a build without this surface. *)
-
-val power_cap : t -> float option
-(** The currently imposed external power cap, if any. *)
 
 val step : t -> float -> unit
 (** Advance the simulation by the given number of seconds (internally in

@@ -233,27 +233,26 @@ let synthesize_at plant gamma = Option.map fst (synthesize_at_full plant gamma)
 let synthesis_calls_metric = Obs.Metrics.counter "hinf.synthesize_calls"
 let gamma_steps_metric = Obs.Metrics.counter "hinf.gamma_steps"
 
-let synthesize ?(gamma_min = 1e-3) ?(gamma_max = 0.0) ?(rel_tol = 1e-3)
-    ?regularize:(_ = 1e-6) plant =
+let synthesize plant =
   validate_partition plant;
   let t0 = if Obs.Collector.enabled () then Obs.Collector.now () else 0.0 in
-  (* Find a feasible upper bound by doubling if none was given. *)
-  let upper = ref (if gamma_max > 0.0 then gamma_max else 1.0) in
+  (* Find a feasible upper bound by doubling from 1. *)
+  let upper = ref 1.0 in
   let best = ref None in
   let tries = ref 0 in
   while !best = None && !tries < 24 do
     incr tries;
     (match synthesize_at_full plant !upper with
     | Some (k, norm) -> best := Some (k, !upper, norm)
-    | None -> if gamma_max > 0.0 then tries := 24 else upper := !upper *. 2.0)
+    | None -> upper := !upper *. 2.0)
   done;
   match !best with
   | None -> raise (Synthesis_failed "no feasible gamma found")
   | Some (k0, g0, n0) ->
-    let lo = ref gamma_min and hi = ref g0 in
+    let lo = ref 1e-3 and hi = ref g0 in
     let best_k = ref k0 and best_g = ref g0 and best_n = ref n0 in
     let iterations = ref 0 in
-    while (!hi -. !lo) /. !hi > rel_tol && !iterations < 60 do
+    while (!hi -. !lo) /. !hi > 1e-3 && !iterations < 60 do
       incr iterations;
       let mid = Float.sqrt (!lo *. !hi) in
       match synthesize_at_full plant mid with

@@ -48,15 +48,9 @@ val synthesize_at : plant -> float -> Ss.t option
 (** Attempt synthesis at a fixed [gamma]; [None] if the Riccati conditions
     fail or the resulting controller does not pass validation. *)
 
-val synthesize :
-  ?gamma_min:float ->
-  ?gamma_max:float ->
-  ?rel_tol:float ->
-  ?regularize:float ->
-  plant ->
-  result
-(** Bisect [gamma] in [[gamma_min, gamma_max]] (defaults 1e-3 and an
-    upper bound found by doubling from 1). [regularize] (default [1e-6])
-    adds tiny full-rank terms to [D12]/[D21] when they are rank deficient,
-    a standard regularization.
-    @raise Synthesis_failed if no feasible [gamma] exists in the range. *)
+val synthesize : plant -> result
+(** Bisect [gamma] down to a relative width of 1e-3, between 1e-3 and an
+    upper bound found by doubling from 1. Rank-deficient [D12]/[D21] get
+    tiny full-rank regularization terms (1e-6), a standard
+    regularization.
+    @raise Synthesis_failed if no feasible [gamma] is found. *)

@@ -1,9 +1,5 @@
 open Linalg
 
-let lqr_gain ~a ~b ~q ~r =
-  let x = Dare.solve ~a ~b ~q ~r in
-  Dare.gain ~a ~b ~r x
-
 (* The filtering Riccati equation is the dual of the control one:
    P = A P A^T - A P C^T (C P C^T + V)^-1 C P A^T + W,
    solved by Dare on the transposed data. Predictor gain
@@ -13,21 +9,3 @@ let kalman_gain ~a ~c ~w ~v =
   let pct = Mat.mul p (Mat.transpose c) in
   let s = Mat.add (Mat.mul c pct) v in
   Mat.mul a (Lu.solve_right pct s)
-
-let synthesize ~plant ~q ~r ~w ~v =
-  (match plant.Ss.domain with
-  | Ss.Discrete _ -> ()
-  | Ss.Continuous -> invalid_arg "Lqg.synthesize: discrete plants only");
-  let a = plant.Ss.a and b = plant.Ss.b and c = plant.Ss.c and d = plant.Ss.d in
-  let k = lqr_gain ~a ~b ~q ~r in
-  let l = kalman_gain ~a ~c ~w ~v in
-  (* Predictor-based compensator:
-     xh' = A xh + B u + L (y - C xh - D u), u = -K xh. *)
-  let ak =
-    Mat.add
-      (Mat.sub (Mat.sub a (Mat.mul b k)) (Mat.mul l c))
-      (Mat.mul3 l d k)
-  in
-  Ss.make ~domain:plant.Ss.domain ~a:ak ~b:l ~c:(Mat.neg k)
-    ~d:(Mat.create (Mat.dims k |> fst) (Mat.dims l |> snd))
-    ()

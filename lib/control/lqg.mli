@@ -1,19 +1,11 @@
-(** Discrete-time LQG (Linear Quadratic Gaussian) synthesis.
+(** Steady-state Kalman predictor gain for the LQG baselines.
 
-    This is the state-of-the-art MIMO baseline the Yukta paper compares
-    against (Pothukuchi et al., ISCA 2016): an LQR state feedback combined
-    with a Kalman predictor. Unlike the SSV controllers, LQG accepts no
-    output deviation bounds, no input quantization information, no external
-    signals, and no uncertainty guardband. *)
-
-val lqr_gain :
-  a:Linalg.Mat.t ->
-  b:Linalg.Mat.t ->
-  q:Linalg.Mat.t ->
-  r:Linalg.Mat.t ->
-  Linalg.Mat.t
-(** Optimal state feedback [K] for [u = -K x].
-    @raise Dare.No_solution on unstabilizable data. *)
+    The state-of-the-art MIMO baseline the Yukta paper compares against
+    (Pothukuchi et al., ISCA 2016) combines this predictor with an LQR
+    state feedback; [Yukta.Lqg_layer] builds the integral-augmented one.
+    Unlike the SSV controllers, LQG accepts no output deviation bounds, no
+    input quantization information, no external signals, and no
+    uncertainty guardband. *)
 
 val kalman_gain :
   a:Linalg.Mat.t ->
@@ -24,14 +16,3 @@ val kalman_gain :
 (** Steady-state predictor gain [L] for process noise covariance [w] and
     measurement noise covariance [v].
     @raise Dare.No_solution on undetectable data. *)
-
-val synthesize :
-  plant:Ss.t ->
-  q:Linalg.Mat.t ->
-  r:Linalg.Mat.t ->
-  w:Linalg.Mat.t ->
-  v:Linalg.Mat.t ->
-  Ss.t
-(** Output-feedback LQG controller (from plant output [y] to plant input
-    [u]) for a discrete plant: Kalman predictor plus LQR feedback. The
-    returned controller has the plant's sampling period. *)

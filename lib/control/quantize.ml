@@ -18,11 +18,6 @@ let project c x =
   let k = Float.round ((clamped -. c.minimum) /. c.step) in
   Float.min c.maximum (c.minimum +. (k *. c.step))
 
-let project_vec channels v =
-  if Array.length channels <> Linalg.Vec.dim v then
-    invalid_arg "Quantize.project_vec: dimension mismatch";
-  Array.mapi (fun i x -> project channels.(i) x) v
-
 let quantization_radius c = c.step /. 2.0
 
 let span c = c.maximum -. c.minimum

@@ -21,8 +21,6 @@ val count : channel -> int
 val project : channel -> float -> float
 (** Clamp into range, then round to the nearest grid point. *)
 
-val project_vec : channel array -> Linalg.Vec.t -> Linalg.Vec.t
-
 val quantization_radius : channel -> float
 (** Worst-case projection error for in-range commands: [step / 2]. *)
 

@@ -53,17 +53,6 @@ let balanced_truncation sys ~order =
       ~b:(Mat.mul wt sys.Ss.b) ~c:(Mat.mul sys.Ss.c t) ~d:sys.Ss.d ()
   end
 
-let truncate_to_tolerance sys ~tol =
-  let s = hankel_singular_values sys in
-  let n = Vec.dim s in
-  if n = 0 then sys
-  else begin
-    let cutoff = tol *. s.(0) in
-    let order = ref 0 in
-    Array.iter (fun x -> if x > cutoff then incr order) s;
-    balanced_truncation sys ~order:(max 1 !order)
-  end
-
 let error_bound sys ~order =
   let s = hankel_singular_values sys in
   let acc = ref 0.0 in

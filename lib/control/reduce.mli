@@ -17,8 +17,5 @@ val balanced_truncation : Ss.t -> order:int -> Ss.t
     @raise Invalid_argument if [order] exceeds the system order or the
     system is unstable. *)
 
-val truncate_to_tolerance : Ss.t -> tol:float -> Ss.t
-(** Keep the states whose Hankel values exceed [tol * largest]. *)
-
 val error_bound : Ss.t -> order:int -> float
 (** The a-priori H-infinity error bound [2 * sum_{i>order} sigma_i]. *)

@@ -28,34 +28,12 @@ let inputs sys = sys.b.Mat.cols
 
 let outputs sys = sys.c.Mat.rows
 
-let static_gain ?(domain = Continuous) d =
-  {
-    a = Mat.create 0 0;
-    b = Mat.create 0 d.Mat.cols;
-    c = Mat.create d.Mat.rows 0;
-    d;
-    domain;
-  }
-
-let gain ?domain n g = static_gain ?domain (Mat.scalar n g)
-
-let integrator ?(period = 1.0) n =
-  {
-    a = Mat.identity n;
-    b = Mat.identity n;
-    c = Mat.identity n;
-    d = Mat.create n n;
-    domain = Discrete period;
-  }
-
 let is_stable sys =
   order sys = 0
   ||
   match sys.domain with
   | Continuous -> Eig.is_stable_continuous sys.a
   | Discrete _ -> Eig.is_stable_discrete sys.a
-
-let poles sys = Eig.eigenvalues sys.a
 
 let dcgain sys =
   if order sys = 0 then sys.d
@@ -109,100 +87,6 @@ let same_domain name s1 s2 =
     else if order s2 = 0 then s1.domain
     else invalid_arg (name ^ ": mixed time domains")
 
-(* [series g1 g2] = g2 o g1. State [x1; x2]. *)
-let series g1 g2 =
-  if outputs g1 <> inputs g2 then invalid_arg "Ss.series: dimension mismatch";
-  let domain = same_domain "Ss.series" g1 g2 in
-  let n1 = order g1 and n2 = order g2 in
-  let a =
-    Mat.blocks
-      [
-        [ g1.a; Mat.create n1 n2 ];
-        [ Mat.mul g2.b g1.c; g2.a ];
-      ]
-  in
-  let b = Mat.vcat g1.b (Mat.mul g2.b g1.d) in
-  let c = Mat.hcat (Mat.mul g2.d g1.c) g2.c in
-  let d = Mat.mul g2.d g1.d in
-  { a; b; c; d; domain }
-
-let parallel g1 g2 =
-  if inputs g1 <> inputs g2 || outputs g1 <> outputs g2 then
-    invalid_arg "Ss.parallel: dimension mismatch";
-  let domain = same_domain "Ss.parallel" g1 g2 in
-  let n1 = order g1 and n2 = order g2 in
-  let a =
-    Mat.blocks [ [ g1.a; Mat.create n1 n2 ]; [ Mat.create n2 n1; g2.a ] ]
-  in
-  let b = Mat.vcat g1.b g2.b in
-  let c = Mat.hcat g1.c g2.c in
-  let d = Mat.add g1.d g2.d in
-  { a; b; c; d; domain }
-
-let append g1 g2 =
-  let domain = same_domain "Ss.append" g1 g2 in
-  let n1 = order g1 and n2 = order g2 in
-  let a =
-    Mat.blocks [ [ g1.a; Mat.create n1 n2 ]; [ Mat.create n2 n1; g2.a ] ]
-  in
-  let b =
-    Mat.blocks
-      [
-        [ g1.b; Mat.create n1 (inputs g2) ];
-        [ Mat.create n2 (inputs g1); g2.b ];
-      ]
-  in
-  let c =
-    Mat.blocks
-      [
-        [ g1.c; Mat.create (outputs g1) n2 ];
-        [ Mat.create (outputs g2) n1; g2.c ];
-      ]
-  in
-  let d =
-    Mat.blocks
-      [
-        [ g1.d; Mat.create (outputs g1) (inputs g2) ];
-        [ Mat.create (outputs g2) (inputs g1); g2.d ];
-      ]
-  in
-  { a; b; c; d; domain }
-
-let add_output_disturbance sys =
-  let p = outputs sys in
-  {
-    sys with
-    b = Mat.hcat sys.b (Mat.create (order sys) p);
-    d = Mat.hcat sys.d (Mat.identity p);
-  }
-
-(* Closed loop of plant G and controller K with u = sign*K*y + r:
-   well-posedness requires I - sign*Dg*Dk invertible. *)
-let feedback ?(sign = -1.0) g k =
-  if outputs g <> inputs k || outputs k <> inputs g then
-    invalid_arg "Ss.feedback: dimension mismatch";
-  let domain = same_domain "Ss.feedback" g k in
-  let m = inputs g in
-  let e = Mat.sub (Mat.identity m) (Mat.scale sign (Mat.mul k.d g.d)) in
-  let einv = Lu.inv e in
-  (* u = einv (sign*Dk*Cg x_g + sign*Ck x_k + r) *)
-  let u_xg = Mat.mul einv (Mat.scale sign (Mat.mul k.d g.c)) in
-  let u_xk = Mat.mul einv (Mat.scale sign k.c) in
-  let a =
-    Mat.blocks
-      [
-        [ Mat.add g.a (Mat.mul g.b u_xg); Mat.mul g.b u_xk ];
-        [
-          Mat.mul k.b (Mat.add g.c (Mat.mul g.d u_xg));
-          Mat.add k.a (Mat.mul3 k.b g.d u_xk);
-        ];
-      ]
-  in
-  let b = Mat.vcat (Mat.mul g.b einv) (Mat.mul3 k.b g.d einv) in
-  let c = Mat.hcat (Mat.add g.c (Mat.mul g.d u_xg)) (Mat.mul g.d u_xk) in
-  let d = Mat.mul g.d einv in
-  { a; b; c; d; domain }
-
 (* Lower LFT: partition P's inputs as [w; u] and outputs as [z; y] with
    (u, y) matched to K; close u = K y. *)
 let lft_lower p k =
@@ -243,15 +127,6 @@ let lft_lower p k =
   let c = Mat.hcat (Mat.add c1 (Mat.mul d12 u_xp)) (Mat.mul d12 u_xk) in
   let d = Mat.add d11 (Mat.mul d12 u_w) in
   { a; b; c; d; domain }
-
-let transform t sys =
-  let tinv = Lu.inv t in
-  {
-    sys with
-    a = Mat.mul3 tinv sys.a t;
-    b = Mat.mul tinv sys.b;
-    c = Mat.mul sys.c t;
-  }
 
 let freq_response sys w =
   let n = order sys in
@@ -317,58 +192,3 @@ let hinf_norm ?(points = 200) sys =
     refine (!best_w /. 3.0) (!best_w *. 3.0);
     !best
   end
-
-(* Controllability gramian by the doubling iteration
-   P_{k+1} = P_k + A_k P_k A_k^T, A_{k+1} = A_k^2; converges for Schur A. *)
-let discrete_gramian a b =
-  let n = a.Mat.rows in
-  (* Preallocated doubling, same float ops as the allocating form:
-     update = (A_k P) A_k^T (left association), P += update, A_k <- A_k^2. *)
-  let p = Mat.mul b (Mat.transpose b) in
-  let ak = ref (Mat.copy a) in
-  let ak_next = ref (Mat.create n n) in
-  let akt = Mat.create n n in
-  let tmp = Mat.create n n in
-  let update = Mat.create n n in
-  let continue_ = ref true in
-  let iter = ref 0 in
-  while !continue_ && !iter < 60 do
-    incr iter;
-    Mat.transpose_into ~dst:akt !ak;
-    Mat.mul_into ~dst:tmp !ak p;
-    Mat.mul_into ~dst:update tmp akt;
-    Mat.add_into ~dst:p p update;
-    Mat.mul_into ~dst:!ak_next !ak !ak;
-    let t = !ak in
-    ak := !ak_next;
-    ak_next := t;
-    if Mat.norm_fro update <= 1e-14 *. Float.max 1.0 (Mat.norm_fro p) then
-      continue_ := false
-  done;
-  Mat.symmetrize p
-
-let h2_norm sys =
-  match sys.domain with
-  | Continuous ->
-    invalid_arg "Ss.h2_norm: implemented for discrete systems only"
-  | Discrete _ ->
-    if not (is_stable sys) then infinity
-    else if order sys = 0 then Mat.norm_fro sys.d
-    else begin
-      let p = discrete_gramian sys.a sys.b in
-      let y = Mat.mul3 sys.c p (Mat.transpose sys.c) in
-      Float.sqrt
-        (Float.max 0.0
-           (Mat.trace y +. (Mat.norm_fro sys.d ** 2.0)))
-    end
-
-let pp fmt sys =
-  let dom =
-    match sys.domain with
-    | Continuous -> "continuous"
-    | Discrete p -> Printf.sprintf "discrete(T=%g)" p
-  in
-  Format.fprintf fmt
-    "@[<v>%s system: %d states, %d inputs, %d outputs@,A =@,%a@,B =@,%a@,C =@,%a@,D =@,%a@]"
-    dom (order sys) (inputs sys) (outputs sys) Mat.pp sys.a Mat.pp sys.b
-    Mat.pp sys.c Mat.pp sys.d

@@ -2,9 +2,8 @@
 
     A system is [x' = A x + B u], [y = C x + D u], where [x'] is the time
     derivative (continuous time) or the next-step state (discrete time with
-    a sampling period). Interconnection operators (series, parallel,
-    feedback, LFTs) are the building blocks used by the synthesis routines
-    and by the Yukta layer-composition code. *)
+    a sampling period). The lower linear fractional transformation is the
+    interconnection the synthesis routines close loops with. *)
 
 type domain =
   | Continuous
@@ -36,20 +35,8 @@ val inputs : t -> int
 
 val outputs : t -> int
 
-val static_gain : ?domain:domain -> Linalg.Mat.t -> t
-(** Zero-order system [y = D u]. *)
-
-val gain : ?domain:domain -> int -> float -> t
-(** Static diagonal gain [y = g u] on [n] channels. *)
-
-val integrator : ?period:float -> int -> t
-(** Discrete integrator bank: [x' = x + u], [y = x] on [n] channels
-    (default period 1). Used to add integral action to tracking loops. *)
-
 val is_stable : t -> bool
 (** Hurwitz (continuous) or Schur (discrete) stability of [A]. *)
-
-val poles : t -> Complex.t array
 
 val dcgain : t -> Linalg.Mat.t
 (** Steady-state gain: [D - C A^-1 B] (continuous), or
@@ -57,9 +44,6 @@ val dcgain : t -> Linalg.Mat.t
     @raise Linalg.Lu.Singular for systems with integrators. *)
 
 (** {1 Simulation (discrete systems)} *)
-
-val step : t -> x:Linalg.Vec.t -> u:Linalg.Vec.t -> Linalg.Vec.t * Linalg.Vec.t
-(** [step sys ~x ~u] is [(x_next, y)]. *)
 
 val step_into :
   t ->
@@ -70,10 +54,11 @@ val step_into :
   sx:Linalg.Vec.t ->
   sy:Linalg.Vec.t ->
   unit
-(** Allocation-free [step]: writes the next state into [x_next] and the
-    output into [y], using caller-provided scratch [sx] (dimension
-    [order]) and [sy] (dimension [outputs]). Bit-identical to [step].
-    [x_next] must not alias [x]. *)
+(** One step without allocating: writes the next state [A x + B u] into
+    [x_next] and the output [C x + D u] into [y], using caller-provided
+    scratch [sx] (dimension [order]) and [sy] (dimension [outputs]).
+    Bit-identical to the step {!simulate} takes. [x_next] must not alias
+    [x]. *)
 
 val simulate : t -> ?x0:Linalg.Vec.t -> Linalg.Vec.t array -> Linalg.Vec.t array
 (** Drive a discrete system with an input sequence from initial state [x0]
@@ -81,33 +66,10 @@ val simulate : t -> ?x0:Linalg.Vec.t -> Linalg.Vec.t array -> Linalg.Vec.t array
 
 (** {1 Interconnection} *)
 
-val series : t -> t -> t
-(** [series g1 g2] is [g2 * g1]: the output of [g1] feeds [g2]. *)
-
-val parallel : t -> t -> t
-(** Sum of outputs, shared input. *)
-
-val append : t -> t -> t
-(** Block-diagonal: stacks inputs, outputs and states. *)
-
-val add_output_disturbance : t -> t
-(** Augment with an extra input added directly to the outputs (identity
-    feedthrough): models output disturbances / external signals entering
-    additively. *)
-
-val feedback : ?sign:float -> t -> t -> t
-(** [feedback plant controller] closes the loop
-    [u = sign * K y + r] (default [sign = -1.], negative feedback), giving
-    the closed-loop system from [r] to the plant output.
-    @raise Linalg.Lu.Singular if the algebraic loop is ill-posed. *)
-
 val lft_lower : t -> t -> t
 (** Lower linear fractional transformation [F_l(P, K)]: [P] partitioned
     with its {e last} [inputs K] inputs and {e last} [outputs K] outputs
     connected to [K]. This is the standard plant/controller closure. *)
-
-val transform : Linalg.Mat.t -> t -> t
-(** Similarity transform [x = T z]: returns the system in [z] coordinates. *)
 
 (** {1 Frequency domain} *)
 
@@ -120,9 +82,3 @@ val hinf_norm : ?points:int -> t -> float
 (** Peak singular value of the frequency response over a logarithmic
     frequency grid (with local refinement around the peak). For unstable
     systems returns [infinity]. *)
-
-val h2_norm : t -> float
-(** Discrete H2 norm via the controllability gramian.
-    @raise Invalid_argument for continuous systems with [D <> 0]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -63,7 +63,7 @@ let time_to_recover ~schedule ~completed (trace : Yukta.Stack.trace_point array)
           trace;
         !found)
 
-let run ?max_time ?epoch ?guardband ?pool ~schemes ~workloads schedule =
+let run ?max_time ?epoch ?pool ~schemes ~workloads schedule =
   (* One cell per scheme; the clean and faulted runs stay paired inside
      the cell, so parallel fan-out never splits a comparison. The
      single-force rule: building every stack once here warms the design
@@ -76,7 +76,7 @@ let run ?max_time ?epoch ?guardband ?pool ~schemes ~workloads schedule =
       let clean_r =
         Yukta.Schemes.run ?max_time ?epoch scheme workloads
       in
-      let injector = Injector.make ?guardband schedule in
+      let injector = Injector.make schedule in
       let faulted_r =
         Yukta.Schemes.run ?max_time ?epoch ~collect_trace:true
           ~injector:(Injector.hooks injector) scheme workloads

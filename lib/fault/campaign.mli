@@ -28,7 +28,6 @@ type outcome = {
 val run :
   ?max_time:float ->
   ?epoch:float ->
-  ?guardband:float ->
   ?pool:Parallel.Pool.t ->
   schemes:Yukta.Schemes.info list ->
   workloads:Board.Workload.t list ->
@@ -43,13 +42,6 @@ val run :
 val least_inflated : outcome list -> outcome option
 (** The scheme with the smallest E x D inflation — the campaign's
     "winner" recorded in the JSON. *)
-
-val time_to_recover :
-  schedule:Spec.timed list ->
-  completed:bool ->
-  Yukta.Stack.trace_point array ->
-  float option
-(** The recovery metric on its own (exposed for tests). *)
 
 val to_json : schedule:Spec.timed list -> outcome list -> Obs.Json.t
 (** Deterministic (simulated-time-only) JSON: the schedule, per-scheme

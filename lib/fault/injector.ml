@@ -6,7 +6,6 @@
 open Board
 
 type t = {
-  guardband : float;
   faults : Spec.timed array;
   active : bool array;
   (* What the sensors last reported (post-corruption): the value a
@@ -17,29 +16,20 @@ type t = {
   mutable config_requests : (float * Xu3.config) list;
   mutable placement_requests : (float * Xu3.placement) list;
   mutable injections : int;
-  mutable clears : int;
 }
 
-let make ?(guardband = Schedule.default_guardband) schedule =
-  if guardband <= 0.0 then
-    invalid_arg "Fault.Injector.make: guardband must be positive";
+let make schedule =
   let faults = Array.of_list schedule in
   {
-    guardband;
     faults;
     active = Array.make (Array.length faults) false;
     last_reported = None;
     config_requests = [];
     placement_requests = [];
     injections = 0;
-    clears = 0;
   }
 
 let injections t = t.injections
-
-let clears t = t.clears
-
-let schedule t = Array.to_list t.faults
 
 let injections_metric = Obs.Metrics.counter "fault.injections"
 
@@ -69,7 +59,6 @@ let on_tick t ~time =
       end
       else if (not now) && t.active.(i) then begin
         t.active.(i) <- false;
-        t.clears <- t.clears + 1;
         (* A cleared actuator fault drops its pending request backlog:
            the next command applies normally. *)
         (match f.Spec.fault with
@@ -202,17 +191,20 @@ let transform_placement t ~time ~current p =
 
 let power_gain t ~time:_ =
   fold_active t
-    (fun g fault -> g *. Spec.power_gain ~guardband:t.guardband fault)
+    (fun g fault ->
+      g *. Spec.power_gain ~guardband:Schedule.default_guardband fault)
     1.0
 
 let thermal_gain t ~time:_ =
   fold_active t
-    (fun g fault -> g *. Spec.thermal_gain ~guardband:t.guardband fault)
+    (fun g fault ->
+      g *. Spec.thermal_gain ~guardband:Schedule.default_guardband fault)
     1.0
 
 let perf_gain t ~time:_ =
   fold_active t
-    (fun g fault -> g *. Spec.perf_gain ~guardband:t.guardband fault)
+    (fun g fault ->
+      g *. Spec.perf_gain ~guardband:Schedule.default_guardband fault)
     1.0
 
 let hooks t =

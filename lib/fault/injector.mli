@@ -15,18 +15,12 @@
 
 type t
 
-val make : ?guardband:float -> Spec.timed list -> t
-(** [guardband] resolves drift severities to plant gains (default
-    {!Schedule.default_guardband}).
-    @raise Invalid_argument on a non-positive guardband. *)
+val make : Spec.timed list -> t
+(** Drift severities resolve to plant gains at
+    {!Schedule.default_guardband}. *)
 
 val hooks : t -> Board.Xu3.injector
 (** The hook record to pass to [Xu3.create] / [Stack.run]. *)
 
 val injections : t -> int
 (** Faults activated so far in this run. *)
-
-val clears : t -> int
-(** Faults cleared so far. *)
-
-val schedule : t -> Spec.timed list

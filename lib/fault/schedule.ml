@@ -8,22 +8,19 @@ type profile = {
   horizon : float;
   count : int;
   severity : float;
-  guardband : float;
 }
 
 let default_guardband = 0.40
 
-let in_guardband ?(horizon = 120.0) ?(count = 6)
-    ?(guardband = default_guardband) () =
+let in_guardband ?(horizon = 120.0) ?(count = 6) () =
   if horizon <= 0.0 then invalid_arg "Fault.Schedule: horizon must be positive";
   if count < 1 then invalid_arg "Fault.Schedule: count must be at least 1";
-  { label = "in-guardband"; horizon; count; severity = 0.75; guardband }
+  { label = "in-guardband"; horizon; count; severity = 0.75 }
 
-let out_of_guardband ?(horizon = 120.0) ?(count = 6)
-    ?(guardband = default_guardband) () =
+let out_of_guardband ?(horizon = 120.0) ?(count = 6) () =
   if horizon <= 0.0 then invalid_arg "Fault.Schedule: horizon must be positive";
   if count < 1 then invalid_arg "Fault.Schedule: count must be at least 1";
-  { label = "out-of-guardband"; horizon; count; severity = 2.5; guardband }
+  { label = "out-of-guardband"; horizon; count; severity = 2.5 }
 
 (* Uniform draw in [lo, hi) from the schedule's private RNG. *)
 let range st lo hi = lo +. Random.State.float st (hi -. lo)

@@ -11,20 +11,18 @@ type profile = {
   horizon : float;     (** Faults start within [0.05, 0.65] x horizon and
                            last [0.08, 0.25] x horizon seconds. *)
   count : int;         (** Number of faults drawn. *)
-  severity : float;    (** Drift severity, fraction of guardband. *)
-  guardband : float;   (** The design guardband severities refer to. *)
+  severity : float;    (** Drift severity, fraction of
+                           {!default_guardband}. *)
 }
 
 val default_guardband : float
 (** 0.40 — the +-40% default of the hardware-layer spec (Table II). *)
 
-val in_guardband :
-  ?horizon:float -> ?count:int -> ?guardband:float -> unit -> profile
+val in_guardband : ?horizon:float -> ?count:int -> unit -> profile
 (** Severity 0.75: every plant drift stays inside the uncertainty ball
     the SSV synthesis certified. Defaults: 120 s horizon, 6 faults. *)
 
-val out_of_guardband :
-  ?horizon:float -> ?count:int -> ?guardband:float -> unit -> profile
+val out_of_guardband : ?horizon:float -> ?count:int -> unit -> profile
 (** Severity 2.5: plant drifts leave the certified ball — nothing is
     guaranteed for anyone out here; the question is who degrades
     gracefully. *)

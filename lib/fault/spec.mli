@@ -47,12 +47,6 @@ val make : start:float -> duration:float -> kind -> timed
 val stop : timed -> float
 (** [start +. duration]. *)
 
-val channel_name : channel -> string
-
-val kind_name : kind -> string
-(** Short dotted tag, e.g. ["sensor.dropout"] — the [fault.inject]
-    event vocabulary. *)
-
 val describe : timed -> string
 (** One human-readable line with the timing window. *)
 
@@ -62,8 +56,5 @@ val power_gain : guardband:float -> kind -> float
 val thermal_gain : guardband:float -> kind -> float
 
 val perf_gain : guardband:float -> kind -> float
-
-val severity : kind -> float option
-(** The numeric parameter of the fault, when it has one. *)
 
 val to_json : timed -> Obs.Json.t

@@ -43,15 +43,11 @@ type t = {
   mutable trim : float;         (* Feedback budget multiplier. *)
 }
 
-let make ?floor ?gain ~policy ~boards ~cap () =
+let make ?gain ~policy ~boards ~cap () =
   if boards < 1 then invalid_arg "Rack.make: boards must be >= 1";
   if not (cap > 0.0) then invalid_arg "Rack.make: cap must be positive";
   let fair = cap /. float_of_int boards in
-  let floor =
-    match floor with
-    | Some f -> Float.min f fair
-    | None -> Float.min default_floor fair
-  in
+  let floor = Float.min default_floor fair in
   let gain =
     match gain with
     | Some g -> g
@@ -69,10 +65,6 @@ let make ?floor ?gain ~policy ~boards ~cap () =
     caps = Array.make boards fair;
     trim = 1.0;
   }
-
-let policy t = t.policy
-
-let cap t = t.cap
 
 let caps t = t.caps
 

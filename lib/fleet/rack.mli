@@ -40,25 +40,18 @@ val board_ceiling : float
 type t
 
 val make :
-  ?floor:float ->
   ?gain:float ->
   policy:policy ->
   boards:int ->
   cap:float ->
   unit ->
   t
-(** A rack controller for [boards] boards sharing [cap] watts. [floor]
-    is the per-board minimum allocation (default 0.45 W, clamped to the
-    fair share); [gain] overrides the feedback trim gain (default: the
+(** A rack controller for [boards] boards sharing [cap] watts. No board
+    is allocated less than 0.45 W (clamped to the fair share). [gain]
+    overrides the feedback trim gain (default: the
     cached {!Yukta.Designs.rack_gain}, only consulted for the feedback
     policy). Initial apportionment is the even split.
     @raise Invalid_argument on [boards < 1] or a non-positive [cap]. *)
-
-val policy : t -> policy
-(** The apportionment policy this controller runs. *)
-
-val cap : t -> float
-(** The shared rack budget, watts (fixed at {!make} time). *)
 
 val caps : t -> float array
 (** The current per-board apportionment, watts. The returned array is

@@ -30,15 +30,6 @@ let dims a = (a.rows, a.cols)
 
 let copy a = { a with data = Array.copy a.data }
 
-let sub_matrix a i j m n = init m n (fun r c -> get a (i + r) (j + c))
-
-let set_block a i j b =
-  for r = 0 to b.rows - 1 do
-    for c = 0 to b.cols - 1 do
-      set a (i + r) (j + c) (get b r c)
-    done
-  done
-
 let check_same name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg (name ^ ": dimension mismatch")
@@ -46,10 +37,6 @@ let check_same name a b =
 let add a b =
   check_same "Cmat.add" a b;
   { a with data = Array.mapi (fun k x -> Complex.add x b.data.(k)) a.data }
-
-let sub a b =
-  check_same "Cmat.sub" a b;
-  { a with data = Array.mapi (fun k x -> Complex.sub x b.data.(k)) a.data }
 
 let scale s a = { a with data = Array.map (Complex.mul s) a.data }
 
@@ -83,18 +70,11 @@ let mul_vec a v =
       done;
       !acc)
 
-let transpose a = init a.cols a.rows (fun i j -> get a j i)
-
 let conj_transpose a = init a.cols a.rows (fun i j -> Complex.conj (get a j i))
 
 let diag d =
   let n = Array.length d in
   init n n (fun i j -> if i = j then d.(i) else zero)
-
-let diag_real d = diag (Array.map (fun x -> { re = x; im = 0.0 }) d)
-
-let norm_fro a =
-  Float.sqrt (Array.fold_left (fun acc x -> acc +. Complex.norm2 x) 0.0 a.data)
 
 let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Complex.norm x)) 0.0 a.data
 
@@ -157,9 +137,9 @@ let solve a b =
 (* (zI - a)^{-1} b: the resolvent applied to [b]. Builds the shifted
    matrix in one pass and hands it straight to the destructive solve —
    the frequency-response grids in [Ss.hinf_norm] call this hundreds of
-   times per synthesis, where the scale/sub/copy chain it replaces was
-   three full-matrix allocations per grid point. Entries match the
-   [sub (scale z identity) a] formulation bit-for-bit. *)
+   times per synthesis. Each entry is [z - a_ii] on the diagonal and
+   [0 - a_ij] off it, the same complex subtractions as forming [zI] and
+   subtracting [a]. *)
 let resolvent z a b =
   if not (a.rows = a.cols) then invalid_arg "Cmat.resolvent: non-square";
   if a.rows <> b.rows then invalid_arg "Cmat.resolvent: dimension mismatch";
@@ -181,17 +161,3 @@ let approx_equal ?(tol = 1e-9) a b =
     (fun k x -> if Complex.norm (Complex.sub x b.data.(k)) > tol then ok := false)
     a.data;
   !ok
-
-let pp fmt a =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to a.rows - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to a.cols - 1 do
-      if j > 0 then Format.fprintf fmt ", ";
-      let z = get a i j in
-      Format.fprintf fmt "%.4g%+.4gi" z.re z.im
-    done;
-    Format.fprintf fmt "]";
-    if i < a.rows - 1 then Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

@@ -16,24 +16,16 @@ val imag_part : t -> Mat.t
 val get : t -> int -> int -> Complex.t
 val set : t -> int -> int -> Complex.t -> unit
 val dims : t -> int * int
-val copy : t -> t
-val sub_matrix : t -> int -> int -> int -> int -> t
-val set_block : t -> int -> int -> t -> unit
 
 val add : t -> t -> t
-val sub : t -> t -> t
-val scale : Complex.t -> t -> t
 val scale_real : float -> t -> t
 val mul : t -> t -> t
 val mul_vec : t -> Complex.t array -> Complex.t array
 
-val transpose : t -> t
 val conj_transpose : t -> t
 
 val diag : Complex.t array -> t
-val diag_real : Vec.t -> t
 
-val norm_fro : t -> float
 val max_abs : t -> float
 
 val solve : t -> t -> t
@@ -41,13 +33,11 @@ val solve : t -> t -> t
     @raise Lu.Singular when singular. *)
 
 val resolvent : Complex.t -> t -> t -> t
-(** [resolvent z a b] is [(zI - a)^{-1} b], bit-identical to
-    [solve (sub (scale z (identity n)) a) b] but building the shifted
-    matrix once and factorizing it in place — the hot call of the
+(** [resolvent z a b] is [(zI - a)^{-1} b], building the shifted matrix
+    once and factorizing it in place — the hot call of the
     frequency-response grid in [Ss.hinf_norm].
     @raise Lu.Singular when [zI - a] is singular. *)
 
 val inv : t -> t
 
 val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

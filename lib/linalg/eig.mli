@@ -15,18 +15,8 @@ val eigenvalues : Mat.t -> Complex.t array
 (** All eigenvalues of a square real matrix, in no particular order.
     @raise Failure if the QR iteration fails to converge. *)
 
-val eigenvalues_complex_ref : Mat.t -> Complex.t array
-(** Reference implementation: the pre-Francis complex shifted-QR path
-    (Hessenberg form lifted to [Cmat], Wilkinson single shifts, Givens
-    sweeps). Slower than {!eigenvalues}; retained as an independent
-    oracle for cross-validation tests.
-    @raise Failure if the QR iteration fails to converge. *)
-
 val spectral_radius : Mat.t -> float
 (** Largest eigenvalue magnitude. *)
-
-val spectral_abscissa : Mat.t -> float
-(** Largest eigenvalue real part (continuous-time stability measure). *)
 
 val is_stable_discrete : ?margin:float -> Mat.t -> bool
 (** All eigenvalues strictly inside the unit circle (radius [1. - margin],

@@ -19,9 +19,6 @@ val factorize : Mat.t -> factors
 val solve_vec : factors -> Vec.t -> Vec.t
 (** Solve [a x = b] given [factorize a]. *)
 
-val solve_mat : factors -> Mat.t -> Mat.t
-(** Solve [a X = B] column-wise. *)
-
 val solve : Mat.t -> Mat.t -> Mat.t
 (** [solve a b] is [a^-1 * b]. @raise Singular if [a] is singular. *)
 

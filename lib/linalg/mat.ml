@@ -38,8 +38,6 @@ let of_lists ll = of_arrays (Array.of_list (List.map Array.of_list ll))
 
 let of_vec_col v = init (Vec.dim v) 1 (fun i _ -> v.(i))
 
-let of_vec_row v = init 1 (Vec.dim v) (fun _ j -> v.(j))
-
 let random ?(seed = 42) rows cols =
   let st = Random.State.make [| seed; rows; cols |] in
   init rows cols (fun _ _ -> Random.State.float st 2.0 -. 1.0)
@@ -57,8 +55,6 @@ let col a j = Array.init a.rows (fun i -> get a i j)
 let diagonal a = Array.init (min a.rows a.cols) (fun i -> get a i i)
 
 let copy a = { a with data = Array.copy a.data }
-
-let to_arrays a = Array.init a.rows (fun i -> row a i)
 
 let set_row a i v =
   if Vec.dim v <> a.cols then invalid_arg "Mat.set_row: dimension mismatch";
@@ -271,10 +267,6 @@ let mul3 a b c =
   let cost_right = (b.rows * b.cols * c.cols) + (a.rows * a.cols * c.cols) in
   if cost_left <= cost_right then mul (mul a b) c else mul a (mul b c)
 
-let add_scaled a s b =
-  check_same "Mat.add_scaled" a b;
-  { a with data = Array.mapi (fun k x -> x +. (s *. b.data.(k))) a.data }
-
 (* ------------------------------------------------------------------ *)
 (* In-place / destination-passing kernels                              *)
 (* ------------------------------------------------------------------ *)
@@ -387,10 +379,6 @@ let mul_vec_into ~dst a v =
     done;
     Array.unsafe_set dst i !acc
   done
-
-let hadamard a b =
-  check_same "Mat.hadamard" a b;
-  { a with data = Array.mapi (fun k x -> x *. b.data.(k)) a.data }
 
 let map f a = { a with data = Array.map f a.data }
 

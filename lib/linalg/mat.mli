@@ -22,15 +22,10 @@ val diag : Vec.t -> t
 val scalar : int -> float -> t
 (** [scalar n s] is [s] times the [n]x[n] identity. *)
 
-val of_arrays : float array array -> t
-(** Rows given as arrays; all rows must have equal length. *)
-
 val of_lists : float list list -> t
 
 val of_vec_col : Vec.t -> t
 (** Column matrix from a vector. *)
-
-val of_vec_row : Vec.t -> t
 
 val random : ?seed:int -> int -> int -> t
 (** Entries uniform in [[-1, 1]], deterministic for a given [seed]. *)
@@ -44,7 +39,6 @@ val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
 val diagonal : t -> Vec.t
 val copy : t -> t
-val to_arrays : t -> float array array
 
 val set_row : t -> int -> Vec.t -> unit
 val set_col : t -> int -> Vec.t -> unit
@@ -76,9 +70,6 @@ val mul_vec : t -> Vec.t -> Vec.t
 
 val mul3 : t -> t -> t -> t
 (** [mul3 a b c] is [a*b*c], associated for minimal work. *)
-
-val add_scaled : t -> float -> t -> t
-(** [add_scaled a s b] is [a + s*b]. *)
 
 (** {1 In-place / destination-passing kernels}
 
@@ -124,8 +115,6 @@ val mul_into : dst:t -> t -> t -> unit
 val mul_vec_into : dst:Vec.t -> t -> Vec.t -> unit
 (** [mul_vec_into ~dst a v]: [dst <- a*v]. [dst] must not alias [v] (or
     the storage of [a]). *)
-
-val hadamard : t -> t -> t
 
 val map : (float -> float) -> t -> t
 

@@ -331,20 +331,3 @@ let rank ?tol a =
     in
     Array.fold_left (fun acc x -> if x > cutoff then acc + 1 else acc) 0 s
   end
-
-let pinv ?tol a =
-  let u, s, v = decompose a in
-  let cutoff =
-    match tol with
-    | Some t -> t
-    | None -> if Vec.dim s = 0 then 0.0 else default_rank_tol a s.(0)
-  in
-  let sinv = Array.map (fun x -> if x > cutoff then 1.0 /. x else 0.0) s in
-  Mat.mul3 v (Mat.diag sinv) (Mat.transpose u)
-
-let cond a =
-  let s = singular_values a in
-  let k = Vec.dim s in
-  if k = 0 then 1.0
-  else if s.(k - 1) <= 0.0 then infinity
-  else s.(0) /. s.(k - 1)

@@ -7,19 +7,6 @@
     is simple, robust, and computes small singular values to high relative
     accuracy — which matters for the rank decisions in controller synthesis. *)
 
-type sweep_outcome = { sweeps : int; converged : bool }
-(** Result of the Jacobi sweep driver: how many sweeps ran, and whether
-    column orthogonality was reached before the sweep cap. (This
-    replaces an older convention of returning a negated sweep count on
-    non-convergence.) *)
-
-val jacobi_sweeps : ?max_sweeps:int -> ?v:Mat.t -> Mat.t -> sweep_outcome
-(** Low-level sweep driver, exposed for tests and diagnostics. The
-    argument is the TRANSPOSE of the working matrix (row [j] is working
-    column [j], contiguous); it is orthogonalized in place by threshold-
-    ordered Jacobi rotations, accumulated into [v] when given. Most
-    callers want {!decompose} or {!singular_values}. *)
-
 val decompose : ?max_sweeps:int -> Mat.t -> Mat.t * Vec.t * Mat.t
 (** [max_sweeps] (default 60) caps the Jacobi sweep count. A run that
     hits the cap before column orthogonality is no longer silent: it
@@ -42,9 +29,3 @@ val norm2_complex : Cmat.t -> float
 val rank : ?tol:float -> Mat.t -> int
 (** Numerical rank: singular values above [tol * max_sv * max(m,n)]
     (default machine-epsilon based, as in LAPACK). *)
-
-val pinv : ?tol:float -> Mat.t -> Mat.t
-(** Moore-Penrose pseudo-inverse. *)
-
-val cond : Mat.t -> float
-(** 2-norm condition number; [infinity] if rank deficient. *)

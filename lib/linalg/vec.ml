@@ -10,8 +10,6 @@ let copy = Array.copy
 
 let of_list = Array.of_list
 
-let to_list = Array.to_list
-
 let ones n = Array.make n 1.0
 
 let basis n i =
@@ -38,28 +36,11 @@ let neg a = scale (-1.0) a
 let check_dst name dst a =
   if dim dst <> dim a then invalid_arg (name ^ ": dst dimension mismatch")
 
-let copy_into ~dst a =
-  check_dst "Vec.copy_into" dst a;
-  Array.blit a 0 dst 0 (dim a)
-
 let add_into ~dst a b =
   check_same_dim "Vec.add_into" a b;
   check_dst "Vec.add_into" dst a;
   for i = 0 to dim a - 1 do
     Array.unsafe_set dst i (Array.unsafe_get a i +. Array.unsafe_get b i)
-  done
-
-let sub_into ~dst a b =
-  check_same_dim "Vec.sub_into" a b;
-  check_dst "Vec.sub_into" dst a;
-  for i = 0 to dim a - 1 do
-    Array.unsafe_set dst i (Array.unsafe_get a i -. Array.unsafe_get b i)
-  done
-
-let scale_into ~dst s a =
-  check_dst "Vec.scale_into" dst a;
-  for i = 0 to dim a - 1 do
-    Array.unsafe_set dst i (s *. Array.unsafe_get a i)
   done
 
 let dot a b =
@@ -96,10 +77,6 @@ let axpy alpha x y =
 
 let map = Array.map
 
-let map2 f a b =
-  check_same_dim "Vec.map2" a b;
-  Array.mapi (fun i x -> f x b.(i)) a
-
 let max_abs_index a =
   if dim a = 0 then invalid_arg "Vec.max_abs_index: empty vector";
   let best = ref 0 in
@@ -120,12 +97,3 @@ let approx_equal ?(tol = 1e-9) a b =
     if Float.abs (a.(i) -. b.(i)) > tol then ok := false
   done;
   !ok
-
-let pp fmt v =
-  Format.fprintf fmt "[|";
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%g" x)
-    v;
-  Format.fprintf fmt "|]"

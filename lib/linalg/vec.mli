@@ -19,8 +19,6 @@ val copy : t -> t
 
 val of_list : float list -> t
 
-val to_list : t -> float list
-
 val ones : int -> t
 (** All-ones vector. *)
 
@@ -31,17 +29,8 @@ val add : t -> t -> t
 
 val sub : t -> t -> t
 
-val copy_into : dst:t -> t -> unit
-(** [copy_into ~dst a] overwrites [dst] with [a]. *)
-
 val add_into : dst:t -> t -> t -> unit
 (** [add_into ~dst a b]: [dst <- a + b]. [dst] may alias [a] or [b]. *)
-
-val sub_into : dst:t -> t -> t -> unit
-(** [sub_into ~dst a b]: [dst <- a - b]. [dst] may alias [a] or [b]. *)
-
-val scale_into : dst:t -> float -> t -> unit
-(** [scale_into ~dst s a]: [dst <- s*a]. [dst] may alias [a]. *)
 
 val scale : float -> t -> t
 
@@ -61,8 +50,6 @@ val axpy : float -> t -> t -> t
 
 val map : (float -> float) -> t -> t
 
-val map2 : (float -> float -> float) -> t -> t -> t
-
 val max_abs_index : t -> int
 (** Index of the entry with largest absolute value. *)
 
@@ -73,5 +60,3 @@ val slice : t -> int -> int -> t
 
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Entry-wise comparison with absolute tolerance [tol] (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -142,11 +142,8 @@ let debug ~name fields =
          ])
 
 (* Durations must come from a clock that NTP steps can't move backwards
-   or inflate, so [now] is monotonic (ns since an arbitrary origin). The
-   real-time clock survives only for human-readable timestamps. *)
+   or inflate, so [now] is monotonic (ns since an arbitrary origin). *)
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
-let wall_clock () = Unix.gettimeofday ()
 
 let span_hist name = Metrics.histogram ("span." ^ name)
 

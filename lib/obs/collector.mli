@@ -18,7 +18,7 @@
 
     Records are encoded as JSONL and handed to the current sink — an
     in-memory buffer by default (see {!drain}), or a file via
-    {!open_file}.
+    {!with_collection}.
 
     {b Domain safety.} The sink, buffer and file handle are
     process-global and every access is serialized by an internal mutex,
@@ -54,13 +54,6 @@ val buffer_sink : unit -> unit
 val drain : unit -> string list
 (** Lines accumulated by the buffer sink, oldest first; clears the
     buffer. Empty when a custom sink is installed. *)
-
-val open_file : string -> unit
-(** Send subsequent records to [path] (truncating it). *)
-
-val close : unit -> unit
-(** Flush and close the file opened by {!open_file} (no-op otherwise) and
-    fall back to the buffer sink. *)
 
 (** {1 Per-domain capture}
 
@@ -101,12 +94,7 @@ val debug : name:string -> (string * Json.t) list -> unit
 
 val now : unit -> float
 (** Monotonic seconds since an arbitrary origin — for durations only.
-    Immune to NTP steps; not comparable across processes. Use
-    {!wall_clock} for human-readable timestamps. *)
-
-val wall_clock : unit -> float
-(** Real-time (Unix epoch) seconds, for display only; may jump under
-    clock adjustments, so never difference it. *)
+    Immune to NTP steps; not comparable across processes. *)
 
 val record_span : name:string -> dur_s:float -> (string * Json.t) list -> unit
 (** Record an already-measured wall-clock span; also feeds the
@@ -117,10 +105,6 @@ val span : name:string -> (unit -> 'a) -> 'a
 (** Time [f ()] and record it as a span (with its nesting [depth]).
     When disabled, calls [f] directly. Exceptions propagate; the span is
     still recorded with an ["raised"] field. *)
-
-val dump_metrics : unit -> unit
-(** Write one JSONL record per non-trivial registered metric (see
-    {!Metrics.dump}) to the sink. No-op when disabled. *)
 
 (** {1 Scoped collection} *)
 

@@ -105,8 +105,6 @@ let epochs t = t.epochs
 
 let sim_s t = t.sim
 
-let trips t = t.trip_count
-
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
 (* ------------------------------------------------------------------ *)

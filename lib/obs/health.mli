@@ -43,13 +43,11 @@ val channel : t -> name:string -> limit:float -> trip:float -> channel
     @raise Invalid_argument when [trip <= limit], or when [name] exists
     with different thresholds. *)
 
-val ewma_alpha : float
-(** Smoothing factor for the tracking-error EWMA ([0.05]). *)
-
 val note_decision : layer -> err:float -> saturated:bool -> unit
 (** Record one controlled decision: [err] is the layer's normalized RMS
-    tracking error this epoch; [saturated] whether any actuator command
-    hit its rail. *)
+    tracking error this epoch (it also feeds an EWMA with smoothing
+    factor 0.05); [saturated] whether any actuator command hit its
+    rail. *)
 
 val note_heuristic : layer -> unit
 (** Record one heuristic (non-controlled) decision — counts only. *)
@@ -71,8 +69,6 @@ val note_trips : t -> int -> unit
 val epochs : t -> int
 
 val sim_s : t -> float
-
-val trips : t -> int
 
 val merge_into : into:t -> t -> unit
 (** Fold [src] into [into]; [src] is untouched. An [into] with no

@@ -21,9 +21,6 @@ val to_string : ?pretty:bool -> t -> string
     indents with two spaces. Non-finite floats encode as [null] (JSON has
     no representation for them). *)
 
-val to_buffer : Buffer.t -> t -> unit
-(** Compact encoding appended to [buf]. *)
-
 exception Parse_error of string
 
 val of_string : string -> t

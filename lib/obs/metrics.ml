@@ -1,7 +1,5 @@
 type counter = { c_name : string; mutable count : int }
 
-type gauge = { g_name : string; mutable value : float; mutable set : bool }
-
 type histogram = {
   h_name : string;
   hist : Stats.Hist.t;
@@ -13,9 +11,8 @@ type histogram = {
 (* The enumeration list for [dump]; output is sorted by name there, so
    order here is immaterial. *)
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 16
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
-let order : [ `C of counter | `G of gauge | `H of histogram ] list ref = ref []
+let order : [ `C of counter | `H of histogram ] list ref = ref []
 
 (* One mutex over registries and metric cells: registration, updates and
    dumps may come from any domain (spans fire inside pool workers).
@@ -40,23 +37,6 @@ let counter name =
 let incr ?(by = 1) c = locked (fun () -> c.count <- c.count + by)
 
 let count c = c.count
-
-let gauge name =
-  locked (fun () ->
-      match Hashtbl.find_opt gauges name with
-      | Some g -> g
-      | None ->
-        let g = { g_name = name; value = Float.nan; set = false } in
-        Hashtbl.add gauges name g;
-        order := `G g :: !order;
-        g)
-
-let set g v =
-  locked (fun () ->
-      g.value <- v;
-      g.set <- true)
-
-let value g = g.value
 
 let default_buckets =
   (* 1 us .. 1000 s, four bounds per decade. *)
@@ -129,11 +109,6 @@ let reset_all () =
   locked (fun () ->
       Hashtbl.iter (fun _ (c : counter) -> c.count <- 0) counters;
       Hashtbl.iter
-        (fun _ g ->
-          g.value <- Float.nan;
-          g.set <- false)
-        gauges;
-      Hashtbl.iter
         (fun _ h ->
           Stats.Hist.clear h.hist;
           h.total <- 0.0;
@@ -147,8 +122,7 @@ let reset_all () =
    metric first. *)
 let entry_key = function
   | `C (c : counter) -> (c.c_name, 0)
-  | `G (g : gauge) -> (g.g_name, 1)
-  | `H (h : histogram) -> (h.h_name, 2)
+  | `H (h : histogram) -> (h.h_name, 1)
 
 let dump () =
   locked @@ fun () ->
@@ -163,16 +137,6 @@ let dump () =
                  ("type", Json.String "counter");
                  ("name", Json.String c.c_name);
                  ("value", Json.Int c.count);
-               ])
-      | `G g ->
-        if not g.set then None
-        else
-          Some
-            (Json.Obj
-               [
-                 ("type", Json.String "gauge");
-                 ("name", Json.String g.g_name);
-                 ("value", Json.Float g.value);
                ])
       | `H h ->
         if Stats.Hist.count h.hist = 0 then None

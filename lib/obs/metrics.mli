@@ -1,5 +1,5 @@
-(** Process-global metric registry: counters, gauges, and fixed-bucket
-    histograms with percentile summaries.
+(** Process-global metric registry: counters and fixed-bucket histograms
+    with percentile summaries.
 
     Metrics are cheap mutable cells looked up (or created) by name; sites
     on hot paths should hold the metric value and guard updates behind
@@ -9,7 +9,7 @@
 
     Registration, updates, {!reset_all} and {!dump} are serialized by an
     internal mutex and safe to call from any domain (pool workers record
-    spans concurrently). The read-only accessors ({!count}, {!value},
+    spans concurrently). The read-only accessors ({!count},
     {!percentile}, {!summarize}) are unsynchronized snapshots — call
     them from the coordinating domain, not while workers observe. *)
 
@@ -24,28 +24,15 @@ val incr : ?by:int -> counter -> unit
 
 val count : counter -> int
 
-(** {1 Gauges} *)
-
-type gauge
-
-val gauge : string -> gauge
-
-val set : gauge -> float -> unit
-
-val value : gauge -> float
-(** Last value set; [nan] if never set since creation/reset. *)
-
 (** {1 Histograms} *)
 
 type histogram
 
-val default_buckets : float array
-(** Log-spaced upper bounds from 1 microsecond to 1000 seconds — suitable
-    for timing spans. *)
-
 val histogram : ?buckets:float array -> string -> histogram
-(** Get or create. [buckets] are strictly increasing upper bounds; values
-    above the last bound land in an overflow bucket. The bucket layout of
+(** Get or create. [buckets] are strictly increasing upper bounds
+    (default: log-spaced from 1 microsecond to 1000 seconds, suitable for
+    timing spans); values above the last bound land in an overflow
+    bucket. The bucket layout of
     an existing histogram is kept (the parameter only applies on
     creation). *)
 
@@ -76,9 +63,7 @@ val reset_all : unit -> unit
 
 val dump : unit -> Json.t list
 (** One JSON record per registered metric with a non-trivial value
-    (counters at zero, never-set gauges and empty histograms are
-    skipped), sorted by name so snapshots diff stably across runs and
-    job counts:
-    [{"type":"counter","name":...,"value":...}],
-    [{"type":"gauge",...}], and
+    (counters at zero and empty histograms are skipped), sorted by name
+    so snapshots diff stably across runs and job counts:
+    [{"type":"counter","name":...,"value":...}] and
     [{"type":"histogram","name":...,"count":...,"mean":...,"p50":...}]. *)

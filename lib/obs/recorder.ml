@@ -6,9 +6,8 @@ let cap = Atomic.make 64
 
 let capacity () = Atomic.get cap
 
-let retention_default = 64
-
-let retention = Atomic.make retention_default
+(* Dump records retained in memory; later dumps are still emitted. *)
+let max_dumps = 64
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain ring                                                     *)
@@ -116,7 +115,7 @@ let dump ~reason ~sim =
     in
     Mutex.lock dumps_mutex;
     incr taken;
-    if !taken <= Atomic.get retention then retained := record :: !retained;
+    if !taken <= max_dumps then retained := record :: !retained;
     Mutex.unlock dumps_mutex;
     !emitter record
   end
@@ -166,11 +165,9 @@ let clear () =
   taken := 0;
   Mutex.unlock dumps_mutex
 
-let enable ?(capacity = 64) ?(max_dumps = retention_default) () =
+let enable ?(capacity = 64) () =
   if capacity < 1 then invalid_arg "Recorder.enable: capacity < 1";
-  if max_dumps < 0 then invalid_arg "Recorder.enable: max_dumps < 0";
   Atomic.set cap capacity;
-  Atomic.set retention max_dumps;
   Atomic.set flag true
 
 let disable () = Atomic.set flag false

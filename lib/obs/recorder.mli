@@ -20,13 +20,12 @@
 val enabled : unit -> bool
 (** One atomic load. *)
 
-val enable : ?capacity:int -> ?max_dumps:int -> unit -> unit
+val enable : ?capacity:int -> unit -> unit
 (** Start recording. [capacity] (default [64]) is the per-domain window
-    length in events; [max_dumps] (default [64]) bounds how many dump
-    records are retained in memory (oldest kept — the first trips are
-    the interesting ones; later dumps are still emitted to the
-    collector sink, just not retained).
-    @raise Invalid_argument when [capacity < 1] or [max_dumps < 0]. *)
+    length in events. At most 64 dump records are retained in memory
+    (oldest kept — the first trips are the interesting ones; later
+    dumps are still emitted to the collector sink, just not retained).
+    @raise Invalid_argument when [capacity < 1]. *)
 
 val disable : unit -> unit
 (** Stop recording. Rings and retained dumps survive until {!clear} so
@@ -72,7 +71,7 @@ val dump : reason:string -> sim:float -> unit
     [{"type":"dump","name":"recorder.dump","sim_s":...,
       "fields":{"reason":...,"events":N,"window":[...]}}],
 
-    retain it (subject to [max_dumps]) and hand it to the emitter
+    retain it (subject to the 64-dump retention bound) and hand it to the emitter
     installed by {!set_emitter} (the collector forwards it to its sink
     when tracing is on). No-op when disabled. The ring is left intact:
     overlapping windows across nearby trips are intentional. *)
@@ -83,7 +82,7 @@ val dumps : unit -> Json.t list
 
 val dump_count : unit -> int
 (** Total dumps taken since the last {!clear} — counts past the
-    [max_dumps] retention bound. *)
+    64-dump retention bound. *)
 
 val clear : unit -> unit
 (** Empty this domain's ring and drop all retained dumps, resetting

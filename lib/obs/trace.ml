@@ -144,7 +144,6 @@ let render ?(counters = false) s =
           pr "  counter    %-28s %d\n" e.name
             (Option.value ~default:0
                (Option.bind (Json.member "value" e.json) Json.to_int_opt))
-        | "gauge" -> pr "  gauge      %-28s %g\n" e.name (float_field "value" e)
         | "histogram" ->
           pr
             "  histogram  %-28s count %d  mean %.3g  p50 %.3g  p90 %.3g  \

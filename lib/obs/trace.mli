@@ -31,7 +31,7 @@ type event_stat = {
 type summary = {
   spans : span_stat list;      (** Ordered by descending total time. *)
   events : event_stat list;    (** Ordered by descending count. *)
-  metrics : entry list;        (** Counter/gauge/histogram records. *)
+  metrics : entry list;        (** Counter/histogram records. *)
   dumps : entry list;          (** Flight-recorder dump records, in
                                    stream order. *)
   lines : int;

@@ -61,8 +61,6 @@ let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 (* The caller drains the queue alongside the workers. *)
 let help t =
   let rec go () =

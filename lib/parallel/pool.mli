@@ -80,7 +80,3 @@ val shutdown : t -> unit
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and guarantees
     {!shutdown}, also on exceptions. *)
-
-val default_jobs : unit -> int
-(** What [-j] defaults to when asked for "all cores":
-    [Domain.recommended_domain_count ()]. *)

@@ -29,5 +29,3 @@ let await t =
   | Some (Ok v) -> v
   | Some (Error exn) -> raise exn
   | None -> assert false (* join implies the worker stored its result *)
-
-let peek t = if finished t then Some (await t) else None

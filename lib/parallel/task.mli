@@ -6,15 +6,15 @@
     a fresh domain, polled for completion between epochs without ever
     blocking, and collected the epoch it lands.
 
-    Tasks are one-shot: spawn, poll with {!finished} (or {!peek}), then
-    {!await}. Every spawned task should eventually be awaited so the
-    domain is joined — {!peek}/{!await} after {!finished} never block. *)
+    Tasks are one-shot: spawn, poll with {!finished}, then {!await}.
+    Every spawned task should eventually be awaited so the domain is
+    joined — {!await} after {!finished} never blocks. *)
 
 type 'a t
 
 val spawn : (unit -> 'a) -> 'a t
 (** Run [f] on a fresh domain. Exceptions are captured and re-raised by
-    {!await}/{!peek} in the caller. *)
+    {!await} in the caller. *)
 
 val finished : 'a t -> bool
 (** Non-blocking: has the computation completed (successfully or not)? *)
@@ -22,7 +22,3 @@ val finished : 'a t -> bool
 val await : 'a t -> 'a
 (** Join the domain (blocking if still running) and return the result,
     re-raising the task's exception if it failed. Idempotent. *)
-
-val peek : 'a t -> 'a option
-(** [Some result] (re-raising on a failed task) if finished, [None]
-    without blocking otherwise. *)

@@ -49,7 +49,6 @@ type t = {
   mutable swaps : int;
   mutable attempts : int; (* Synthesis attempts this drift episode. *)
   mutable drift_mark : (int * float) option; (* epoch, sim at detection *)
-  mutable last_latency : (int * float) option;
   mutable armed : bool; (* [pre_step] captured this epoch's input. *)
   mutable seen_trips : int; (* Board trip count at the last sample. *)
   (* Scratch for the normalized sample. *)
@@ -124,7 +123,6 @@ let create ~layer () =
     swaps = 0;
     attempts = 0;
     drift_mark = None;
-    last_latency = None;
     armed = false;
     seen_trips = 0;
     u_norm = Linalg.Vec.create nu;
@@ -143,8 +141,6 @@ let for_stack stack =
   | None -> None
 
 let swaps t = t.swaps
-
-let last_latency t = t.last_latency
 
 (* u and y exactly as [Training.collect] pairs them: the configuration
    the hardware actually ran {e during} the epoch (post-quantization,
@@ -271,7 +267,6 @@ let observe t ~epoch board o =
       let latency_epochs = epoch - d_epoch in
       let latency_s = sim -. d_sim in
       t.drift_mark <- None;
-      t.last_latency <- Some (latency_epochs, latency_s);
       (* The swapped-in design tracks the drifted plant: re-baseline the
          detector against the new closed loop. *)
       Sysid.Recursive.Drift.reset t.detector;

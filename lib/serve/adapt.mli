@@ -32,10 +32,6 @@ type event =
 
 type t
 
-val create : layer:Yukta.Layer.t -> unit -> t
-(** Adapt the given controlled layer against the hardware-layer spec.
-    @raise Invalid_argument on a heuristic layer. *)
-
 val for_stack : Yukta.Stack.t -> t option
 (** Engine for the stack's controlled ["hw"] layer, or [None] when the
     scheme has no such layer (heuristic baselines). *)
@@ -57,10 +53,6 @@ val observe : t -> epoch:int -> Board.Xu3.t -> Board.Xu3.outputs -> event list
 
 val swaps : t -> int
 (** Controller swaps performed so far. *)
-
-val last_latency : t -> (int * float) option
-(** Detection-to-swap latency of the most recent swap, as
-    [(epochs, simulated seconds)]. *)
 
 val finish : t -> unit
 (** Join any in-flight synthesis domain (discarding its result). Call

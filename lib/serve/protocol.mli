@@ -4,10 +4,6 @@
     input becomes an [Error] string the session answers with a
     non-fatal [error] record, never an exception. *)
 
-val version : int
-(** Protocol version, echoed in the [welcome] line; a client should
-    refuse to speak to a server with a different one. *)
-
 (** An injected plant drift, scheduled at configure time (simulated
     seconds; severity as a fraction of the certified guardband, kind
     one of [power_gain]/[thermal_gain]/[perf_gain]). *)
@@ -40,7 +36,9 @@ val request_of_line : string -> (request, string) result
     trailing newline). *)
 
 val welcome : unit -> string
-(** The greeting line: protocol {!version} and server identity. *)
+(** The greeting line: protocol version (1) and server identity; a
+    client should refuse to speak to a server with a different
+    version. *)
 
 val configured :
   session:int -> scheme:string -> layers:string list -> adapt:bool -> string

@@ -37,7 +37,6 @@ type t = {
   cleanup_path : string option;
   idle_timeout : float;
   step_budget : int;
-  max_line : int;
   mutable conns : conn list;
   mutable next_id : int;
   mutable stopping : bool;
@@ -53,7 +52,8 @@ let default_step_budget = 256
 
 let default_idle_timeout = 30.0
 
-let default_max_line = 65536
+(* The longest request line a client may send before a newline. *)
+let max_line = 65536
 
 let sockaddr_of_address = function
   | Unix_path path -> Unix.ADDR_UNIX path
@@ -65,8 +65,7 @@ let sockaddr_of_address = function
     Unix.ADDR_INET (inet, port)
 
 let create ?(idle_timeout = default_idle_timeout)
-    ?(step_budget = default_step_budget) ?(max_line = default_max_line)
-    address =
+    ?(step_budget = default_step_budget) address =
   if idle_timeout <= 0.0 then
     invalid_arg "Server.create: idle_timeout must be positive";
   if step_budget < 1 then
@@ -92,7 +91,6 @@ let create ?(idle_timeout = default_idle_timeout)
     cleanup_path;
     idle_timeout;
     step_budget;
-    max_line;
     conns = [];
     next_id = 1;
     stopping = false;
@@ -158,18 +156,18 @@ let accept_ready t now =
    rejections immediately. Oversized lines (no newline within
    [max_line] bytes) are dropped with a fatal error: an unframed peer
    would otherwise grow the buffer forever. *)
-let ingest t conn data =
+let ingest conn data =
   conn.last_activity <- Unix.gettimeofday ();
   let buf = conn.partial ^ data in
   let parts = String.split_on_char '\n' buf in
   let rec feed = function
     | [] -> ()
     | [ rest ] ->
-      if String.length rest > t.max_line then begin
+      if String.length rest > max_line then begin
         conn.partial <- "";
         queue_line conn
           (Protocol.error ~fatal:true
-             (Printf.sprintf "line exceeds %d bytes" t.max_line));
+             (Printf.sprintf "line exceeds %d bytes" max_line));
         conn.dropping <- true
       end
       else conn.partial <- rest
@@ -191,7 +189,7 @@ let read_ready t conn =
   let chunk = Bytes.create 4096 in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 -> drop t conn (* Peer closed; mid-stream disconnects land here. *)
-  | n -> ingest t conn (Bytes.sub_string chunk 0 n)
+  | n -> ingest conn (Bytes.sub_string chunk 0 n)
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> drop t conn
 

@@ -16,12 +16,11 @@ type address = Unix_path of string | Tcp of string * int
 
 type t
 
-val create :
-  ?idle_timeout:float -> ?step_budget:int -> ?max_line:int -> address -> t
+val create : ?idle_timeout:float -> ?step_budget:int -> address -> t
 (** Bind and listen. [idle_timeout] (default 30 s) sweeps silent
     connections; [step_budget] (default 256) is the per-session epoch
-    budget per loop iteration; [max_line] (default 64 KiB) bounds one
-    request line — an unframed peer is disconnected with a fatal error
+    budget per loop iteration. A request line may be at most 64 KiB —
+    an unframed peer is disconnected with a fatal error
     instead of growing the buffer forever. A pre-existing Unix socket
     path is unlinked first (and removed again on shutdown).
     @raise Invalid_argument on a non-positive [idle_timeout] or

@@ -53,8 +53,6 @@ let create ?(max_queue = default_queue)
     past_swaps = 0;
   }
 
-let id t = t.id
-
 let closed t = t.state = Closed
 
 let pending t =

@@ -32,8 +32,6 @@ val create : ?max_queue:int -> ?retry_after_ms:int -> id:int -> unit -> t
     (default 50) is the hint carried by backpressure rejections.
     @raise Invalid_argument when [max_queue < 1]. *)
 
-val id : t -> int
-
 val enqueue : t -> string -> [ `Accepted | `Rejected of string ]
 (** Buffer one request line. [`Rejected line] carries the response to
     send immediately: [busy] when the queue is full, a fatal [error]

@@ -37,9 +37,6 @@ type arrangement =
 val arrangement_name : arrangement -> string
 (** ["sw>hw"], ["hw>sw"], ["hw-only"]. *)
 
-val arrangement_of_name : string -> arrangement option
-(** Inverse of {!arrangement_name}; [None] on anything else. *)
-
 type t = private {
   deltas : float array;        (** Uncertainty guardbands, e.g. 0.4 = ±40%. *)
   weights : float array;       (** Input-weight scalings. *)

@@ -45,12 +45,12 @@ let fit_noise_ar order res =
 let prefilter_of_noise noise =
   Vec.concat (Vec.of_list [ 1.0 ]) (Vec.map (fun c -> -.c) noise)
 
-let fit ?(noise_order = 2) ?(max_iterations = 4) ~na ~nb ~u ~y () =
+let fit ?(noise_order = 2) ~na ~nb ~u ~y () =
   let plant = ref (Arx.fit ~na ~nb ~u ~y) in
   let noise = ref (Vec.create noise_order) in
   let iterations = ref 0 in
   let converged = ref false in
-  while (not !converged) && !iterations < max_iterations do
+  while (not !converged) && !iterations < 4 do
     incr iterations;
     let res = residuals !plant ~u ~y in
     let new_noise = fit_noise_ar noise_order res in

@@ -24,14 +24,13 @@ type t = {
 
 val fit :
   ?noise_order:int ->
-  ?max_iterations:int ->
   na:int ->
   nb:int ->
   u:Linalg.Vec.t array ->
   y:Linalg.Vec.t array ->
   unit ->
   t
-(** Defaults: [noise_order = 2], [max_iterations = 4]. *)
+(** [noise_order] defaults to 2; at most 4 GLS iterations run. *)
 
 val residuals : Arx.model -> u:Linalg.Vec.t array -> y:Linalg.Vec.t array -> Linalg.Vec.t array
 (** One-step-ahead prediction residuals (zero for the warm-up samples). *)

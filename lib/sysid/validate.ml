@@ -35,7 +35,8 @@ let autocorrelation series n =
       done;
       if denom <= 1e-300 then 0.0 else !acc /. denom)
 
-let whiteness ?(lags = 10) series =
+let whiteness series =
+  let lags = 10 in
   let ac = autocorrelation series lags in
   let band = 1.96 /. Float.sqrt (Float.of_int (Vec.dim series)) in
   let inside = Array.fold_left (fun n r -> if Float.abs r <= band then n + 1 else n) 0 ac in

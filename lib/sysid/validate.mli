@@ -13,8 +13,8 @@ val autocorrelation : Linalg.Vec.t -> int -> Linalg.Vec.t
 (** Normalized autocorrelation of a scalar series at lags [1..n]
     (lag-0 value is 1 by construction and omitted). *)
 
-val whiteness : ?lags:int -> Linalg.Vec.t -> float
-(** Fraction of the first [lags] (default 10) autocorrelation values within
+val whiteness : Linalg.Vec.t -> float
+(** Fraction of the first 10 autocorrelation values within
     the 95% confidence band [+-1.96/sqrt N]; near 1 means white. *)
 
 val channel : Linalg.Vec.t array -> int -> Linalg.Vec.t

@@ -163,11 +163,6 @@ let last_saturated t =
 
 let order t = Control.Ss.order t.core
 
-let period t =
-  match t.core.Control.Ss.domain with
-  | Control.Ss.Discrete p -> p
-  | Control.Ss.Continuous -> assert false
-
 type cost = {
   states : int;
   inputs : int;

@@ -73,8 +73,6 @@ val last_saturated : t -> bool
 
 val order : t -> int
 
-val period : t -> float
-
 type cost = {
   states : int;
   inputs : int;

@@ -29,8 +29,6 @@ type spec = {
   period : float;       (** Controller invocation period, seconds. *)
 }
 
-val validate_spec : spec -> unit
-
 val stabilize : Control.Ss.t -> Control.Ss.t
 (** Shrink a marginally unstable identified model's dynamics just
     inside the unit circle (spectral radius scaled to 0.99 when at or

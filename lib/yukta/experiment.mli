@@ -13,9 +13,6 @@ type app_result = {
   health : Obs.Health.t;  (** The cell's controller-health monitors. *)
 }
 
-val run_app :
-  ?max_time:float -> Schemes.info -> string * Board.Workload.t list -> app_result
-
 val suite_entries : unit -> (string * Board.Workload.t list) list
 (** The Figure 9 suite: 6 SPEC + 8 PARSEC applications, one job each. *)
 

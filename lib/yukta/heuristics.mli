@@ -14,12 +14,6 @@
     sustained violations. The board's emergency machinery reacts faster,
     so the system ping-pongs against it (the Figure 10(b) oscillation). *)
 
-val high_water : float
-(** Back-off watermark as a fraction of each power limit. *)
-
-val low_water : float
-(** Creep-up watermark. *)
-
 val os_coordinated :
   config:Board.Xu3.config -> outputs:Board.Xu3.outputs -> Board.Xu3.placement
 (** HMP-style capacity-proportional thread split. *)

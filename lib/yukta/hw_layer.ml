@@ -23,6 +23,9 @@ let power_little_range = (0.0, 0.7)
 
 let temp_range = (30.0, 95.0)
 
+(* Deviation bound of the three critical outputs (Table II: +-10%). *)
+let critical_bound = 0.10
+
 let inputs ?(weight = 1.0) () =
   [|
     Signal.input ~name:"big_cores" ~minimum:1.0 ~maximum:4.0 ~step:1.0 ~weight;
@@ -33,7 +36,7 @@ let inputs ?(weight = 1.0) () =
       ~weight;
   |]
 
-let outputs ?(perf_bound = 0.20) ?(critical_bound = 0.10) () =
+let outputs ?(perf_bound = 0.20) () =
   let lo_p, hi_p = perf_range in
   let lo_b, hi_b = power_big_range in
   let lo_l, hi_l = power_little_range in
@@ -73,12 +76,11 @@ let externals () =
     };
   |]
 
-let spec ?(uncertainty = 0.40) ?(input_weight = 1.0) ?(perf_bound = 0.20)
-    ?(critical_bound = 0.10) () =
+let spec ?(uncertainty = 0.40) ?(input_weight = 1.0) ?(perf_bound = 0.20) () =
   {
     Design.layer = "hardware";
     inputs = inputs ~weight:input_weight ();
-    outputs = outputs ~perf_bound ~critical_bound ();
+    outputs = outputs ~perf_bound ();
     externals = externals ();
     uncertainty;
     period;
@@ -111,8 +113,7 @@ let optimizer_roles =
     Optimizer.Limited temp_limit;
   |]
 
-let make_optimizer ?(perf_bound = 0.20) ?(critical_bound = 0.10) () =
-  Optimizer.make ~outputs:(outputs ~perf_bound ~critical_bound ()) ~roles:optimizer_roles
+let make_optimizer () = Optimizer.make ~outputs:(outputs ()) ~roles:optimizer_roles
 
 (* Signal extraction from the board. *)
 

@@ -18,20 +18,12 @@ val temp_limit : float
 val period : float
 (** 0.5 s — the power-sensor-limited invocation period. *)
 
-val perf_range : float * float
-(** Output ranges observed during board characterization; deviation
-    bounds are fractions of these. *)
-
-val power_big_range : float * float
-val power_little_range : float * float
-val temp_range : float * float
-
 val inputs : ?weight:float -> unit -> Signal.input array
 (** The four Table II inputs ([weight] defaults to the paper's 1). *)
 
-val outputs :
-  ?perf_bound:float -> ?critical_bound:float -> unit -> Signal.output array
-(** The four Table II outputs (default bounds +-20% / +-10%). *)
+val outputs : ?perf_bound:float -> unit -> Signal.output array
+(** The four Table II outputs: performance (default bound +-20%) and the
+    three critical signals (+-10%). *)
 
 val externals : unit -> Signal.external_signal array
 (** The three software-layer inputs, with their discrete values as
@@ -41,7 +33,6 @@ val spec :
   ?uncertainty:float ->
   ?input_weight:float ->
   ?perf_bound:float ->
-  ?critical_bound:float ->
   unit ->
   Design.spec
 (** The full layer specification; the optional arguments are the knobs the
@@ -61,8 +52,8 @@ val cap_targets : cap:float -> Linalg.Vec.t -> Linalg.Vec.t
 val optimizer_roles : Optimizer.role array
 (** Maximize performance; power and temperature capped at the limits. *)
 
-val make_optimizer :
-  ?perf_bound:float -> ?critical_bound:float -> unit -> Optimizer.t
+val make_optimizer : unit -> Optimizer.t
+(** The optimizer over the default-bound {!outputs}. *)
 
 (** {1 Board signal plumbing} *)
 

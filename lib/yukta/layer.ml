@@ -54,29 +54,15 @@ type heuristic = {
 
 type kind = Heuristic of heuristic | Controlled of controlled
 
-type t = {
-  label : string;
-  measures_ : string array;
-  actuates_ : string array;
-  kind : kind;
-}
+type t = { label : string; kind : kind }
 
-let heuristic ~label ?(measures = [||]) ?(actuates = [||])
-    ?(reset = fun () -> ()) ~act () =
+let heuristic ~label ?(reset = fun () -> ()) ~act () =
+  { label; kind = Heuristic { h_reset = reset; h_act = act; h_epoch = 0 } }
+
+let controlled ~label ?(on_reset = fun () -> ()) ?cap_targets ~controller
+    ~targets ~measure ~externals ~actuate () =
   {
     label;
-    measures_ = measures;
-    actuates_ = actuates;
-    kind = Heuristic { h_reset = reset; h_act = act; h_epoch = 0 };
-  }
-
-let controlled ~label ?(measures = [||]) ?(actuates = [||])
-    ?(on_reset = fun () -> ()) ?cap_targets ~controller ~targets ~measure
-    ~externals ~actuate () =
-  {
-    label;
-    measures_ = measures;
-    actuates_ = actuates;
     kind =
       Controlled
         {
@@ -93,8 +79,6 @@ let controlled ~label ?(measures = [||]) ?(actuates = [||])
   }
 
 let label t = t.label
-let measures t = t.measures_
-let actuates t = t.actuates_
 
 let is_controlled t =
   match t.kind with Controlled _ -> true | Heuristic _ -> false
@@ -104,8 +88,6 @@ let as_controlled op t =
   | Controlled c -> c
   | Heuristic _ ->
     invalid_arg (Printf.sprintf "Layer.%s: %s is a heuristic layer" op t.label)
-
-let controller t = (as_controlled "controller" t).controller
 
 (* Hot-swap: install a re-synthesized controller mid-run with bumpless
    transfer from the incumbent. Swapping before the first step makes no

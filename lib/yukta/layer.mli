@@ -10,29 +10,27 @@
     - {e heuristic} layers are (possibly stateful) decision procedures
       ([act]) — the Table IV baselines;
     - {e controlled} layers wrap a synthesized {!Controller} plus either
-      an {!Optimizer} (retargeting every {!optimizer_interval} epochs on
-      the measured E x D rate) or constant targets (the fixed-target
-      modes of Sections VI-E1/VI-E3).
+      an {!Optimizer} (retargeting every 5 epochs on the measured E x D
+      rate) or constant targets (the fixed-target modes of Sections
+      VI-E1/VI-E3).
 
-    Each layer declares its measurement and actuation surfaces (signal
-    names) so stacks can be described and audited; both kinds emit one
-    [runtime.decision] event per epoch when the Obs collector is on. *)
+    Both kinds emit one [runtime.decision] event per epoch when the Obs
+    collector is on. *)
 
 open Linalg
 
 (** How a controlled layer obtains the targets it tracks. *)
 type targets =
   | Optimized of Optimizer.t
-      (** Retarget every {!optimizer_interval} epochs from the measured
-          E x D rate (Section IV-D). *)
+      (** Retarget every 5 epochs from the measured E x D rate (Section
+          IV-D); the controller settles on each target set in
+          between. *)
   | Fixed of Vec.t  (** Track these constant targets forever. *)
 
 type t
 
 val heuristic :
   label:string ->
-  ?measures:string array ->
-  ?actuates:string array ->
   ?reset:(unit -> unit) ->
   act:(Board.Xu3.t -> Board.Xu3.outputs -> unit) ->
   unit ->
@@ -42,8 +40,6 @@ val heuristic :
 
 val controlled :
   label:string ->
-  ?measures:string array ->
-  ?actuates:string array ->
   ?on_reset:(unit -> unit) ->
   ?cap_targets:(cap:float -> Vec.t -> Vec.t) ->
   controller:Controller.t ->
@@ -69,17 +65,7 @@ val controlled :
 
 val label : t -> string
 
-val measures : t -> string array
-(** Declared measurement surface (signal names), for display/audit. *)
-
-val actuates : t -> string array
-(** Declared actuation surface (signal names). *)
-
 val is_controlled : t -> bool
-
-val controller : t -> Controller.t
-(** The mounted controller of a controlled layer.
-    @raise Invalid_argument on a heuristic layer. *)
 
 val swap_controller : t -> Controller.t -> unit
 (** Replace a controlled layer's controller mid-run (adaptive
@@ -125,10 +111,6 @@ val step :
     [cap_targets] rewrite their targets under it; heuristic layers
     ignore it and rely on the board's {!Board.Emergency} cap enforcement
     alone. Omitting [cap] is bit-identical to pre-cap behaviour. *)
-
-val optimizer_interval : int
-(** Epochs between optimizer retargets (the controller settles on each
-    target set in between). *)
 
 (** {1 Inter-layer wiring}
 

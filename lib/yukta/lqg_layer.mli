@@ -7,33 +7,15 @@
     output deviation bounds, no input quantization information, and no
     uncertainty guardband. *)
 
-val period : float
-
-val synthesize_lqg :
-  ?r_scale:float ->
-  model:Control.Ss.t ->
-  outputs:Signal.output array ->
-  inputs:Signal.input array ->
-  unit ->
-  Control.Ss.t
-(** LQI compensator from measured deviations to input commands. Output
-    weighting mirrors the SSV bounds (inverse-square), input weighting the
-    SSV input weights scaled by [r_scale] (default 1).
-    @raise Control.Dare.No_solution on unstabilizable data. *)
-
 val hw_controller : Training.records -> Controller.t
 (** Decoupled hardware LQG: model identified from the layer's own inputs
     only (the other layer's signals land in the noise). *)
 
 val sw_controller : Training.records -> Controller.t
 
-val monolithic_inputs : unit -> Signal.input array
-val monolithic_outputs : unit -> Signal.output array
-
 val monolithic_measurements : Board.Xu3.outputs -> Linalg.Vec.t
 
 val monolithic_controller : Training.records -> Controller.t
 (** One LQG over both layers' inputs and (deduplicated) outputs. *)
 
-val monolithic_roles : Optimizer.role array
 val monolithic_optimizer : unit -> Optimizer.t

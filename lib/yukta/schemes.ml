@@ -10,75 +10,45 @@ open Board
 (* Layer builders                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let input_names inputs =
-  Array.map (fun (i : Signal.input) -> i.Signal.name) inputs
-
-let output_names outputs =
-  Array.map (fun (o : Signal.output) -> o.Signal.name) outputs
-
-(* Memoized designs share one Controller.t per process; every layer
-   mounts a copy so concurrently running stacks never share the
+(* The hardware and software layer roles. The SSV controllers read the
+   other layer's current inputs as external signals; the LQG baselines
+   have none. Memoized designs share one Controller.t per process; every
+   layer mounts a copy so concurrently running stacks never share the
    controller's state vector (see {!Controller.copy}). *)
 
-let hw_ssv_layer (syn : Design.synthesis) =
-  Layer.controlled ~label:"hw"
-    ~measures:(output_names (Hw_layer.outputs ()))
-    ~actuates:(input_names (Hw_layer.inputs ()))
-    ~cap_targets:Hw_layer.cap_targets
-    ~controller:(Controller.copy syn.Design.controller)
+let hw_layer ~externals controller =
+  Layer.controlled ~label:"hw" ~cap_targets:Hw_layer.cap_targets
+    ~controller:(Controller.copy controller)
     ~targets:(Layer.Optimized (Hw_layer.make_optimizer ()))
-    ~measure:Hw_layer.measurements
-    ~externals:(fun board ->
-      Hw_layer.externals_of_placement (Xu3.placement board))
+    ~measure:Hw_layer.measurements ~externals
     ~actuate:(fun board u ->
       Xu3.set_config board (Hw_layer.config_of_command u))
     ()
+
+let sw_layer ~externals controller =
+  Layer.controlled ~label:"sw"
+    ~controller:(Controller.copy controller)
+    ~targets:(Layer.Optimized (Sw_layer.make_optimizer ()))
+    ~measure:Sw_layer.measurements ~externals
+    ~actuate:(fun board u ->
+      Xu3.set_placement board (Sw_layer.placement_of_command u))
+    ()
+
+let hw_ssv_layer (syn : Design.synthesis) =
+  hw_layer syn.Design.controller ~externals:(fun board ->
+      Hw_layer.externals_of_placement (Xu3.placement board))
 
 let sw_ssv_layer (syn : Design.synthesis) =
-  Layer.controlled ~label:"sw"
-    ~measures:(output_names (Sw_layer.outputs ()))
-    ~actuates:(input_names (Sw_layer.inputs ()))
-    ~controller:(Controller.copy syn.Design.controller)
-    ~targets:(Layer.Optimized (Sw_layer.make_optimizer ()))
-    ~measure:Sw_layer.measurements
-    ~externals:(fun board -> Sw_layer.externals_of_config (Xu3.config board))
-    ~actuate:(fun board u ->
-      Xu3.set_placement board (Sw_layer.placement_of_command u))
-    ()
+  sw_layer syn.Design.controller ~externals:(fun board ->
+      Sw_layer.externals_of_config (Xu3.config board))
 
-let lqg_hw_layer controller =
-  Layer.controlled ~label:"hw"
-    ~measures:(output_names (Hw_layer.outputs ()))
-    ~actuates:(input_names (Hw_layer.inputs ()))
-    ~cap_targets:Hw_layer.cap_targets
-    ~controller:(Controller.copy controller)
-    ~targets:(Layer.Optimized (Hw_layer.make_optimizer ()))
-    ~measure:Hw_layer.measurements
-    ~externals:(fun _ -> [||])
-    ~actuate:(fun board u ->
-      Xu3.set_config board (Hw_layer.config_of_command u))
-    ()
-
-let lqg_sw_layer controller =
-  Layer.controlled ~label:"sw"
-    ~measures:(output_names (Sw_layer.outputs ()))
-    ~actuates:(input_names (Sw_layer.inputs ()))
-    ~controller:(Controller.copy controller)
-    ~targets:(Layer.Optimized (Sw_layer.make_optimizer ()))
-    ~measure:Sw_layer.measurements
-    ~externals:(fun _ -> [||])
-    ~actuate:(fun board u ->
-      Xu3.set_placement board (Sw_layer.placement_of_command u))
-    ()
+let no_externals _board = [||]
 
 let lqg_monolithic_layer controller =
   Layer.controlled ~label:"mono"
-    ~measures:(output_names (Lqg_layer.monolithic_outputs ()))
-    ~actuates:(input_names (Lqg_layer.monolithic_inputs ()))
     ~controller:(Controller.copy controller)
     ~targets:(Layer.Optimized (Lqg_layer.monolithic_optimizer ()))
-    ~measure:Lqg_layer.monolithic_measurements
-    ~externals:(fun _ -> [||])
+    ~measure:Lqg_layer.monolithic_measurements ~externals:no_externals
     ~actuate:(fun board u ->
       Xu3.set_config board (Hw_layer.config_of_command (Vec.slice u 0 4));
       Xu3.set_placement board
@@ -89,8 +59,6 @@ let lqg_monolithic_layer controller =
    run it above their hardware layer. *)
 let os_coordinated_layer ?placement_wire () =
   Layer.heuristic ~label:"os"
-    ~measures:[| "bips_big"; "bips_little"; "threads_active" |]
-    ~actuates:(input_names (Sw_layer.inputs ()))
     ~reset:(fun () ->
       match placement_wire with Some w -> Layer.Wire.reset w | None -> ())
     ~act:(fun board o ->
@@ -114,7 +82,9 @@ let qos_quality_default = 3.0
 
 let qos_ginst_per_frame quality = 0.04 +. (0.05 *. quality)
 
-let qos_layer ?(target_fps = 30.0) () =
+let qos_target_fps = 30.0
+
+let qos_layer () =
   let quality = ref qos_quality_default in
   let quality_knob =
     Signal.input ~name:"quality" ~minimum:1.0 ~maximum:5.0 ~step:0.5
@@ -148,11 +118,10 @@ let qos_layer ?(target_fps = 30.0) () =
     Controller.make ~controller:core ~inputs:[| quality_knob |]
       ~outputs:[| fps_output |] ~externals:[| freq_external |]
   in
-  Layer.controlled ~label:"qos" ~measures:[| "fps" |]
-    ~actuates:[| "quality" |]
+  Layer.controlled ~label:"qos"
     ~on_reset:(fun () -> quality := qos_quality_default)
     ~controller
-    ~targets:(Layer.Fixed [| target_fps |])
+    ~targets:(Layer.Fixed [| qos_target_fps |])
     ~measure:(fun o ->
       [| o.Xu3.bips /. qos_ginst_per_frame !quality |])
     ~externals:(fun board ->
@@ -172,8 +141,6 @@ let coordinated_stack () =
   let st = Heuristics.coordinated_init () in
   let hw =
     Layer.heuristic ~label:"hw"
-      ~measures:[| "power_big"; "power_little"; "temperature" |]
-      ~actuates:(input_names (Hw_layer.inputs ()))
       ~reset:(fun () -> st.Heuristics.tick <- 0)
       ~act:(fun board o ->
         let placement =
@@ -195,16 +162,13 @@ let coordinated_stack () =
 let decoupled_stack () =
   let st = Heuristics.decoupled_init () in
   let os =
-    Layer.heuristic ~label:"os" ~measures:[| "threads_active" |]
-      ~actuates:(input_names (Sw_layer.inputs ()))
+    Layer.heuristic ~label:"os"
       ~act:(fun board o ->
         Xu3.set_placement board (Heuristics.os_round_robin ~outputs:o))
       ()
   in
   let hw =
     Layer.heuristic ~label:"hw"
-      ~measures:[| "power_big"; "power_little"; "temperature" |]
-      ~actuates:(input_names (Hw_layer.inputs ()))
       ~reset:(fun () -> Heuristics.decoupled_reset st)
       ~act:(fun board o ->
         Xu3.set_config board (Heuristics.hw_decoupled st ~outputs:o))
@@ -225,7 +189,11 @@ let yukta_full_stack hw_syn sw_syn =
   Stack.make ~label:"yukta" [ sw_ssv_layer sw_syn; hw_ssv_layer hw_syn ]
 
 let lqg_decoupled_stack hw_ctrl sw_ctrl =
-  Stack.make ~label:"lqg-dec" [ lqg_sw_layer sw_ctrl; lqg_hw_layer hw_ctrl ]
+  Stack.make ~label:"lqg-dec"
+    [
+      sw_layer ~externals:no_externals sw_ctrl;
+      hw_layer ~externals:no_externals hw_ctrl;
+    ]
 
 let lqg_monolithic_stack ctrl =
   Stack.make ~label:"lqg-mono" [ lqg_monolithic_layer ctrl ]

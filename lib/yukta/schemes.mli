@@ -57,14 +57,10 @@ val hw_ssv_layer : Design.synthesis -> Layer.t
 val sw_ssv_layer : Design.synthesis -> Layer.t
 (** The Table III software layer. *)
 
-val lqg_hw_layer : Controller.t -> Layer.t
-val lqg_sw_layer : Controller.t -> Layer.t
-val lqg_monolithic_layer : Controller.t -> Layer.t
-
-val qos_layer : ?target_fps:float -> unit -> Layer.t
+val qos_layer : unit -> Layer.t
 (** The demonstration third layer (Section III-D): a per-application
     QoS governor above the OS layer. A constant-target SSV-style
-    compensator holds a frame-rate target by trading the application's
+    compensator holds a 30 fps target by trading the application's
     quality knob (work per frame), reading the hardware frequency — its
     only view of the layers below — as an external signal. *)
 

@@ -59,8 +59,6 @@ val bound_absolute : output -> float
 
 (** {1 Normalization} *)
 
-val center_input : input -> float
-val half_span_input : input -> float
 val center_output : output -> float
 val half_span_output : output -> float
 

@@ -14,7 +14,6 @@ let make ?(label = "stack") layers =
          (String.concat "; " labels));
   { label; layers }
 
-let label t = t.label
 let layers t = t.layers
 let reset t = List.iter Layer.reset t.layers
 let step ?cap t board o =

@@ -22,8 +22,6 @@ val make : ?label:string -> Layer.t list -> t
 (** [make layers] — stepped first-to-last each epoch.
     @raise Invalid_argument on an empty list or duplicate labels. *)
 
-val label : t -> string
-
 val layers : t -> Layer.t list
 (** In stepping order. *)
 

@@ -80,8 +80,7 @@ let spec ?(uncertainty = 0.50) ?(input_weight = 2.0) ?(bound = 0.20) () =
 let optimizer_roles =
   [| Optimizer.Track; Optimizer.Track; Optimizer.Limited 1.0 |]
 
-let make_optimizer ?(bound = 0.20) () =
-  Optimizer.make ~outputs:(outputs ~bound ()) ~roles:optimizer_roles
+let make_optimizer () = Optimizer.make ~outputs:(outputs ()) ~roles:optimizer_roles
 
 let measurements (o : Board.Xu3.outputs) =
   [|

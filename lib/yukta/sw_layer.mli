@@ -10,12 +10,6 @@
     Goal: minimize E x D, relying on the hardware controller for the
     power/temperature caps. *)
 
-val period : float
-
-val perf_little_range : float * float
-val perf_big_range : float * float
-val delta_sc_range : float * float
-
 val inputs : ?weight:float -> unit -> Signal.input array
 val outputs : ?bound:float -> unit -> Signal.output array
 val externals : unit -> Signal.external_signal array
@@ -23,11 +17,10 @@ val externals : unit -> Signal.external_signal array
 val spec :
   ?uncertainty:float -> ?input_weight:float -> ?bound:float -> unit -> Design.spec
 
-val optimizer_roles : Optimizer.role array
-(** Performance outputs tracked; the spare-compute difference hill-climbs
-    on E x D (capped at +1: a mild bias toward big-cluster slack). *)
-
-val make_optimizer : ?bound:float -> unit -> Optimizer.t
+val make_optimizer : unit -> Optimizer.t
+(** The optimizer over the default-bound {!outputs}: performance outputs
+    tracked; the spare-compute difference hill-climbs on E x D (capped at
+    +1: a mild bias toward big-cluster slack). *)
 
 (** {1 Board signal plumbing} *)
 

@@ -33,13 +33,12 @@ let excitation_levels =
     [| 1.0; 1.5; 2.0; 3.0; 4.0 |] (* tpc little *);
   |]
 
-let collect ?(epochs_per_workload = 220) ?(seed = 5)
-    ?(workloads = Board.Workload.training) () =
+let collect ?(epochs_per_workload = 220) () =
   let hw_u = ref [] and hw_y = ref [] and sw_u = ref [] and sw_y = ref [] in
   List.iteri
     (fun wi w ->
       let board = Board.Xu3.create [ w ] in
-      let exc = { Sysid.Excitation.seed = seed + (31 * wi); hold = 4 } in
+      let exc = { Sysid.Excitation.seed = 5 + (31 * wi); hold = 4 } in
       let seq =
         Sysid.Excitation.channels exc ~levels:excitation_levels
           ~length:epochs_per_workload
@@ -77,7 +76,7 @@ let collect ?(epochs_per_workload = 220) ?(seed = 5)
         sw_u := Vec.concat sw_in hw_in :: !sw_u;
         sw_y := Sw_layer.measurements o :: !sw_y
       done)
-    workloads;
+    Board.Workload.training;
   {
     hw_u = Array.of_list (List.rev !hw_u);
     hw_y = Array.of_list (List.rev !hw_y);

@@ -17,10 +17,7 @@ type records = {
   sw_y : Linalg.Vec.t array;
 }
 
-val collect :
-  ?epochs_per_workload:int ->
-  ?seed:int ->
-  ?workloads:Board.Workload.t list ->
-  unit ->
-  records
-(** Default: 220 epochs on each of the six training applications. *)
+val collect : ?epochs_per_workload:int -> unit -> records
+(** Excitation runs on each of the six training applications
+    ({!Board.Workload.training}), [epochs_per_workload] (default 220)
+    epochs each, with fixed excitation seeds. *)

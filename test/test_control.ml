@@ -40,44 +40,9 @@ let test_ss_dcgain () =
   let dsys = first_order ~domain:(Ss.Discrete 1.0) 0.5 1.0 1.0 0.0 in
   check_float "discrete" 2.0 (Mat.get (Ss.dcgain dsys) 0 0)
 
-let test_ss_series_gain () =
-  let g1 = first_order (-1.0) 1.0 1.0 0.0 in
-  let g2 = first_order (-2.0) 1.0 1.0 0.0 in
-  let s = Ss.series g1 g2 in
-  check_int "order" 2 (Ss.order s);
-  (* dc gains multiply: 1 * 0.5. *)
-  check_float_loose "dc" 0.5 (Mat.get (Ss.dcgain s) 0 0)
-
-let test_ss_parallel_gain () =
-  let g1 = first_order (-1.0) 1.0 1.0 0.0 in
-  let g2 = first_order (-2.0) 1.0 1.0 0.0 in
-  check_float_loose "dc sum" 1.5 (Mat.get (Ss.dcgain (Ss.parallel g1 g2)) 0 0)
-
-let test_ss_append () =
-  let g1 = Ss.gain 1 2.0 and g2 = Ss.gain 1 3.0 in
-  let s = Ss.append g1 g2 in
-  check_int "inputs" 2 (Ss.inputs s);
-  Alcotest.check mat "block diag d"
-    (Mat.of_lists [ [ 2.0; 0.0 ]; [ 0.0; 3.0 ] ])
-    s.Ss.d
-
-let test_ss_feedback () =
-  (* Plant y = 2u with unit negative feedback: closed loop 2/(1+2). *)
-  let g = Ss.gain 1 2.0 and k = Ss.gain 1 1.0 in
-  let cl = Ss.feedback g k in
-  check_float_loose "static loop" (2.0 /. 3.0) (Mat.get cl.Ss.d 0 0)
-
-let test_ss_feedback_stabilizes () =
-  (* Unstable x' = x + u stabilized by u = -3 y. *)
-  let g = first_order 1.0 1.0 1.0 0.0 in
-  let k = Ss.gain 1 3.0 in
-  let cl = Ss.feedback g k in
-  check_bool "stable" true (Ss.is_stable cl);
-  check_bool "open unstable" false (Ss.is_stable g)
-
 let test_ss_simulate_step () =
-  (* Discrete integrator: step input accumulates. *)
-  let sys = Ss.integrator 1 in
+  (* Discrete integrator x' = x + u, y = x: step input accumulates. *)
+  let sys = first_order ~domain:(Ss.Discrete 1.0) 1.0 1.0 1.0 0.0 in
   let us = Array.make 5 (Vec.of_list [ 1.0 ]) in
   let ys = Ss.simulate sys us in
   check_float "first output is x0" 0.0 ys.(0).(0);
@@ -100,12 +65,6 @@ let test_ss_hinf_norm_unstable () =
   check_bool "inf" true
     (Ss.hinf_norm (first_order 1.0 1.0 1.0 0.0) = infinity)
 
-let test_ss_h2_norm () =
-  (* Discrete x' = a x + u, y = x: H2^2 = sum a^2k = 1/(1-a^2). *)
-  let a = 0.5 in
-  let sys = first_order ~domain:(Ss.Discrete 1.0) a 1.0 1.0 0.0 in
-  check_float_loose "h2" (1.0 /. Float.sqrt (1.0 -. (a *. a))) (Ss.h2_norm sys)
-
 let test_ss_lft_identity () =
   (* P = [[0, I]; [I, 0]] makes F_l(P, K) = K. *)
   let p =
@@ -119,20 +78,6 @@ let test_ss_lft_identity () =
   let cl = Ss.lft_lower p k in
   check_float_loose "same dc" (Mat.get (Ss.dcgain k) 0 0)
     (Mat.get (Ss.dcgain cl) 0 0)
-
-let test_ss_transform_invariance () =
-  let sys =
-    Ss.make ~domain:(Ss.Discrete 1.0)
-      ~a:(Mat.of_lists [ [ 0.5; 0.1 ]; [ 0.0; 0.3 ] ])
-      ~b:(Mat.of_lists [ [ 1.0 ]; [ 0.5 ] ])
-      ~c:(Mat.of_lists [ [ 1.0; 1.0 ] ])
-      ~d:(Mat.create 1 1) ()
-  in
-  let t = Mat.of_lists [ [ 1.0; 0.4 ]; [ -0.2; 1.0 ] ] in
-  let sys2 = Ss.transform t sys in
-  check_float_loose "dc invariant" (Mat.get (Ss.dcgain sys) 0 0)
-    (Mat.get (Ss.dcgain sys2) 0 0);
-  check_float_loose "hinf invariant" (Ss.hinf_norm sys) (Ss.hinf_norm sys2)
 
 (* ------------------------------------------------------------------ *)
 (* Discretize                                                          *)
@@ -289,32 +234,6 @@ let test_dare_stabilizes_unstable () =
 (* ------------------------------------------------------------------ *)
 (* Lqg                                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let plant_2x1 () =
-  Ss.make ~domain:(Ss.Discrete 1.0)
-    ~a:(Mat.of_lists [ [ 1.1; 0.4 ]; [ 0.0; 0.9 ] ])
-    ~b:(Mat.of_lists [ [ 0.2 ]; [ 1.0 ] ])
-    ~c:(Mat.of_lists [ [ 1.0; 0.0 ] ])
-    ~d:(Mat.create 1 1) ()
-
-let test_lqg_stabilizes () =
-  let plant = plant_2x1 () in
-  let k =
-    Lqg.synthesize ~plant ~q:(Mat.identity 2) ~r:(m1x1 1.0)
-      ~w:(Mat.identity 2) ~v:(m1x1 0.1)
-  in
-  check_bool "open loop unstable" false (Ss.is_stable plant);
-  (* positive feedback closure because the LQG controller already encodes
-     u = -K xhat. *)
-  let cl = Ss.feedback ~sign:1.0 plant k in
-  check_bool "closed loop stable" true (Ss.is_stable cl)
-
-let test_lqr_gain_known () =
-  (* Scalar: k = (r + b x b)^-1 b x a with x from dare. *)
-  let x = Dare.solve ~a:(m1x1 1.0) ~b:(m1x1 1.0) ~q:(m1x1 1.0) ~r:(m1x1 1.0) in
-  let k = Lqg.lqr_gain ~a:(m1x1 1.0) ~b:(m1x1 1.0) ~q:(m1x1 1.0) ~r:(m1x1 1.0) in
-  let phi = Mat.get x 0 0 in
-  check_float_loose "gain" (phi /. (1.0 +. phi)) (Mat.get k 0 0)
 
 let test_kalman_gain_dual () =
   (* The Kalman gain of (a, c) should equal the transpose of the LQR gain
@@ -588,7 +507,6 @@ let qcheck_cases =
       prop_dare_stabilizing;
     ]
 
-
 (* ------------------------------------------------------------------ *)
 (* Round 2: edge cases and failure injection                           *)
 (* ------------------------------------------------------------------ *)
@@ -597,22 +515,20 @@ let test_ss_mixed_domain_rejected () =
   let cont = first_order (-1.0) 1.0 1.0 0.0 in
   let disc = first_order ~domain:(Ss.Discrete 1.0) 0.5 1.0 1.0 0.0 in
   Alcotest.check_raises "mixed domains"
-    (Invalid_argument "Ss.series: mixed time domains") (fun () ->
-      ignore (Ss.series cont disc))
+    (Invalid_argument "Ss.lft_lower: mixed time domains") (fun () ->
+      ignore (Ss.lft_lower cont disc))
 
 let test_ss_static_is_domain_agnostic () =
   let disc = first_order ~domain:(Ss.Discrete 1.0) 0.5 1.0 1.0 0.0 in
-  let g = Ss.gain 1 2.0 in
-  (* A zero-order gain composes with either domain. *)
-  let s = Ss.series g disc in
+  (* A zero-order (continuous) plant closes a loop around a controller of
+     either domain: F_l(P, K) = 2 K for P = [[0, 2]; [1, 0]]. *)
+  let p =
+    Ss.make ~a:(Mat.create 0 0) ~b:(Mat.create 0 2) ~c:(Mat.create 2 0)
+      ~d:(Mat.of_lists [ [ 0.0; 2.0 ]; [ 1.0; 0.0 ] ])
+      ()
+  in
+  let s = Ss.lft_lower p disc in
   check_float_loose "gain propagates" 4.0 (Mat.get (Ss.dcgain s) 0 0)
-
-let test_ss_add_output_disturbance () =
-  let sys = first_order ~domain:(Ss.Discrete 1.0) 0.5 1.0 1.0 0.0 in
-  let aug = Ss.add_output_disturbance sys in
-  check_int "one extra input" 2 (Ss.inputs aug);
-  (* The disturbance channel has unit feedthrough. *)
-  check_float "feedthrough" 1.0 (Mat.get aug.Ss.d 0 1)
 
 let test_ss_bad_period () =
   Alcotest.check_raises "bad period"
@@ -682,8 +598,6 @@ let round2_cases =
     Alcotest.test_case "ss mixed domain" `Quick test_ss_mixed_domain_rejected;
     Alcotest.test_case "ss static domain-agnostic" `Quick
       test_ss_static_is_domain_agnostic;
-    Alcotest.test_case "ss output disturbance" `Quick
-      test_ss_add_output_disturbance;
     Alcotest.test_case "ss bad period" `Quick test_ss_bad_period;
     Alcotest.test_case "hinf regularization" `Quick
       test_hinf_regularizes_rank_deficient_d12;
@@ -697,7 +611,6 @@ let round2_cases =
     Alcotest.test_case "quantize level count" `Quick
       test_quantize_count_precision;
   ]
-
 
 (* ------------------------------------------------------------------ *)
 (* Reduce                                                              *)
@@ -721,19 +634,26 @@ let test_reduce_truncation_accuracy () =
   let red = Reduce.balanced_truncation sys ~order:1 in
   check_int "reduced order" 1 (Ss.order red);
   check_bool "stable" true (Ss.is_stable red);
-  (* The H-infinity error must respect the a-priori bound. *)
-  let err = Ss.hinf_norm (Ss.parallel sys (Ss.gain 1 (-1.0) |> Ss.series red)) in
+  (* The H-infinity norm of the error system sys - red (both state sets
+     side by side, outputs subtracted) must respect the a-priori
+     bound. *)
+  let err_sys =
+    Ss.make ~domain:sys.Ss.domain
+      ~a:
+        (Mat.blocks
+           [ [ sys.Ss.a; Mat.create 2 1 ]; [ Mat.create 1 2; red.Ss.a ] ])
+      ~b:(Mat.vcat sys.Ss.b red.Ss.b)
+      ~c:(Mat.hcat sys.Ss.c (Mat.neg red.Ss.c))
+      ~d:(Mat.sub sys.Ss.d red.Ss.d)
+      ()
+  in
+  let err = Ss.hinf_norm err_sys in
   let bound = Reduce.error_bound sys ~order:1 in
   check_bool "within twice-sum-of-tail bound" true (err <= bound +. 1e-6);
   (* And the dc gain barely moves for this weakly coupled system. *)
   check_bool "dc preserved" true
     (Float.abs (Mat.get (Ss.dcgain sys) 0 0 -. Mat.get (Ss.dcgain red) 0 0)
      < 0.05 *. Float.abs (Mat.get (Ss.dcgain sys) 0 0))
-
-let test_reduce_tolerance_mode () =
-  let sys = weakly_coupled_system () in
-  let red = Reduce.truncate_to_tolerance sys ~tol:0.05 in
-  check_int "weak mode dropped" 1 (Ss.order red)
 
 let test_reduce_rejects_unstable () =
   let sys = first_order ~domain:(Ss.Discrete 1.0) 1.1 1.0 1.0 0.0 in
@@ -745,7 +665,6 @@ let round3_cases =
   [
     Alcotest.test_case "reduce hankel" `Quick test_reduce_hankel_descending;
     Alcotest.test_case "reduce accuracy" `Quick test_reduce_truncation_accuracy;
-    Alcotest.test_case "reduce tolerance" `Quick test_reduce_tolerance_mode;
     Alcotest.test_case "reduce unstable" `Quick test_reduce_rejects_unstable;
   ]
 
@@ -756,22 +675,13 @@ let () =
         [
           Alcotest.test_case "dims" `Quick test_ss_dims;
           Alcotest.test_case "dcgain" `Quick test_ss_dcgain;
-          Alcotest.test_case "series" `Quick test_ss_series_gain;
-          Alcotest.test_case "parallel" `Quick test_ss_parallel_gain;
-          Alcotest.test_case "append" `Quick test_ss_append;
-          Alcotest.test_case "static feedback" `Quick test_ss_feedback;
-          Alcotest.test_case "feedback stabilizes" `Quick
-            test_ss_feedback_stabilizes;
           Alcotest.test_case "simulate" `Quick test_ss_simulate_step;
           Alcotest.test_case "freq response" `Quick test_ss_freq_response;
           Alcotest.test_case "hinf norm lowpass" `Quick
             test_ss_hinf_norm_lowpass;
           Alcotest.test_case "hinf norm unstable" `Quick
             test_ss_hinf_norm_unstable;
-          Alcotest.test_case "h2 norm" `Quick test_ss_h2_norm;
           Alcotest.test_case "lft identity" `Quick test_ss_lft_identity;
-          Alcotest.test_case "transform invariance" `Quick
-            test_ss_transform_invariance;
         ] );
       ( "discretize",
         [
@@ -804,8 +714,6 @@ let () =
         ] );
       ( "lqg",
         [
-          Alcotest.test_case "stabilizes" `Quick test_lqg_stabilizes;
-          Alcotest.test_case "lqr gain" `Quick test_lqr_gain_known;
           Alcotest.test_case "kalman dual" `Quick test_kalman_gain_dual;
         ] );
       ( "hinf",

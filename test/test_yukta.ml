@@ -536,8 +536,7 @@ let test_scheme_names_distinct () =
    the board's throughput. *)
 let toy_controlled_layer ?(label = "toy") ?(targets = Layer.Fixed [| 5.0 |]) ()
     =
-  Layer.controlled ~label ~measures:[| "perf" |] ~actuates:[| "freq" |]
-    ~controller:(toy_controller ()) ~targets
+  Layer.controlled ~label ~controller:(toy_controller ()) ~targets
     ~measure:(fun o -> [| o.Board.Xu3.bips |])
     ~externals:(fun _ -> [| 0.0 |])
     ~actuate:(fun board u ->
