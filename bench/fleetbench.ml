@@ -87,9 +87,7 @@ let main args =
       ~max_time ~ginsts ~boards ()
   in
   let run_policies = match !policy with Some p -> [ p ] | None -> policies in
-  let pool =
-    if !jobs > 1 then Some (Parallel.Pool.create ~jobs:!jobs) else None
-  in
+  let pool = Parallel.Pool.create ~jobs:!jobs in
   let c0 = config (List.hd run_policies) in
   Printf.printf
     "fleet: %d boards x %s, budget %.1f W (%.2f W/board), %s, seed %d, -j %d\n"
@@ -104,7 +102,7 @@ let main args =
     List.map
       (fun p ->
         let t0 = Obs.Collector.now () in
-        let r = Fleet.Sim.run ?pool (config p) in
+        let r = Fleet.Sim.run ~pool (config p) in
         let wall = Obs.Collector.now () -. t0 in
         let throughput =
           if wall > 0.0 then float_of_int r.Fleet.Sim.board_epochs /. wall
@@ -168,5 +166,5 @@ let main args =
     output_char oc '\n';
     close_out oc;
     Printf.printf "\nwrote %s\n" path);
-  (match pool with None -> () | Some p -> Parallel.Pool.shutdown p);
+  Parallel.Pool.shutdown pool;
   0

@@ -26,11 +26,12 @@ let json_out : (string * Obs.Json.t) list ref = ref []
 
 let json_record key v = json_out := (key, v) :: !json_out
 
-(* [-j N]: the evaluation grids fan out to a domain pool. Serial by
-   default; every figure's output is byte-identical at any job count. *)
+(* [-j N]: every figure's runs fan out to a pool of N domains, created
+   once the flags are parsed (a one-job pool, inline, by default); every
+   figure's output is byte-identical at any job count. *)
 let jobs = ref 1
 
-let pool : Parallel.Pool.t option ref = ref None
+let pool = ref (Parallel.Pool.create ~jobs:1)
 
 (* Wall time per generated figure, keyed like the JSON document, in run
    order. These (and [jobs]) land in the document's "bench" block — the
@@ -151,7 +152,7 @@ let fig9_schemes =
   [ scheme "coord"; scheme "decoupled"; scheme "hw-ssv"; scheme "yukta" ]
 
 let suite_rows schemes =
-  Experiment.run_suite ?max_time:(run_max_time ()) ?pool:!pool ~schemes
+  Experiment.run_suite ?max_time:(run_max_time ()) ~pool:!pool ~schemes
     (suite_entries ())
 
 let print_rows title rows schemes value =
@@ -218,10 +219,40 @@ let row_time traces i =
     (fun t -> if i < Array.length t then Some t.(i).Stack.time else None)
     traces
 
+(* A trace table: a time column, then one [width]-wide column per
+   labelled trace holding [pick] of every [len / rows]-th epoch, or a
+   dash once that trace has ended. [note] trails the header. *)
+let print_trace_table ~note ~width ~rows pick traces =
+  Printf.printf "%-8s" "time(s)";
+  List.iter (fun (l, _) -> Printf.printf " %*s" width l) traces;
+  Printf.printf "%s\n" note;
+  let len =
+    List.fold_left (fun acc (_, t) -> max acc (Array.length t)) 0 traces
+  in
+  let stride = max 1 (len / rows) in
+  let i = ref 0 in
+  while !i < len do
+    let t =
+      match row_time (List.map snd traces) !i with
+      | Some t -> t
+      | None -> Float.of_int (!i + 1) *. 0.5
+    in
+    Printf.printf "%-8.1f" t;
+    List.iter
+      (fun (_, t) ->
+        if !i < Array.length t then Printf.printf " %*.2f" width (pick t.(!i))
+        else Printf.printf " %*s" width "-")
+      traces;
+    Printf.printf "\n";
+    i := !i + stride
+  done
+
 let print_trace key title pick schemes =
   section title;
+  (* Single-force before fan-out: building each stack warms its designs. *)
+  List.iter (fun s -> ignore (Schemes.stack s)) schemes;
   let traces =
-    List.map
+    Parallel.Pool.map !pool
       (fun s ->
         let r =
           Schemes.run ?max_time:(run_max_time ()) ~collect_trace:true s
@@ -230,32 +261,8 @@ let print_trace key title pick schemes =
         (s, r))
       schemes
   in
-  Printf.printf "%-8s" "time(s)";
-  List.iter (fun (s, _) -> Printf.printf " %12s" (scheme_abbrev s)) traces;
-  Printf.printf "\n";
-  let len =
-    List.fold_left
-      (fun acc (_, r) -> max acc (Array.length r.Stack.trace))
-      0 traces
-  in
-  let stride = max 1 (len / 40) in
-  let i = ref 0 in
-  while !i < len do
-    let t =
-      match row_time (List.map (fun (_, r) -> r.Stack.trace) traces) !i with
-      | Some t -> t
-      | None -> Float.of_int (!i + 1) *. 0.5
-    in
-    Printf.printf "%-8.1f" t;
-    List.iter
-      (fun (_, r) ->
-        if !i < Array.length r.Stack.trace then
-          Printf.printf " %12.2f" (pick r.Stack.trace.(!i))
-        else Printf.printf " %12s" "-")
-      traces;
-    Printf.printf "\n";
-    i := !i + stride
-  done;
+  print_trace_table ~note:"" ~width:12 ~rows:40 pick
+    (List.map (fun (s, r) -> (scheme_abbrev s, r.Stack.trace)) traces);
   List.iter
     (fun (s, r) ->
       let m = r.Stack.metrics in
@@ -311,7 +318,7 @@ let fig12_13 () =
 let fig14 () =
   let schemes = fig9_schemes @ [ scheme "lqg-dec"; scheme "lqg-mono" ] in
   let rows =
-    Experiment.run_suite ?max_time:(run_max_time ()) ?pool:!pool ~schemes
+    Experiment.run_suite ?max_time:(run_max_time ()) ~pool:!pool ~schemes
       (mix_entries ())
   in
   print_rows "Figure 14: ExD on heterogeneous mixes" rows schemes (fun r ->
@@ -393,6 +400,31 @@ let variant_designs perf_bound =
   let sw = Designs.design_sw_with (Sw_layer.spec ~bound:perf_bound ()) in
   (hw, sw)
 
+(* Suite-average ExD of each variant, normalized app by app to the
+   coordinated heuristic: coord runs once per app and the apps fan out
+   to the pool. A variant runs one app's workloads on a fresh stack;
+   the designs it closes over must already be forced. *)
+let avg_exd_vs_coord variants =
+  let exd (r : Stack.result) = r.Stack.metrics.Board.Xu3.energy_delay in
+  let ratios =
+    Parallel.Pool.map !pool
+      (fun (_, workloads) ->
+        let base =
+          exd
+            (Schemes.run ?max_time:(run_max_time ()) (scheme "coord")
+               workloads)
+        in
+        List.map (fun run -> exd (run workloads) /. base) variants)
+      (suite_entries ())
+  in
+  List.mapi
+    (fun i _ -> Experiment.average (List.map (fun r -> List.nth r i) ratios))
+    variants
+
+(* One app on a fresh [build ()] stack, at the bench horizon. *)
+let stack_run ?sensor_period build workloads =
+  Stack.run ?max_time:(run_max_time ()) ?sensor_period (build ()) workloads
+
 let fig15 () =
   section "Figure 15(a): performance under fixed targets, varying bounds";
   (* Fixed, mutually consistent targets (the performance this board
@@ -400,10 +432,12 @@ let fig15 () =
      OS: perf_little 1.5, perf_big 6.5, dSC 1. *)
   let hw_targets = [| 8.0; 2.5; 0.2; 70.0 |] in
   let sw_targets = [| 1.5; 6.5; 1.0 |] in
+  let designs =
+    List.map (fun (b, label) -> (label, variant_designs b)) bound_variants
+  in
   let traces =
-    List.map
-      (fun (b, label) ->
-        let hw, sw = variant_designs b in
+    Parallel.Pool.map !pool
+      (fun (label, (hw, sw)) ->
         let tr =
           (Stack.run ~max_time:100.0 ~collect_trace:true
              (Schemes.fixed_targets_stack ~hw_design:hw ~sw_design:sw
@@ -412,32 +446,10 @@ let fig15 () =
             .Stack.trace
         in
         (label, tr))
-      bound_variants
+      designs
   in
-  Printf.printf "%-8s" "time(s)";
-  List.iter (fun (l, _) -> Printf.printf " %20s" l) traces;
-  Printf.printf "   (target 8.0 BIPS)\n";
-  let len =
-    List.fold_left (fun acc (_, t) -> max acc (Array.length t)) 0 traces
-  in
-  let stride = max 1 (len / 25) in
-  let i = ref 0 in
-  while !i < len do
-    let t_lbl =
-      match row_time (List.map snd traces) !i with
-      | Some t -> t
-      | None -> Float.of_int (!i + 1) *. 0.5
-    in
-    Printf.printf "%-8.1f" t_lbl;
-    List.iter
-      (fun (_, t) ->
-        if !i < Array.length t then
-          Printf.printf " %20.2f" t.(!i).Stack.bips
-        else Printf.printf " %20s" "-")
-      traces;
-    Printf.printf "\n";
-    i := !i + stride
-  done;
+  print_trace_table ~note:"   (target 8.0 BIPS)" ~width:20 ~rows:25
+    (fun p -> p.Stack.bips) traces;
   (* Tracking-quality summary: rms deviation from the target in steady
      state (after 25 s). *)
   List.iter
@@ -456,26 +468,16 @@ let fig15 () =
           (Float.sqrt (!sum /. Float.of_int !n)))
     traces;
   section "Figure 15(b): ExD vs bounds (suite average, normalized)";
-  List.iter
-    (fun (b, label) ->
-      let hw, sw = variant_designs b in
-      (* Run Yukta-full with the variant designs against the baseline. *)
-      let total_ratio = ref 0.0 and n = ref 0 in
-      List.iter
-        (fun (_, workloads) ->
-          let base =
-            (Schemes.run (scheme "coord") workloads).Stack.metrics
-          in
-          let r = Stack.run (Schemes.yukta_full_stack hw sw) workloads in
-          total_ratio :=
-            !total_ratio
-            +. (r.Stack.metrics.Board.Xu3.energy_delay
-                /. base.Board.Xu3.energy_delay);
-          incr n)
-        (Experiment.suite_entries ());
-      Printf.printf "  bounds %-22s normalized ExD = %.3f\n" label
-        (!total_ratio /. Float.of_int !n))
-    bound_variants
+  (* Yukta-full with the variant designs against the baseline. *)
+  List.iter2
+    (fun (label, _) r ->
+      Printf.printf "  bounds %-22s normalized ExD = %.3f\n" label r)
+    designs
+    (avg_exd_vs_coord
+       (List.map
+          (fun (_, (hw, sw)) ->
+            stack_run (fun () -> Schemes.yukta_full_stack hw sw))
+          designs))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 16: sensitivity to the uncertainty guardband                 *)
@@ -488,43 +490,29 @@ let fig16 () =
   Printf.printf
     "%-12s %10s %10s  (bounds normalized to the +-40%% design)\n"
     "guardband" "mu peak" "bound xN";
-  let reference = ref None in
+  let designs =
+    List.map
+      (fun g -> (g, Designs.design_hw_with (Hw_layer.spec ~uncertainty:g ())))
+      guardbands
+  in
+  let scale (_, hw) = Float.max 1.0 hw.Design.mu_peak in
+  let ref_scale = scale (List.hd designs) in
   List.iter
-    (fun g ->
-      let hw = Designs.design_hw_with (Hw_layer.spec ~uncertainty:g ()) in
-      let scale = Float.max 1.0 hw.Design.mu_peak in
-      let ref_scale =
-        match !reference with
-        | None ->
-          reference := Some scale;
-          scale
-        | Some s -> s
-      in
+    (fun ((g, hw) as d) ->
       Printf.printf "+-%-10.0f%% %10.3f %10.3f\n" (100.0 *. g)
-        hw.Design.mu_peak (scale /. ref_scale))
-    guardbands;
+        hw.Design.mu_peak (scale d /. ref_scale))
+    designs;
   section "Figure 16(b): ExD vs guardband (suite average, normalized)";
-  List.iter
-    (fun g ->
-      let hw = Designs.design_hw_with (Hw_layer.spec ~uncertainty:g ()) in
-      let sw = Designs.sw () in
-      let total_ratio = ref 0.0 and n = ref 0 in
-      List.iter
-        (fun (_, workloads) ->
-          let base =
-            (Schemes.run (scheme "coord") workloads).Stack.metrics
-          in
-          let r = Stack.run (Schemes.yukta_full_stack hw sw) workloads in
-          total_ratio :=
-            !total_ratio
-            +. (r.Stack.metrics.Board.Xu3.energy_delay
-                /. base.Board.Xu3.energy_delay);
-          incr n)
-        (Experiment.suite_entries ());
+  let sw = Designs.sw () in
+  List.iter2
+    (fun (g, _) r ->
       Printf.printf "  guardband +-%-6.0f%% normalized ExD = %.3f\n"
-        (100.0 *. g)
-        (!total_ratio /. Float.of_int !n))
-    guardbands
+        (100.0 *. g) r)
+    designs
+    (avg_exd_vs_coord
+       (List.map
+          (fun (_, hw) -> stack_run (fun () -> Schemes.yukta_full_stack hw sw))
+          designs))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 17: sensitivity to input weights                             *)
@@ -535,11 +523,15 @@ let fig17 () =
   let weights = [ 0.5; 1.0; 2.0 ] in
   let hw_targets = [| 5.5; 2.5; 0.2; 70.0 |] in
   let sw_targets = [| 1.0; 4.5; 1.0 |] in
-  let traces =
+  let sw = Designs.sw () in
+  let designs =
     List.map
-      (fun w ->
-        let hw = Designs.design_hw_with (Hw_layer.spec ~input_weight:w ()) in
-        let sw = Designs.sw () in
+      (fun w -> (w, Designs.design_hw_with (Hw_layer.spec ~input_weight:w ())))
+      weights
+  in
+  let traces =
+    Parallel.Pool.map !pool
+      (fun (w, hw) ->
         let tr =
           (Stack.run ~max_time:100.0 ~collect_trace:true
              (Schemes.fixed_targets_stack ~hw_design:hw ~sw_design:sw
@@ -548,32 +540,11 @@ let fig17 () =
             .Stack.trace
         in
         (w, tr))
-      weights
+      designs
   in
-  Printf.printf "%-8s" "time(s)";
-  List.iter (fun (w, _) -> Printf.printf " %12s" (Printf.sprintf "weight %.1f" w)) traces;
-  Printf.printf "   (target 2.5 W)\n";
-  let len =
-    List.fold_left (fun acc (_, t) -> max acc (Array.length t)) 0 traces
-  in
-  let stride = max 1 (len / 30) in
-  let i = ref 0 in
-  while !i < len do
-    let t_lbl =
-      match row_time (List.map snd traces) !i with
-      | Some t -> t
-      | None -> Float.of_int (!i + 1) *. 0.5
-    in
-    Printf.printf "%-8.1f" t_lbl;
-    List.iter
-      (fun (_, t) ->
-        if !i < Array.length t then
-          Printf.printf " %12.2f" t.(!i).Stack.power_big
-        else Printf.printf " %12s" "-")
-      traces;
-    Printf.printf "\n";
-    i := !i + stride
-  done;
+  print_trace_table ~note:"   (target 2.5 W)" ~width:12 ~rows:30
+    (fun p -> p.Stack.power_big)
+    (List.map (fun (w, t) -> (Printf.sprintf "weight %.1f" w, t)) traces);
   List.iter
     (fun (w, t) ->
       (* Oscillation measure: mean absolute epoch-to-epoch power change in
@@ -657,7 +628,7 @@ let robustness () =
     Printf.printf "\n%s schedule (seed %d):\n" title robustness_seed;
     List.iter (fun f -> Printf.printf "  %s\n" (Fault.Spec.describe f)) schedule;
     let outcomes =
-      Fault.Campaign.run ?max_time:(run_max_time ()) ?pool:!pool
+      Fault.Campaign.run ?max_time:(run_max_time ()) ~pool:!pool
         ~schemes:(robustness_schemes ()) ~workloads schedule
     in
     print_campaign (title ^ " campaign:") outcomes;
@@ -684,38 +655,7 @@ let robustness () =
 
 let ablation () =
   section "Ablation: value of coordination, optimizer, and sensors";
-  let entries = Experiment.suite_entries () in
-  let avg_ratio stack =
-    let total = ref 0.0 and n = ref 0 in
-    List.iter
-      (fun (_, workloads) ->
-        let base =
-          (Schemes.run (scheme "coord") workloads).Stack.metrics
-        in
-        let r = Stack.run (stack ()) workloads in
-        total :=
-          !total
-          +. (r.Stack.metrics.Board.Xu3.energy_delay
-              /. base.Board.Xu3.energy_delay);
-        incr n)
-      entries;
-    !total /. Float.of_int !n
-  in
-  let full () = Schemes.yukta_full_stack (Designs.hw ()) (Designs.sw ()) in
-  Printf.printf "  Yukta full:                         ExD = %.3f\n"
-    (avg_ratio full);
-  (* Without external signals: controllers synthesized with the externals
-     zeroed at runtime (the information channel is cut). *)
-  let no_ext () =
-    Schemes.yukta_no_externals_stack (Designs.hw ()) (Designs.sw ())
-  in
-  Printf.printf "  ... external signals zeroed:        ExD = %.3f\n"
-    (avg_ratio no_ext);
-  let no_opt () =
-    Schemes.yukta_fixed_targets_stack (Designs.hw ()) (Designs.sw ())
-  in
-  Printf.printf "  ... optimizer off (fixed targets):  ExD = %.3f\n"
-    (avg_ratio no_opt);
+  let hw = Designs.hw () and sw = Designs.sw () in
   (* Quantization-aware synthesis vs the continuous-input assumption of
      the non-SSV designs (the Section VI-B failure mode). *)
   let hw_no_quant =
@@ -726,30 +666,27 @@ let ablation () =
     in
     Design.synthesize ~ignore_quantization:true spec ~model
   in
-  let no_quant () = Schemes.yukta_full_stack hw_no_quant (Designs.sw ()) in
-  Printf.printf "  ... quantization-unaware HW design: ExD = %.3f\n"
-    (avg_ratio no_quant);
-  (* Power-sensor refresh period. *)
-  let avg_ratio_period period =
-    let total = ref 0.0 and n = ref 0 in
-    List.iter
-      (fun (_, workloads) ->
-        let base =
-          (Schemes.run (scheme "coord") workloads).Stack.metrics
-        in
-        let r = Stack.run ~sensor_period:period (full ()) workloads in
-        total :=
-          !total
-          +. (r.Stack.metrics.Board.Xu3.energy_delay
-              /. base.Board.Xu3.energy_delay);
-        incr n)
-      entries;
-    !total /. Float.of_int !n
+  let full () = Schemes.yukta_full_stack hw sw in
+  let variants =
+    [
+      ("Yukta full:", stack_run full);
+      (* Without external signals: controllers synthesized with the
+         externals zeroed at runtime (the information channel is cut). *)
+      ( "... external signals zeroed:",
+        stack_run (fun () -> Schemes.yukta_no_externals_stack hw sw) );
+      ( "... optimizer off (fixed targets):",
+        stack_run (fun () -> Schemes.yukta_fixed_targets_stack hw sw) );
+      ( "... quantization-unaware HW design:",
+        stack_run (fun () -> Schemes.yukta_full_stack hw_no_quant sw) );
+      (* Power-sensor refresh period. *)
+      ("... ideal power sensor (10 ms):", stack_run ~sensor_period:0.01 full);
+      ("... slow power sensor (1 s):", stack_run ~sensor_period:1.0 full);
+    ]
   in
-  Printf.printf "  ... ideal power sensor (10 ms):     ExD = %.3f\n"
-    (avg_ratio_period 0.01);
-  Printf.printf "  ... slow power sensor (1 s):        ExD = %.3f\n"
-    (avg_ratio_period 1.0)
+  List.iter2
+    (fun (label, _) r -> Printf.printf "  %-35s ExD = %.3f\n" label r)
+    variants
+    (avg_exd_vs_coord (List.map snd variants))
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
@@ -804,7 +741,7 @@ let () =
         else true)
       args
   in
-  if !jobs > 1 then pool := Some (Parallel.Pool.create ~jobs:!jobs);
+  pool := Parallel.Pool.create ~jobs:!jobs;
   let has f = List.mem f args in
   let all = args = [] || has "--all" in
   if all || has "--tables" then timed "tables" (fun () ->
@@ -827,4 +764,4 @@ let () =
   if all || has "--robustness" then timed "robustness" robustness;
   if all || has "--ablation" then timed "ablation" ablation;
   (match !json_path with None -> () | Some path -> write_json path);
-  match !pool with None -> () | Some p -> Parallel.Pool.shutdown p
+  Parallel.Pool.shutdown !pool

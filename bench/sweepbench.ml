@@ -142,9 +142,7 @@ let main args =
       Sweep.Run.plan ~space ~seed:!seed
         ?points:!points ~probe ()
     in
-    let pool =
-      if !jobs > 1 then Some (Parallel.Pool.create ~jobs:!jobs) else None
-    in
+    let pool = Parallel.Pool.create ~jobs:!jobs in
     Printf.printf
       "sweep: %d of %d points, seed %d, shard %d/%d, probe %s @ %.0f Ginsts, \
        -j %d\n\
@@ -158,9 +156,9 @@ let main args =
       (Sweep.Run.fingerprint plan)
       !dir;
     let t0 = Obs.Collector.now () in
-    let outcome = Sweep.Run.run ?pool ~dir:!dir ~shard:!shard plan in
+    let outcome = Sweep.Run.run ~pool ~dir:!dir ~shard:!shard plan in
     let wall = Obs.Collector.now () -. t0 in
-    (match pool with None -> () | Some p -> Parallel.Pool.shutdown p);
+    Parallel.Pool.shutdown pool;
     Printf.printf
       "shard %d/%d: %d points (%d resumed, %d evaluated), frontier %d, \
        %.1fs wall (%.1fs synthesis)\n"

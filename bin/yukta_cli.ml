@@ -41,11 +41,6 @@ let scheme_conv =
   let print fmt (i : Schemes.info) = Format.pp_print_string fmt i.Schemes.key in
   Arg.conv (parse, print)
 
-let workloads_of_name name =
-  match List.assoc_opt name Board.Workload.mixes with
-  | Some jobs -> jobs
-  | None -> [ Board.Workload.by_name name ]
-
 let app_arg =
   let doc = "Workload: a PARSEC/SPEC name (see `apps`) or a mix (blmc, ...)." in
   Arg.(value & opt string "blackscholes" & info [ "a"; "app" ] ~docv:"APP" ~doc)
@@ -159,27 +154,21 @@ let run_cmd =
     let schemes =
       match schemes with [] -> [ Schemes.find_exn "yukta" ] | l -> l
     in
-    let workloads = workloads_of_name app in
+    let workloads = Board.Workload.resolve app in
     let banner = List.length schemes > 1 in
-    let eval (s : Schemes.info) = (s, Schemes.run s workloads) in
     let go () =
-      if jobs > 1 && banner then begin
-        Printf.printf "running %d schemes on %s (%d jobs)...\n%!"
-          (List.length schemes) app jobs;
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            (* Single-force before fan-out: warm the design memos. *)
-            List.iter (fun s -> ignore (Schemes.stack s)) schemes;
-            Experiment.map_cells ~pool eval schemes)
-        |> List.iter (print_result ~banner ~health)
-      end
-      else
-        List.iter
-          (fun (s : Schemes.info) ->
-            Printf.printf "running %s (%s) on %s...\n%!" s.Schemes.name
-              (String.concat ">" s.Schemes.layers)
-              app;
-            print_result ~banner ~health (eval s))
-          schemes
+      Parallel.Pool.with_pool ~jobs (fun pool ->
+          (* Single-force before fan-out: warm the design memos. *)
+          List.iter (fun s -> ignore (Schemes.stack s)) schemes;
+          Parallel.Pool.map_reduce pool
+            ~map:(fun s -> (s, Schemes.run s workloads))
+            ~init:()
+            ~reduce:(fun () ((s : Schemes.info), r) ->
+              Printf.printf "running %s (%s) on %s...\n%!" s.Schemes.name
+                (String.concat ">" s.Schemes.layers)
+                app;
+              print_result ~banner ~health (s, r))
+            schemes)
     in
     (match jsonl with
     | None -> go ()
@@ -203,7 +192,7 @@ let run_cmd =
 
 let csv_cmd =
   let run scheme app =
-    let workloads = workloads_of_name app in
+    let workloads = Board.Workload.resolve app in
     let r = Schemes.run ~collect_trace:true scheme workloads in
     print_endline
       "time_s,power_big_w,power_big_sensor_w,power_little_w,bips,temp_c,freq_big_ghz,big_cores";
@@ -384,7 +373,7 @@ let faults_cmd =
       (fun f -> Printf.printf "  %s\n" (Fault.Spec.describe f))
       schedule;
     if do_run then begin
-      let workloads = workloads_of_name app in
+      let workloads = Board.Workload.resolve app in
       Printf.printf "\nreplaying against %s on %s...\n%!"
         scheme.Schemes.name app;
       match
@@ -705,9 +694,7 @@ let fleet_cmd =
       (Fleet.Rack.policy_name policy)
       seed;
     let r =
-      if jobs > 1 then
-        Parallel.Pool.with_pool ~jobs (fun pool -> Fleet.Sim.run ~pool cfg)
-      else Fleet.Sim.run cfg
+      Parallel.Pool.with_pool ~jobs (fun pool -> Fleet.Sim.run ~pool cfg)
     in
     Printf.printf "rack epochs:    %d (%.0f s each)\n" r.Fleet.Sim.rack_epochs
       cfg.Fleet.Sim.rack_epoch;

@@ -157,4 +157,9 @@ let mixes =
     ("mcga", [ half "mcf"; half "gamess" ]);
   ]
 
+let resolve name =
+  match List.assoc_opt name mixes with
+  | Some jobs -> jobs
+  | None -> [ by_name name ]
+
 let () = List.iter validate all

@@ -72,3 +72,8 @@ val synthetic :
 val mixes : (string * t list) list
 (** The Figure 14 heterogeneous workloads: blmc, stga, blst, mcga — each a
     pair of 4-thread jobs run concurrently. *)
+
+val resolve : string -> t list
+(** The jobs an app name stands for, as the CLI and served sessions take
+    it: a mix's pair, else the single workload {!by_name}.
+    @raise Not_found for an unknown name. *)

@@ -63,15 +63,14 @@ let time_to_recover ~schedule ~completed (trace : Yukta.Stack.trace_point array)
           trace;
         !found)
 
-let run ?max_time ?epoch ?pool ~schemes ~workloads schedule =
+let run ?max_time ?epoch ?(pool = Parallel.Pool.create ~jobs:1) ~schemes
+    ~workloads schedule =
   (* One cell per scheme; the clean and faulted runs stay paired inside
      the cell, so parallel fan-out never splits a comparison. The
      single-force rule: building every stack once here warms the design
      memos before any worker starts. *)
-  if
-    match pool with None -> false | Some p -> Parallel.Pool.jobs p > 1
-  then List.iter (fun s -> ignore (Yukta.Schemes.stack s)) schemes;
-  Yukta.Experiment.map_cells ?pool
+  List.iter (fun s -> ignore (Yukta.Schemes.stack s)) schemes;
+  Parallel.Pool.map pool
     (fun scheme ->
       let clean_r =
         Yukta.Schemes.run ?max_time ?epoch scheme workloads

@@ -34,10 +34,11 @@ val run :
   Spec.timed list ->
   outcome list
 (** One clean + one faulted execution per scheme, every faulted run
-    replaying the identical schedule through a fresh injector. With
-    [pool], schemes fan out to the pool's domains (clean and faulted
-    runs stay paired in one cell) and outcomes return in scheme order,
-    byte-identical to the serial run. *)
+    replaying the identical schedule through a fresh injector. Every
+    scheme's stack is built once before fan-out; schemes then run on
+    [pool] (a one-job pool when absent; clean and faulted runs stay
+    paired in one cell) and outcomes return in scheme order,
+    byte-identical at any job count. *)
 
 val least_inflated : outcome list -> outcome option
 (** The scheme with the smallest E x D inflation — the campaign's

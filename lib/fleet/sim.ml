@@ -106,7 +106,7 @@ let step_board cfg ~epochs ~cap st =
     s_finished = Xu3.finished st.board;
   }
 
-let run ?pool cfg =
+let run ?(pool = Parallel.Pool.create ~jobs:1) cfg =
   let info = Schemes.find_exn cfg.scheme in
   let n = cfg.boards in
   (* Build every board before fan-out: stack construction forces the
@@ -154,26 +154,12 @@ let run ?pool cfg =
         states []
     in
     epoch_power := 0.0;
-    (match pool with
-    | Some p when Parallel.Pool.jobs p > 1 ->
-      (* Collector events from board steps are captured per board and
-         replayed in board order — the fold is byte-identical to the
-         serial path. *)
-      Parallel.Pool.map_reduce p
-        ~map:(fun st ->
-          Obs.Collector.capture (fun () ->
-              step_board cfg ~epochs:epochs_per_rack ~cap:caps.(st.index) st))
-        ~init:()
-        ~reduce:(fun () (s, lines) ->
-          Obs.Collector.replay lines;
-          fold_sample s)
-        items
-    | _ ->
-      List.iter
-        (fun st ->
-          fold_sample
-            (step_board cfg ~epochs:epochs_per_rack ~cap:caps.(st.index) st))
-        items);
+    Parallel.Pool.map_reduce pool
+      ~map:(fun st ->
+        step_board cfg ~epochs:epochs_per_rack ~cap:caps.(st.index) st)
+      ~init:()
+      ~reduce:(fun () s -> fold_sample s)
+      items;
     if !epoch_power > cfg.cap then violation := !violation +. cfg.rack_epoch;
     Rack.step rack ~power ~progress ~active;
     incr rack_epochs

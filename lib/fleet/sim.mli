@@ -9,10 +9,10 @@
     folds the per-board samples (average power, progress, finished)
     into mergeable accumulators {e in board order} via the pool's
     streaming [map_reduce]: no per-board result list is ever
-    materialized, and the folded aggregates are byte-identical at any
-    job count (collector events are captured per board and replayed in
-    order). Per-board RNG seeds derive from the fleet seed via {!Seed},
-    so results are also independent of board count and ordering. *)
+    materialized, and the folded aggregates and collector events are
+    byte-identical at any job count. Per-board RNG seeds derive from
+    the fleet seed via {!Seed}, so results are also independent of
+    board count and ordering. *)
 
 type config = {
   boards : int;
@@ -62,9 +62,9 @@ type result = {
 }
 
 val run : ?pool:Parallel.Pool.t -> config -> result
-(** Run the fleet to completion or the horizon. Without a pool (or with
-    a 1-job pool) everything steps inline in the caller; the parallel
-    and serial paths produce bit-identical results. *)
+(** Run the fleet to completion or the horizon, stepping the boards on
+    [pool] (a one-job pool when absent: everything inline in the
+    caller). Results are bit-identical at any job count. *)
 
 val json : result -> Obs.Json.t
 (** The deterministic ["fleet"] result block (config echo + aggregate

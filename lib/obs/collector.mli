@@ -25,10 +25,10 @@
     so concurrent emission from several domains never tears a line. For
     {e reproducible} traces under parallelism, serialization is not
     enough — arrival order would still depend on scheduling — so
-    parallel drivers wrap each task in {!capture} (a per-domain buffer
-    that bypasses the global sink) and {!replay} the captured lines in
-    task input order once the batch completes. Span nesting depth is
-    per-domain. *)
+    [Parallel.Pool.map_reduce] wraps each task in {!capture} (a
+    per-domain buffer that bypasses the global sink) and hands the
+    captured lines to {!replay} in task input order as each result
+    folds. Span nesting depth is per-domain. *)
 
 val enabled : unit -> bool
 (** One atomic load; the only cost a disabled instrumentation site pays. *)

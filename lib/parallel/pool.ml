@@ -2,8 +2,10 @@
    Pool.map_reduce streams tasks through a bounded in-flight window and
    folds each result into the caller's accumulator in input order, so a
    batch of any length holds at most O(window) results at once and the
-   fold is byte-identical at any job count. Exceptions are carried as
-   values and the earliest failing input re-raises in the caller. *)
+   fold is byte-identical at any job count. Each task's collector lines
+   are captured on its domain and replayed as its result folds, so the
+   trace stream is in input order too. Exceptions are carried as values
+   and the earliest failing input re-raises in the caller. *)
 
 type t = {
   jobs : int;
@@ -101,7 +103,7 @@ let map_reduce t ~map:f ~init ~reduce xs =
       let settled = ref 0 in
       let task i () =
         let r =
-          match f arr.(i) with
+          match Obs.Collector.capture (fun () -> f arr.(i)) with
           | v -> Ok v
           | exception e -> Error (e, Printexc.get_raw_backtrace ())
         in
@@ -160,11 +162,12 @@ let map_reduce t ~map:f ~init ~reduce xs =
         if r <> None then ring.(slot) <- None;
         Mutex.unlock slot_mutex;
         match r with
-        | Some (Ok v) ->
+        | Some (Ok (v, lines)) ->
             (* Refill the freed slot before folding so domains stay busy
                while [reduce] runs in the caller. *)
             incr cursor;
             issue_until (!cursor + w);
+            Obs.Collector.replay lines;
             acc := reduce !acc v
         | Some (Error e) ->
             (* Earliest input in fold order: stop issuing and re-raise. *)

@@ -10,6 +10,8 @@
     - {b deterministic ordering} — results are folded (or listed) in
       input order regardless of which worker finished first, so a fold
       into mergeable accumulators is byte-identical at any job count;
+    - {b deterministic traces} — [Obs.Collector] lines reach the sink
+      in input order too (see {!map_reduce});
     - {b bounded memory} — {!map_reduce} streams inputs through an
       in-flight window of [4 * jobs] slots; a thousand-element batch
       never materialises a thousand results;
@@ -18,8 +20,9 @@
       its original backtrace, after every {e issued} task has settled
       (inputs beyond the in-flight window are never started);
     - {b serial degeneration} — a pool created with [jobs = 1] spawns no
-      domains and runs everything inline in the calling domain, so
-      serial and parallel callers share one code path.
+      domains, needs no {!shutdown}, and runs everything inline in the
+      calling domain. Drivers that take [?pool] use a one-job pool when
+      it is absent, so serial and parallel callers share one code path.
 
     The pool itself is domain-safe; the tasks must be too. Shared lazy
     state has to be forced {e before} fan-out (concurrent [Lazy.force]
@@ -55,7 +58,11 @@ val map_reduce :
 
     [map] runs on arbitrary domains; [reduce] always runs in the calling
     domain, one call at a time, in slot order — it needs no locking and
-    may mutate the accumulator in place. At most [4 * jobs] results are
+    may mutate the accumulator in place. With [jobs > 1] each [map]
+    application runs under [Obs.Collector.capture] and its lines are
+    replayed just before its result folds, so the trace stream is the
+    one [jobs = 1] emits (modulo wall-clock span durations); a failing
+    task's lines are dropped. At most [4 * jobs] results are
     in flight at once: input [i + 4*jobs] is not started before result
     [i] has been folded, so memory stays bounded for arbitrarily long
     batches.

@@ -78,13 +78,6 @@ let enqueue t line =
     `Accepted
   end
 
-(* App names resolve like the CLI's: a registered mix, else a single
-   workload. *)
-let workloads_of_app app =
-  match List.assoc_opt app Board.Workload.mixes with
-  | Some ws -> ws
-  | None -> [ Board.Workload.by_name app ]
-
 let injector_of_drift (d : Protocol.drift) =
   let fault =
     match d.Protocol.kind with
@@ -122,7 +115,7 @@ let do_configure t ~scheme ~app ~epoch ~adapt ~drift =
     t.errors <- t.errors + 1;
     [ Protocol.error (Printf.sprintf "unknown scheme %S" scheme) ]
   | Some info ->
-    let workloads = workloads_of_app app in
+    let workloads = Board.Workload.resolve app in
     let injector = Option.map injector_of_drift drift in
     let stack = Yukta.Schemes.stack info in
     let stepper = Yukta.Stack.stepper ?epoch ?injector stack workloads in

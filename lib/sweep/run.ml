@@ -145,7 +145,8 @@ type outcome = {
 
 let default_dir = ".yukta_sweep"
 
-let run ?pool ?(dir = default_dir) ?(shard = whole) p =
+let run ?(pool = Parallel.Pool.create ~jobs:1) ?(dir = default_dir)
+    ?(shard = whole) p =
   check_shard shard;
   let fp = fingerprint p in
   let ids = shard_ids p shard in
@@ -179,21 +180,9 @@ let run ?pool ?(dir = default_dir) ?(shard = whole) p =
         synth_wall := !synth_wall +. r.Checkpoint.synth_wall_s;
         incr evaluated
       in
-      let map id =
-        let r, lines =
-          Obs.Collector.capture (fun () -> evaluate p (Space.point p.space id))
-        in
-        (r, lines)
-      in
-      let reduce_captured () (r, lines) =
-        Obs.Collector.replay lines;
-        reduce () r
-      in
-      (match pool with
-      | Some pool ->
-        Parallel.Pool.map_reduce pool ~map ~init:() ~reduce:reduce_captured
-          todo
-      | None -> List.iter (fun id -> reduce_captured () (map id)) todo);
+      Parallel.Pool.map_reduce pool
+        ~map:(fun id -> evaluate p (Space.point p.space id))
+        ~init:() ~reduce todo;
       {
         plan = p;
         shard;

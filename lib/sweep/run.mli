@@ -90,7 +90,8 @@ val run : ?pool:Parallel.Pool.t -> ?dir:string -> ?shard:shard -> plan -> outcom
     directory (default [.yukta_sweep]); [shard] defaults to [1/1] (the
     whole plan). Previously checkpointed points are folded into the
     frontier without re-evaluation; remaining points fan out over
-    [pool] (serial without one) and checkpoint as they complete.
+    [pool] (a one-job pool when absent) and checkpoint as they
+    complete.
     @raise Checkpoint.Mismatch when the checkpoint belongs to a
     different plan. *)
 

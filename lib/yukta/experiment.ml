@@ -55,31 +55,6 @@ type normalized_row = {
   raw : (Schemes.info * app_result) list;  (* Un-normalized results. *)
 }
 
-(* Apply [f] to every grid cell, in order or fanned out to [pool]. Every
-   cell is independent and deterministic (fresh stack, fresh board), so
-   the two paths compute identical results; per-domain capture plus
-   in-stream replay in input order makes the collector's trace stream
-   identical too (modulo wall-clock span durations). The parallel path
-   rides the pool's streaming [map_reduce]: each cell's captured trace
-   lines are replayed the moment its slot folds, rather than after the
-   whole grid has materialized. *)
-let map_cells ?pool f cells =
-  match pool with
-  | None -> List.map f cells
-  | Some p when Parallel.Pool.jobs p <= 1 -> List.map f cells
-  | Some p ->
-    List.rev
-      (Parallel.Pool.map_reduce p
-         ~map:(fun c -> Obs.Collector.capture (fun () -> f c))
-         ~init:[]
-         ~reduce:(fun acc (v, lines) ->
-           Obs.Collector.replay lines;
-           v :: acc)
-         cells)
-
-let parallel_active pool =
-  match pool with None -> false | Some p -> Parallel.Pool.jobs p > 1
-
 (* Chunk [xs] into rows of [k] (cells are flattened entry-major). *)
 let rec group k xs =
   match xs with
@@ -97,7 +72,8 @@ let rec group k xs =
 
 (* Run [schemes] on every entry and normalize each metric to the first
    scheme in the list (the baseline). *)
-let run_suite ?max_time ?pool ~schemes entries =
+let run_suite ?max_time ?(pool = Parallel.Pool.create ~jobs:1) ~schemes
+    entries =
   let baseline =
     match schemes with
     | [] -> invalid_arg "Experiment.run_suite: no schemes"
@@ -105,16 +81,18 @@ let run_suite ?max_time ?pool ~schemes entries =
   in
   (* Single-force before fan-out: building each scheme's stack once in
      the coordinating domain warms every design memo the grid needs
-     (Designs serializes forcing, but workers should not queue on it). *)
-  if parallel_active pool then
-    List.iter (fun s -> ignore (Schemes.stack s)) schemes;
+     (Designs serializes forcing, but workers should not queue on it),
+     and puts any synthesis trace ahead of every cell's at any -j. *)
+  List.iter (fun s -> ignore (Schemes.stack s)) schemes;
   let cells =
     List.concat_map
       (fun entry -> List.map (fun s -> (entry, s)) schemes)
       entries
   in
   let results =
-    map_cells ?pool (fun (entry, s) -> (s, run_app ?max_time s entry)) cells
+    Parallel.Pool.map pool
+      (fun (entry, s) -> (s, run_app ?max_time s entry))
+      cells
   in
   List.map2
     (fun entry results ->

@@ -30,19 +30,6 @@ type normalized_row = {
       (** The un-normalized per-scheme results behind the ratios. *)
 }
 
-val map_cells :
-  ?pool:Parallel.Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-(** Apply [f] to every cell of an evaluation grid, preserving input
-    order. Without a pool (or with a 1-job pool) this is [List.map];
-    with a parallel pool, cells fan out through the pool's streaming
-    [map_reduce], each wrapped in [Obs.Collector.capture], and the
-    captured trace lines are replayed in input order as each cell's
-    result streams back — so serial and parallel runs produce identical
-    results {e and} identical trace streams (modulo wall-clock span
-    durations), and no intermediate captured-trace list is ever
-    materialized. Cells must be independent: fresh stack, fresh board,
-    no writes to shared state. *)
-
 val run_suite :
   ?max_time:float ->
   ?pool:Parallel.Pool.t ->
@@ -50,10 +37,11 @@ val run_suite :
   (string * Board.Workload.t list) list ->
   normalized_row list
 (** Run every scheme on every entry; normalize to the first scheme.
-    With [pool], the [(scheme, app)] cells run on the pool's domains
-    (after a single-force warm-up of every scheme's designs in the
-    calling domain) and rows reassemble in entry order — the output is
-    byte-identical to the serial run's. *)
+    Every scheme's stack is built once in the calling domain (the
+    single-force warm-up of its designs), then the [(scheme, app)] cells
+    run on [pool] (a one-job pool when absent) and rows reassemble in
+    entry order — results and trace stream are byte-identical at any
+    job count. *)
 
 val averages :
   normalized_row list ->

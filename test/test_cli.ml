@@ -1,12 +1,15 @@
 (* Help sync: every registered yukta_cli subcommand must appear in the
    top-level --help, so the CLI's own documentation can never silently
-   fall behind the command group (the dune rule makes the built
-   executable a test dependency). *)
+   fall behind the command group; and `run` prints the same bytes at any
+   -j (the dune rule makes the built executable a test dependency). *)
 
 let subcommands =
   (* The full command group of bin/yukta_cli.ml; adding a subcommand
      there without updating this list fails the count check below. *)
-  [ "apps"; "schemes"; "run"; "csv"; "trace"; "design"; "faults"; "fleet" ]
+  [
+    "apps"; "schemes"; "run"; "csv"; "trace"; "design"; "faults"; "fleet";
+    "cache"; "serve"; "sweep";
+  ]
 
 let read_all ic =
   let b = Buffer.create 4096 in
@@ -17,14 +20,17 @@ let read_all ic =
    with End_of_file -> ());
   Buffer.contents b
 
-let cli_help () =
-  (* --help=plain: no pager, stable formatting. The exe path is relative
-     to the test's directory in _build (declared as a dune dep). *)
-  let ic = Unix.open_process_in "../bin/yukta_cli.exe --help=plain" in
+(* The exe path is relative to the test's directory in _build (declared
+   as a dune dep). *)
+let cli args =
+  let ic = Unix.open_process_in ("../bin/yukta_cli.exe " ^ args) in
   let out = read_all ic in
   match Unix.close_process_in ic with
   | Unix.WEXITED 0 -> out
-  | _ -> Alcotest.fail "yukta_cli --help=plain failed"
+  | _ -> Alcotest.fail (Printf.sprintf "yukta_cli %s failed" args)
+
+(* --help=plain: no pager, stable formatting. *)
+let cli_help () = cli "--help=plain"
 
 let contains haystack needle =
   let lh = String.length haystack and ln = String.length needle in
@@ -44,12 +50,45 @@ let test_every_subcommand_in_help () =
         (contains help ("\n       " ^ cmd)))
     subcommands
 
+(* The headings of the COMMANDS section: lines indented by exactly
+   seven spaces, up to the next section title. *)
+let command_headings help =
+  let rec from_commands = function
+    | "COMMANDS" :: rest -> rest
+    | _ :: rest -> from_commands rest
+    | [] -> []
+  in
+  let rec headings acc = function
+    | l :: _ when l <> "" && l.[0] <> ' ' -> List.rev acc
+    | l :: rest ->
+      let heading =
+        String.length l > 7 && String.sub l 0 7 = "       " && l.[7] <> ' '
+      in
+      headings (if heading then l :: acc else acc) rest
+    | [] -> List.rev acc
+  in
+  headings [] (from_commands (String.split_on_char '\n' help))
+
+let test_subcommand_count () =
+  Alcotest.(check int) "COMMANDS headings = listed subcommands"
+    (List.length subcommands)
+    (List.length (command_headings (cli_help ())))
+
+let test_run_jobs_identical () =
+  (* Two heuristic schemes (no synthesis): the banners and results must
+     print in scheme order, byte for byte, whether the schemes run
+     inline or on two domains. *)
+  let run jobs =
+    cli (Printf.sprintf "run -s coord -s decoupled -a blackscholes -j %d" jobs)
+  in
+  let j1 = run 1 in
+  Alcotest.(check bool) "both schemes reported" true
+    (contains j1 "running Coordinated heuristic"
+    && contains j1 "running Decoupled heuristic");
+  Alcotest.(check string) "-j 2 stdout equals -j 1" j1 (run 2)
+
 let test_fleet_help_documents_flags () =
-  let ic = Unix.open_process_in "../bin/yukta_cli.exe fleet --help=plain" in
-  let out = read_all ic in
-  (match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "yukta_cli fleet --help=plain failed");
+  let out = cli "fleet --help=plain" in
   List.iter
     (fun flag ->
       Alcotest.(check bool)
@@ -64,7 +103,14 @@ let () =
         [
           Alcotest.test_case "every subcommand listed" `Quick
             test_every_subcommand_in_help;
+          Alcotest.test_case "subcommand count" `Quick
+            test_subcommand_count;
           Alcotest.test_case "fleet flags documented" `Quick
             test_fleet_help_documents_flags;
+        ] );
+      ( "run",
+        [
+          Alcotest.test_case "-j1/-j2 stdout identical" `Quick
+            test_run_jobs_identical;
         ] );
     ]

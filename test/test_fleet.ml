@@ -1,7 +1,7 @@
 (* Tests for the fleet layer: per-board seed derivation, rack
    apportionment (all three policies), the cap surface's no-cap parity
    contract, and the streaming fleet driver's serial/parallel
-   byte-identity. *)
+   byte-identity, of its results and of its event stream. *)
 
 open Board
 open Yukta
@@ -227,6 +227,24 @@ let test_sim_serial_parallel_byte_identical () =
   Alcotest.(check string) "-j4 equals serial" serial j4;
   Alcotest.(check string) "-j1 equals serial" serial j1
 
+let test_sim_events_identical () =
+  (* The pool replays each board's captured events in board order, so
+     the trace stream matches the one-job run line for line (spans carry
+     wall-clock durations and are dropped). *)
+  let events jobs =
+    Obs.Collector.with_collection (fun () ->
+        Parallel.Pool.with_pool ~jobs (fun pool ->
+            ignore (Fleet.Sim.run ~pool (small_cfg ())));
+        Obs.Collector.drain ())
+    |> List.filter (fun l ->
+           not (String.starts_with ~prefix:{|{"type":"span"|} l))
+  in
+  let j1 = events 1 in
+  let j4 = events 4 in
+  check_bool "board events emitted" true (List.length j1 > 8);
+  check_int "same line count" (List.length j1) (List.length j4);
+  check_bool "-j4 event lines equal -j1" true (j1 = j4)
+
 let test_feedback_beats_even_split () =
   (* The rack-layer headline at the bench-default scale: under a
      contended shared budget the feedback policy reallocates stranded
@@ -285,6 +303,8 @@ let () =
           Alcotest.test_case "fleet completes" `Quick test_sim_completes;
           Alcotest.test_case "-j1/-j4 byte-identity" `Quick
             test_sim_serial_parallel_byte_identical;
+          Alcotest.test_case "-j1/-j4 event lines identical" `Quick
+            test_sim_events_identical;
           Alcotest.test_case "feedback beats even split" `Quick
             test_feedback_beats_even_split;
           Alcotest.test_case "config validation" `Quick

@@ -1,7 +1,7 @@
 (* Tests for the domain pool and the parallel evaluation paths: result
    ordering, exception propagation (no hangs), serial/parallel parity of
-   Experiment.run_suite and Fault.Campaign.run, and deterministic
-   capture/replay of collector events under fan-out. *)
+   Experiment.run_suite and Fault.Campaign.run, and the pool's
+   deterministic capture/replay of collector events under fan-out. *)
 
 open Board
 open Yukta
@@ -262,7 +262,7 @@ let test_worker_exception_propagates () =
   Parallel.Pool.with_pool ~jobs:4 (fun pool ->
       let raised =
         match
-          Experiment.map_cells ~pool
+          Parallel.Pool.map pool
             (fun i -> if i = 2 then raise (Boom i) else i)
             [ 1; 2; 3; 4 ]
         with
@@ -289,18 +289,32 @@ let with_buffer_collection f =
   in
   v
 
+let fold_cell n i =
+  Obs.Collector.event ~name:"test.fold" ~sim:(Float.of_int i) (fun () ->
+      [ ("folded", Obs.Json.Int n) ]);
+  n + 1
+
 let test_capture_replay_order () =
+  (* Each cell's event and the fold's own event, cell by cell: the pool
+     replays a task's captured lines just before folding its result, so
+     the stream interleaves exactly as a serial fold's does. *)
   let cells = List.init 16 Fun.id in
-  let _, serial_lines =
+  let folded jobs =
     with_buffer_collection (fun () ->
-        List.map emit_cell cells)
+        Parallel.Pool.with_pool ~jobs (fun pool ->
+            Parallel.Pool.map_reduce pool ~map:emit_cell ~init:0
+              ~reduce:fold_cell cells))
   in
-  let _, parallel_lines =
+  let serial_n, serial_lines =
     with_buffer_collection (fun () ->
-        Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-            Experiment.map_cells ~pool emit_cell cells))
+        List.fold_left (fun n c -> fold_cell n (emit_cell c)) 0 cells)
   in
-  check_int "one line per cell" (List.length cells)
+  let one_n, one_lines = folded 1 in
+  let parallel_n, parallel_lines = folded 4 in
+  check_int "every cell folded" (List.length cells) parallel_n;
+  check_bool "one-job pool equals a serial fold" true
+    (one_n = serial_n && one_lines = serial_lines);
+  check_int "two lines per cell" (2 * List.length cells)
     (List.length parallel_lines);
   check_bool "trace order identical to serial" true
     (serial_lines = parallel_lines)
