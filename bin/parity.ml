@@ -1,10 +1,14 @@
 (* Full-precision metrics for every registered scheme on fixed short
-   workloads.
+   workloads, then the synthesized designs' bits.
 
    The output is meant to be diffed across refactors of the runtime: any
    change in a scheme's stepping order, optimizer cadence, or signal
    wiring shows up as a bit-level difference in these numbers. All apps
    run in one process, so the controller designs are synthesized once.
+   The closing [design] lines pin the synthesis itself: mu_peak and
+   gamma in hex ([%h]) and a digest of the controller's A/B/C/D bits,
+   for the default hardware and software designs and one non-default
+   hardware spec (guardband 2.5, input weight 0.5, bound 0.5).
 
      dune exec bin/parity.exe                      -- blackscholes
      dune exec bin/parity.exe -- blackscholes mcf  -- several workloads
@@ -12,6 +16,24 @@
    test/parity.expected holds this output for blackscholes and mcf and
    `dune runtest` diffs it; after an intended change of numbers,
    regenerate it with `dune runtest` followed by `dune promote`. *)
+
+(* MD5 of the controller's A, B, C and D entries, in that order, as
+   little-endian IEEE bit patterns. *)
+let controller_digest (d : Yukta.Design.synthesis) =
+  let sys = Yukta.Controller.internal d.Yukta.Design.controller in
+  let buf = Buffer.create 8192 in
+  List.iter
+    (fun (m : Linalg.Mat.t) ->
+      Array.iter
+        (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x))
+        m.Linalg.Mat.data)
+    Control.Ss.[ sys.a; sys.b; sys.c; sys.d ];
+  (Control.Ss.order sys, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let print_design label (d : Yukta.Design.synthesis) =
+  let order, digest = controller_digest d in
+  Printf.printf "design %-22s mu_peak=%h gamma=%h states=%d abcd=%s\n%!" label
+    d.Yukta.Design.mu_peak d.Yukta.Design.gamma order digest
 
 let () =
   let apps =
@@ -32,4 +54,10 @@ let () =
             m.Board.Xu3.total_energy m.Board.Xu3.energy_delay m.Board.Xu3.trips
             r.Yukta.Stack.completed)
         Yukta.Schemes.all)
-    apps
+    apps;
+  print_design "hw" (Yukta.Designs.hw ());
+  print_design "sw" (Yukta.Designs.sw ());
+  print_design "hw d2.5 w0.5 b0.5"
+    (Yukta.Designs.design_hw_with
+       (Yukta.Hw_layer.spec ~uncertainty:2.5 ~input_weight:0.5 ~perf_bound:0.5
+          ()))
