@@ -91,6 +91,32 @@ let care n =
         fun () -> ignore (Control.Care.solve ~a ~b ~q ~r));
   }
 
+(* The closed-loop H-infinity norm check of the gamma bisection at the
+   size the hardware design reaches: a seeded stable discrete system
+   (period 0.5 s) with 40 states, 15 inputs and 16 outputs, A scaled into
+   the unit disc. One invocation is the full 241-point grid walk. *)
+let hinf_norm40 =
+  {
+    kernel = "hinf_norm40";
+    size = "40-state, 16x15";
+    batch = 1;
+    reps = 10;
+    smoke_reps = 5;
+    prepare =
+      (fun () ->
+        let open Linalg in
+        let m = Mat.random ~seed:40 40 40 in
+        let sys =
+          Control.Ss.make ~domain:(Control.Ss.Discrete 0.5)
+            ~a:(Mat.scale (0.9 /. Mat.norm_inf m) m)
+            ~b:(Mat.random ~seed:41 40 15)
+            ~c:(Mat.random ~seed:42 16 40)
+            ~d:(Mat.random ~seed:43 16 15)
+            ()
+        in
+        fun () -> ignore (Control.Ss.hinf_norm sys));
+  }
+
 (* One full D-K synthesis on the mixed-sensitivity test plant (unstable
    x' = x + u + d with weighted z and noisy y): small, but it exercises
    the whole gamma-bisection + mu-sweep pipeline that dominates design
@@ -303,6 +329,8 @@ let all_kernels =
     eig 32;
     svd 16 8;
     care 4;
+    care 20;
+    hinf_norm40;
     dk_design;
     mu_upper7;
     xu3_epochs;

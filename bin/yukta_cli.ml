@@ -41,9 +41,27 @@ let scheme_conv =
   let print fmt (i : Schemes.info) = Format.pp_print_string fmt i.Schemes.key in
   Arg.conv (parse, print)
 
+(* An app name parses to the name and the jobs it stands for; an
+   unknown name is refused with the list of valid ones. *)
+let app_conv =
+  let parse s =
+    match Board.Workload.resolve s with
+    | Some workloads -> Ok (s, workloads)
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown app %S (one of: %s)" s
+              (String.concat ", " Board.Workload.app_names)))
+  in
+  let print fmt (name, _) = Format.pp_print_string fmt name in
+  Arg.conv (parse, print)
+
 let app_arg =
   let doc = "Workload: a PARSEC/SPEC name (see `apps`) or a mix (blmc, ...)." in
-  Arg.(value & opt string "blackscholes" & info [ "a"; "app" ] ~docv:"APP" ~doc)
+  Arg.(
+    value
+    & opt app_conv ("blackscholes", [ Board.Workload.by_name "blackscholes" ])
+    & info [ "a"; "app" ] ~docv:"APP" ~doc)
 
 let scheme_arg =
   let doc = "Controller scheme (see `schemes`)." in
@@ -138,7 +156,8 @@ let run_cmd =
     Printf.printf "emergency trips: %d\n" m.Board.Xu3.trips;
     if health then print_string (Obs.Health.render r.Stack.health)
   in
-  let run (schemes : Schemes.info list) app jsonl jobs health recorder =
+  let run (schemes : Schemes.info list) (app, workloads) jsonl jobs health
+      recorder =
     if jobs < 1 then begin
       prerr_endline "yukta_cli run: -j expects an integer >= 1";
       exit 2
@@ -154,7 +173,6 @@ let run_cmd =
     let schemes =
       match schemes with [] -> [ Schemes.find_exn "yukta" ] | l -> l
     in
-    let workloads = Board.Workload.resolve app in
     let banner = List.length schemes > 1 in
     let go () =
       Parallel.Pool.with_pool ~jobs (fun pool ->
@@ -191,8 +209,7 @@ let run_cmd =
       $ recorder_arg)
 
 let csv_cmd =
-  let run scheme app =
-    let workloads = Board.Workload.resolve app in
+  let run scheme (_, workloads) =
     let r = Schemes.run ~collect_trace:true scheme workloads in
     print_endline
       "time_s,power_big_w,power_big_sensor_w,power_little_w,bips,temp_c,freq_big_ghz,big_cores";
@@ -361,7 +378,8 @@ let faults_cmd =
     in
     Arg.(value & flag & info [ "run" ] ~doc)
   in
-  let run seed out horizon count do_run (scheme : Schemes.info) app =
+  let run seed out horizon count do_run (scheme : Schemes.info)
+      (app, workloads) =
     let profile =
       if out then Fault.Schedule.out_of_guardband ~horizon ~count ()
       else Fault.Schedule.in_guardband ~horizon ~count ()
@@ -373,7 +391,6 @@ let faults_cmd =
       (fun f -> Printf.printf "  %s\n" (Fault.Spec.describe f))
       schedule;
     if do_run then begin
-      let workloads = Board.Workload.resolve app in
       Printf.printf "\nreplaying against %s on %s...\n%!"
         scheme.Schemes.name app;
       match

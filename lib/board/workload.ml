@@ -157,9 +157,12 @@ let mixes =
     ("mcga", [ half "mcf"; half "gamess" ]);
   ]
 
+let app_names = List.map (fun w -> w.name) all @ List.map fst mixes
+
 let resolve name =
   match List.assoc_opt name mixes with
-  | Some jobs -> jobs
-  | None -> [ by_name name ]
+  | Some jobs -> Some jobs
+  | None ->
+    Option.map (fun w -> [ w ]) (List.find_opt (fun w -> w.name = name) all)
 
 let () = List.iter validate all

@@ -73,7 +73,11 @@ val mixes : (string * t list) list
 (** The Figure 14 heterogeneous workloads: blmc, stga, blst, mcga — each a
     pair of 4-thread jobs run concurrently. *)
 
-val resolve : string -> t list
+val resolve : string -> t list option
 (** The jobs an app name stands for, as the CLI and served sessions take
-    it: a mix's pair, else the single workload {!by_name}.
-    @raise Not_found for an unknown name. *)
+    it: a mix's pair, else the single workload {!by_name}; [None] for a
+    name outside {!app_names}. *)
+
+val app_names : string list
+(** Every name {!resolve} accepts: the evaluation suite, the training
+    set, then the mixes. *)

@@ -21,12 +21,15 @@ let sign_function z0 =
   let iter = ref 0 in
   while !err > 1e-12 && !iter < 100 do
     incr iter;
-    let zinv =
-      try Lu.inv !z
+    (* One factorization per step serves both the inverse and the
+       determinant. *)
+    let f =
+      try Lu.factorize !z
       with Lu.Singular ->
         raise (No_solution "sign iteration hit a singular iterate")
     in
-    let d = Lu.det !z in
+    let zinv = Lu.inv_factored f in
+    let d = Lu.det_factored f in
     if d = 0.0 || not (Float.is_finite d) then
       raise (No_solution "sign iteration: degenerate determinant");
     let c = Float.abs d ** (-1.0 /. Float.of_int m) in

@@ -128,86 +128,109 @@ let central_controller_continuous plant gamma =
             [ Mat.neg c1t_sq; Mat.neg (Mat.transpose at) ];
           ]
       in
-      let ab = Mat.sub p.a (Mat.mul3 p.b1 (Mat.transpose d21n) c2n) in
-      let proj21 =
-        Mat.sub (Mat.identity (Mat.dims p.b1 |> snd))
-          (Mat.mul (Mat.transpose d21n) d21n)
+      (* The stabilizing solution of a Riccati Hamiltonian, if it is
+         positive semidefinite. *)
+      let riccati h =
+        match Care.solve_hamiltonian h with
+        | exception (Care.No_solution _ | Lu.Singular) -> None
+        | x -> if Eig.is_positive_semidefinite ~tol:1e-6 x then Some x else None
       in
-      let b1t_sq = Mat.mul3 p.b1 proj21 (Mat.transpose p.b1) in
-      let hy =
-        Mat.blocks
-          [
+      (* Y is formed and solved only once X has passed. *)
+      match riccati hx with
+      | None -> None
+      | Some x -> (
+        let ab = Mat.sub p.a (Mat.mul3 p.b1 (Mat.transpose d21n) c2n) in
+        let proj21 =
+          Mat.sub (Mat.identity (Mat.dims p.b1 |> snd))
+            (Mat.mul (Mat.transpose d21n) d21n)
+        in
+        let b1t_sq = Mat.mul3 p.b1 proj21 (Mat.transpose p.b1) in
+        let hy =
+          Mat.blocks
             [
-              Mat.transpose ab;
-              Mat.sub
-                (Mat.scale (1.0 /. g2) (Mat.mul (Mat.transpose p.c1) p.c1))
-                (Mat.mul (Mat.transpose c2n) c2n);
-            ];
-            [ Mat.neg b1t_sq; Mat.neg ab ];
-          ]
-      in
-      match
-        (Care.solve_hamiltonian hx, Care.solve_hamiltonian hy)
-      with
-      | exception Care.No_solution _ -> None
-      | exception Lu.Singular -> None
-      | x, y ->
-        let psd m = Eig.is_positive_semidefinite ~tol:1e-6 m in
-        if not (psd x && psd y) then None
-        else if Eig.spectral_radius (Mat.mul x y) >= g2 *. 0.999999 then None
-        else begin
-          let f =
-            Mat.neg
-              (Mat.add (Mat.mul (Mat.transpose b2n) x)
-                 (Mat.mul (Mat.transpose d12n) p.c1))
-          in
-          let l =
-            Mat.neg
-              (Mat.add (Mat.mul y (Mat.transpose c2n))
-                 (Mat.mul p.b1 (Mat.transpose d21n)))
-          in
-          match
-            Lu.inv (Mat.sub (Mat.identity n) (Mat.scale (1.0 /. g2) (Mat.mul y x)))
-          with
-          | exception Lu.Singular -> None
-          | z ->
-            let zl = Mat.mul z l in
-            let ahat =
-              Mat.add
-                (Mat.add
-                   (Mat.add p.a
-                      (Mat.scale (1.0 /. g2)
-                         (Mat.mul3 p.b1 (Mat.transpose p.b1) x)))
-                   (Mat.mul b2n f))
-                (Mat.mul zl
-                   (Mat.add c2n
-                      (Mat.scale (1.0 /. g2)
-                         (Mat.mul3 d21n (Mat.transpose p.b1) x))))
+              [
+                Mat.transpose ab;
+                Mat.sub
+                  (Mat.scale (1.0 /. g2) (Mat.mul (Mat.transpose p.c1) p.c1))
+                  (Mat.mul (Mat.transpose c2n) c2n);
+              ];
+              [ Mat.neg b1t_sq; Mat.neg ab ];
+            ]
+        in
+        match riccati hy with
+        | None -> None
+        | Some y ->
+          if Eig.spectral_radius (Mat.mul x y) >= g2 *. 0.999999 then None
+          else begin
+            let f =
+              Mat.neg
+                (Mat.add (Mat.mul (Mat.transpose b2n) x)
+                   (Mat.mul (Mat.transpose d12n) p.c1))
             in
-            (* Map the normalized controller back: u = su * u~, y~ = sy * y,
-               then undo the D22 feedthrough. *)
-            let bk = Mat.mul (Mat.neg zl) sy in
-            let ck = Mat.mul su f in
-            (* D22 feedthrough correction: the formulas above assume the
-               measurement does not see u directly, so close that loop:
-               A_K = ahat - B_K D22 C_K (controller D is zero). *)
-            let ak = Mat.sub ahat (Mat.mul3 bk p.d22 ck) in
-            Some
-              (Ss.make ~domain:Ss.Continuous ~a:ak ~b:bk ~c:ck
-                 ~d:(Mat.create nu ny) ())
-        end
+            let l =
+              Mat.neg
+                (Mat.add (Mat.mul y (Mat.transpose c2n))
+                   (Mat.mul p.b1 (Mat.transpose d21n)))
+            in
+            match
+              Lu.inv (Mat.sub (Mat.identity n) (Mat.scale (1.0 /. g2) (Mat.mul y x)))
+            with
+            | exception Lu.Singular -> None
+            | z ->
+              let zl = Mat.mul z l in
+              let ahat =
+                Mat.add
+                  (Mat.add
+                     (Mat.add p.a
+                        (Mat.scale (1.0 /. g2)
+                           (Mat.mul3 p.b1 (Mat.transpose p.b1) x)))
+                     (Mat.mul b2n f))
+                  (Mat.mul zl
+                     (Mat.add c2n
+                        (Mat.scale (1.0 /. g2)
+                           (Mat.mul3 d21n (Mat.transpose p.b1) x))))
+              in
+              (* Map the normalized controller back: u = su * u~, y~ = sy * y,
+                 then undo the D22 feedthrough. *)
+              let bk = Mat.mul (Mat.neg zl) sy in
+              let ck = Mat.mul su f in
+              (* D22 feedthrough correction: the formulas above assume the
+                 measurement does not see u directly, so close that loop:
+                 A_K = ahat - B_K D22 C_K (controller D is zero). *)
+              let ak = Mat.sub ahat (Mat.mul3 bk p.d22 ck) in
+              Some
+                (Ss.make ~domain:Ss.Continuous ~a:ak ~b:bk ~c:ck
+                   ~d:(Mat.create nu ny) ())
+          end)
     end
   end
 
+let gamma_exceptions_metric = Obs.Metrics.counter "hinf.gamma_exceptions"
+
+(* An exception while trying one gamma means that gamma is infeasible;
+   under the collector it is counted and named, so it is not silent. *)
+let gamma_exception stage gamma e =
+  if Obs.Collector.enabled () then begin
+    Obs.Metrics.incr gamma_exceptions_metric;
+    Obs.Collector.debug ~name:"hinf.gamma_exception"
+      [
+        ("stage", Obs.Json.String stage);
+        ("gamma", Obs.Json.Float gamma);
+        ("exception", Obs.Json.String (Printexc.to_string e));
+      ]
+  end;
+  None
+
+(* The closed loop must be stable with its grid peak within 1.05 gamma;
+   the walk stops as soon as it sees a value above that. *)
 let validated plant k gamma =
   match close_loop plant k with
-  | cl ->
-    if Ss.is_stable cl then begin
-      let norm = Ss.hinf_norm cl in
-      if norm <= gamma *. 1.05 +. 1e-9 then Some norm else None
-    end
-    else None
-  | exception _ -> None
+  | cl -> (
+    let bound = (gamma *. 1.05) +. 1e-9 in
+    match Ss.hinf_norm_within ~bound cl with
+    | Some norm when norm <= bound -> Some norm
+    | Some _ | None -> None)
+  | exception e -> gamma_exception "close_loop" gamma e
 
 let synthesize_at_full plant gamma =
   validate_partition plant;
@@ -226,7 +249,7 @@ let synthesize_at_full plant gamma =
     (match validated plant k gamma with
     | Some norm -> Some (k, norm)
     | None -> None)
-  | exception _ -> None
+  | exception e -> gamma_exception "central_controller" gamma e
 
 let synthesize_at plant gamma = Option.map fst (synthesize_at_full plant gamma)
 

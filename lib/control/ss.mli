@@ -78,7 +78,13 @@ val freq_response : t -> float -> Linalg.Cmat.t
     systems, and [C (e^{jwT} I - A)^-1 B + D] for discrete ones, at angular
     frequency [w] (rad/s). *)
 
-val hinf_norm : ?points:int -> t -> float
+val hinf_norm : t -> float
 (** Peak singular value of the frequency response over a logarithmic
-    frequency grid (with local refinement around the peak). For unstable
-    systems returns [infinity]. *)
+    frequency grid of 200 points, dc, and 40 points of local refinement
+    around the coarse peak. For unstable systems returns [infinity]. *)
+
+val hinf_norm_within : bound:float -> t -> float option
+(** The walk of {!hinf_norm}, stopped as soon as an evaluated value
+    exceeds [bound]: [None] then, or when the system is unstable;
+    otherwise [Some (hinf_norm sys)]. A peak above [bound] always gives
+    [None]; a NaN peak is returned as [Some nan]. *)

@@ -78,11 +78,14 @@ let diag d =
 
 let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Complex.norm x)) 0.0 a.data
 
-(* Gaussian elimination with partial pivoting in complex arithmetic; the
-   systems involved (frequency responses, mu scalings) are small.
-   [solve_destructive] consumes its arguments ([m] is triangularized in
-   place, [rhs] is reduced alongside); [solve] is the copying wrapper. *)
-let solve_destructive m rhs =
+(* Gaussian elimination with partial pivoting in complex arithmetic, on
+   copies of [a] and [b] ([m] is triangularized in place, [rhs] is
+   reduced alongside). [Ss]'s planar frequency-response kernel performs
+   these same float operations on unboxed arrays. *)
+let solve a b =
+  if not (a.rows = a.cols) then invalid_arg "Cmat.solve: non-square";
+  if a.rows <> b.rows then invalid_arg "Cmat.solve: dimension mismatch";
+  let m = copy a and rhs = copy b in
   let n = m.rows in
   let tol = 1e-14 *. Float.max 1.0 (max_abs m) in
   for k = 0 to n - 1 do
@@ -128,28 +131,6 @@ let solve_destructive m rhs =
     done
   done;
   x
-
-let solve a b =
-  if not (a.rows = a.cols) then invalid_arg "Cmat.solve: non-square";
-  if a.rows <> b.rows then invalid_arg "Cmat.solve: dimension mismatch";
-  solve_destructive (copy a) (copy b)
-
-(* (zI - a)^{-1} b: the resolvent applied to [b]. Builds the shifted
-   matrix in one pass and hands it straight to the destructive solve —
-   the frequency-response grids in [Ss.hinf_norm] call this hundreds of
-   times per synthesis. Each entry is [z - a_ii] on the diagonal and
-   [0 - a_ij] off it, the same complex subtractions as forming [zI] and
-   subtracting [a]. *)
-let resolvent z a b =
-  if not (a.rows = a.cols) then invalid_arg "Cmat.resolvent: non-square";
-  if a.rows <> b.rows then invalid_arg "Cmat.resolvent: dimension mismatch";
-  let n = a.rows in
-  let m =
-    init n n (fun i j ->
-        let x = a.data.((i * n) + j) in
-        if i = j then Complex.sub z x else Complex.sub zero x)
-  in
-  solve_destructive m (copy b)
 
 let inv a = solve a (identity a.rows)
 

@@ -32,12 +32,6 @@ val solve : t -> t -> t
 (** Gaussian elimination with partial pivoting.
     @raise Lu.Singular when singular. *)
 
-val resolvent : Complex.t -> t -> t -> t
-(** [resolvent z a b] is [(zI - a)^{-1} b], building the shifted matrix
-    once and factorizing it in place — the hot call of the
-    frequency-response grid in [Ss.hinf_norm].
-    @raise Lu.Singular when [zI - a] is singular. *)
-
 val inv : t -> t
 
 val approx_equal : ?tol:float -> t -> t -> bool

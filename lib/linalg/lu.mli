@@ -19,6 +19,14 @@ val factorize : Mat.t -> factors
 val solve_vec : factors -> Vec.t -> Vec.t
 (** Solve [a x = b] given [factorize a]. *)
 
+val inv_factored : factors -> Mat.t
+(** [inv_factored (factorize a)] is [inv a], bit for bit, without
+    factorizing [a] again. *)
+
+val det_factored : factors -> float
+(** [det_factored (factorize a)] is [det a], bit for bit: the product of
+    [U]'s diagonal times the permutation parity. *)
+
 val solve : Mat.t -> Mat.t -> Mat.t
 (** [solve a b] is [a^-1 * b]. @raise Singular if [a] is singular. *)
 

@@ -196,8 +196,10 @@ let norm2 a =
     if Vec.dim s = 0 then 0.0 else s.(0)
   end
 
-(* Largest singular value of a complex matrix by one-sided Jacobi run
-   directly in complex arithmetic on planar re/im column copies. The
+(* Largest singular value of a complex m x n matrix by one-sided Jacobi
+   run directly in complex arithmetic on planar re/im columns: entry
+   (i, q) sits at index [q * m + i] of [wre] and [wim], and the sweeps
+   overwrite both planes. The
    doubled real embedding [[re -im]; [im re]] this replaces costs 4x the
    elements and (2n)^2/2 column pairs per sweep; working on the n complex
    columns themselves touches a quarter of the data and needs no
@@ -210,25 +212,9 @@ let norm2 a =
    are updated with the fused product [c, -s u; s, c u] — unitary, so
    singular values are preserved — and the cached norms update by the
    same closed form as the real kernel with gamma replaced by |gamma|. *)
-let norm2_complex cm =
-  let rows = cm.Cmat.rows and cols = cm.Cmat.cols in
-  if rows = 0 || cols = 0 then 0.0
+let norm2_planar ~m ~n wre wim =
+  if m = 0 || n = 0 then 0.0
   else begin
-    (* Orthogonalize the smaller column set: transposing a complex
-       matrix permutes nothing spectrally (sigma(A^T) = sigma(A)). *)
-    let m, n, get =
-      if rows >= cols then (rows, cols, fun i j -> Cmat.get cm i j)
-      else (cols, rows, fun i j -> Cmat.get cm j i)
-    in
-    let wre = Array.make (n * m) 0.0 and wim = Array.make (n * m) 0.0 in
-    for q = 0 to n - 1 do
-      let qb = q * m in
-      for i = 0 to m - 1 do
-        let z = get i q in
-        Array.unsafe_set wre (qb + i) z.Complex.re;
-        Array.unsafe_set wim (qb + i) z.Complex.im
-      done
-    done;
     let eps = convergence_eps in
     let norms2 = Array.make n 0.0 in
     let converged = ref false in
@@ -317,6 +303,25 @@ let norm2_complex cm =
     done;
     Float.sqrt !best
   end
+
+let norm2_complex cm =
+  let rows = cm.Cmat.rows and cols = cm.Cmat.cols in
+  (* Orthogonalize the smaller column set: transposing a complex matrix
+     permutes nothing spectrally (sigma(A^T) = sigma(A)). *)
+  let m, n, get =
+    if rows >= cols then (rows, cols, fun i j -> Cmat.get cm i j)
+    else (cols, rows, fun i j -> Cmat.get cm j i)
+  in
+  let wre = Array.make (n * m) 0.0 and wim = Array.make (n * m) 0.0 in
+  for q = 0 to n - 1 do
+    let qb = q * m in
+    for i = 0 to m - 1 do
+      let z = get i q in
+      Array.unsafe_set wre (qb + i) z.Complex.re;
+      Array.unsafe_set wim (qb + i) z.Complex.im
+    done
+  done;
+  norm2_planar ~m ~n wre wim
 
 let default_rank_tol a max_sv =
   let m = Float.of_int (max a.Mat.rows a.Mat.cols) in

@@ -110,12 +110,14 @@ let note_completion r =
   end
 
 let do_configure t ~scheme ~app ~epoch ~adapt ~drift =
-  match Yukta.Schemes.find scheme with
-  | None ->
+  let refuse message =
     t.errors <- t.errors + 1;
-    [ Protocol.error (Printf.sprintf "unknown scheme %S" scheme) ]
-  | Some info ->
-    let workloads = Board.Workload.resolve app in
+    [ Protocol.error message ]
+  in
+  match (Yukta.Schemes.find scheme, Board.Workload.resolve app) with
+  | None, _ -> refuse (Printf.sprintf "unknown scheme %S" scheme)
+  | _, None -> refuse (Printf.sprintf "unknown app %S" app)
+  | Some info, Some workloads ->
     let injector = Option.map injector_of_drift drift in
     let stack = Yukta.Schemes.stack info in
     let stepper = Yukta.Stack.stepper ?epoch ?injector stack workloads in

@@ -87,6 +87,24 @@ let test_run_jobs_identical () =
     && contains j1 "running Decoupled heuristic");
   Alcotest.(check string) "-j 2 stdout equals -j 1" j1 (run 2)
 
+(* An unknown app is a usage error naming the app and the valid ones
+   (as an unknown scheme is), not an uncaught exception. *)
+let test_unknown_app_named () =
+  List.iter
+    (fun args ->
+      let ic = Unix.open_process_in ("../bin/yukta_cli.exe " ^ args ^ " 2>&1") in
+      let out = read_all ic in
+      (match Unix.close_process_in ic with
+      | Unix.WEXITED 124 -> ()
+      | _ -> Alcotest.failf "yukta_cli %s: expected exit 124" args);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names the app and the valid ones" args)
+        true
+        (contains out {|unknown app "nope"|}
+        && contains out "blackscholes" && contains out "blmc"
+        && not (contains out "internal error")))
+    [ "run -s coord -a nope"; "csv -s coord -a nope"; "faults --run -a nope" ]
+
 let test_fleet_help_documents_flags () =
   let out = cli "fleet --help=plain" in
   List.iter
@@ -112,5 +130,6 @@ let () =
         [
           Alcotest.test_case "-j1/-j2 stdout identical" `Quick
             test_run_jobs_identical;
+          Alcotest.test_case "unknown app named" `Quick test_unknown_app_named;
         ] );
     ]

@@ -497,6 +497,239 @@ let prop_dare_stabilizing =
         Eig.is_stable_discrete ~margin:(-1e-9) (Mat.sub a (Mat.mul b k))
       | exception Dare.No_solution _ -> QCheck.assume_fail ())
 
+(* ------------------------------------------------------------------ *)
+(* Planar frequency-response kernel vs the boxed path                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The boxed frequency response that [Ss]'s planar kernel replaced, kept
+   as its oracle: (zI - A)^-1 B by complex Gaussian elimination on
+   [Complex.t] (the resolvent [Cmat] used to export), then C x + D with
+   [Cmat.mul] and [Cmat.add], and the full [hinf_norm] grid walk over it
+   with [Svd.norm2_complex]. *)
+module Freq_ref = struct
+  let point sys w =
+    match sys.Ss.domain with
+    | Ss.Continuous -> { Complex.re = 0.0; im = w }
+    | Ss.Discrete p -> Complex.exp { Complex.re = 0.0; im = w *. p }
+
+  let resolvent z a b =
+    let n = a.Cmat.rows in
+    let shifted =
+      Cmat.init n n (fun i j ->
+          let x = Cmat.get a i j in
+          if i = j then Complex.sub z x else Complex.sub Complex.zero x)
+    in
+    Cmat.solve shifted b
+
+  let response sys w =
+    let x =
+      resolvent (point sys w) (Cmat.of_real sys.Ss.a) (Cmat.of_real sys.Ss.b)
+    in
+    Cmat.add (Cmat.mul (Cmat.of_real sys.Ss.c) x) (Cmat.of_real sys.Ss.d)
+
+  let log_grid lo hi points =
+    let llo = log lo and lhi = log hi in
+    Array.init points (fun i ->
+        exp
+          (llo +. ((lhi -. llo) *. Float.of_int i /. Float.of_int (points - 1))))
+
+  let hinf_norm sys =
+    if not (Ss.is_stable sys) then infinity
+    else if Ss.order sys = 0 then Svd.norm2 sys.Ss.d
+    else begin
+      let wmax =
+        match sys.Ss.domain with
+        | Ss.Continuous -> 1e4 *. Float.max 1.0 (Mat.norm_inf sys.Ss.a)
+        | Ss.Discrete p -> Float.pi /. p
+      in
+      let wmin = wmax /. 1e8 in
+      let eval w = Svd.norm2_complex (response sys w) in
+      let grid = log_grid wmin wmax 200 in
+      let best_w = ref grid.(0) and best = ref 0.0 in
+      Array.iter
+        (fun w ->
+          let v = eval w in
+          if v > !best then begin
+            best := v;
+            best_w := w
+          end)
+        grid;
+      let dc = Svd.norm2 (Ss.dcgain sys) in
+      if dc > !best then best := dc;
+      let lo = !best_w /. 3.0 and hi = !best_w *. 3.0 in
+      let sub = log_grid (Float.max wmin lo) (Float.min wmax hi) 40 in
+      Array.iter (fun w -> best := Float.max !best (eval w)) sub;
+      !best
+    end
+end
+
+(* A random stable system from a seed: A scaled into the unit disc
+   (discrete, period 0.5) or shifted left of -0.2 (continuous), by
+   Gershgorin on its infinity norm; B, C and D dense in [-1, 1] with
+   about a fifth of B's and C's entries exactly zero (C's zeros exercise
+   the skipped terms of C x). *)
+let random_stable_system ~seed ~order:n ~inputs:nin ~outputs:nout ~discrete =
+  let st = Random.State.make [| seed; n; nin; nout |] in
+  let entry ~sparse _ _ =
+    if sparse && Random.State.int st 5 = 0 then 0.0
+    else Random.State.float st 2.0 -. 1.0
+  in
+  let m = Mat.init n n (entry ~sparse:false) in
+  let scale = 1.0 /. Float.max 1e-9 (Mat.norm_inf m) in
+  let a =
+    if discrete then Mat.scale (0.9 *. scale) m
+    else Mat.sub (Mat.scale scale m) (Mat.scalar n 1.2)
+  in
+  Ss.make
+    ~domain:(if discrete then Ss.Discrete 0.5 else Ss.Continuous)
+    ~a
+    ~b:(Mat.init n nin (entry ~sparse:true))
+    ~c:(Mat.init nout n (entry ~sparse:true))
+    ~d:(Mat.init nout nin (entry ~sparse:false))
+    ()
+
+let system_arb ~max_order =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (seed, n, (nin, nout), discrete) ->
+          (seed, n, nin, nout, discrete))
+        (quad (int_bound 1_000_000) (int_range 1 max_order)
+           (pair (int_range 1 15) (int_range 1 16))
+           bool))
+  in
+  QCheck.make
+    ~print:(fun (seed, n, nin, nout, discrete) ->
+      Printf.sprintf "seed %d, order %d, %d in, %d out, %s" seed n nin nout
+        (if discrete then "discrete" else "continuous"))
+    gen
+
+let sys_of (seed, n, nin, nout, discrete) =
+  random_stable_system ~seed ~order:n ~inputs:nin ~outputs:nout ~discrete
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let cmat_same_bits g h =
+  Cmat.dims g = Cmat.dims h
+  && Array.for_all2
+       (fun (x : Complex.t) (y : Complex.t) ->
+         same_bits x.re y.re && same_bits x.im y.im)
+       g.Cmat.data h.Cmat.data
+
+(* Frequencies spanning the grid of a system's walk, plus dc-adjacent
+   and near-Nyquist points. *)
+let probe_frequencies sys =
+  match sys.Ss.domain with
+  | Ss.Continuous -> [ 1e-4; 0.03; 0.7; 2.0; 45.0; 1e3 ]
+  | Ss.Discrete p -> [ 1e-4; 0.03; 0.7; 2.0; (Float.pi /. p) *. 0.999 ]
+
+let response_bits_match sys =
+  List.for_all
+    (fun w -> cmat_same_bits (Ss.freq_response sys w) (Freq_ref.response sys w))
+    (probe_frequencies sys)
+
+let prop_planar_response_bits =
+  QCheck.Test.make ~name:"planar response = boxed, bit for bit" ~count:40
+    (system_arb ~max_order:40)
+    (fun spec -> response_bits_match (sys_of spec))
+
+let prop_planar_norm_bits =
+  QCheck.Test.make ~name:"planar hinf norm = boxed walk, bit for bit" ~count:8
+    (system_arb ~max_order:40)
+    (fun spec ->
+      let sys = sys_of spec in
+      same_bits (Ss.hinf_norm sys) (Freq_ref.hinf_norm sys))
+
+(* The bounded walk accepts exactly when the full walk's peak is within
+   the bound, and then returns the same bits. *)
+let prop_bounded_walk_decides_as_full =
+  let arb =
+    QCheck.pair (system_arb ~max_order:40) (QCheck.float_range 0.5 1.5)
+  in
+  QCheck.Test.make ~name:"bounded walk decides as the full walk" ~count:40 arb
+    (fun (spec, ratio) ->
+      let sys = sys_of spec in
+      let peak = Ss.hinf_norm sys in
+      List.for_all
+        (fun bound ->
+          match Ss.hinf_norm_within ~bound sys with
+          | Some v -> v <= bound && peak <= bound && same_bits v peak
+          | None -> not (peak <= bound))
+        [ ratio *. peak; peak; Float.pred peak ])
+
+(* The size of the synthesis closed loop the kernel was built for. *)
+let test_planar_kernel_at_synthesis_size () =
+  List.iter
+    (fun discrete ->
+      let sys =
+        random_stable_system ~seed:19 ~order:40 ~inputs:15 ~outputs:16
+          ~discrete
+      in
+      check_bool "G bits" true (response_bits_match sys);
+      check_bool "norm bits" true
+        (same_bits (Ss.hinf_norm sys) (Freq_ref.hinf_norm sys)))
+    [ false; true ]
+
+(* A discrete plant whose control feedthrough D22 is a huge rank-one
+   matrix: the discretized controller's nonzero D makes I - Dk D22
+   numerically singular, so closing the loop raises [Lu.Singular] for
+   every gamma. That gamma is infeasible, and the collector counts and
+   names the exception; disabled, nothing is counted. *)
+let test_gamma_exception_counted () =
+  let d22 = Mat.scale 1e20 (Mat.of_lists [ [ 1.0; 1.0 ]; [ 1.0; 1.0 ] ]) in
+  let d =
+    Mat.blocks
+      [
+        [ m1x1 0.0; Mat.of_lists [ [ 1.0; 0.0 ] ] ];
+        [ Mat.of_lists [ [ 1.0 ]; [ 0.5 ] ]; d22 ];
+      ]
+  in
+  let plant =
+    {
+      Hinf.sys =
+        Ss.make ~domain:(Ss.Discrete 0.5) ~a:(m1x1 0.5)
+          ~b:(Mat.of_lists [ [ 1.0; 1.0; 0.5 ] ])
+          ~c:(Mat.of_lists [ [ 1.0 ]; [ 1.0 ]; [ 0.3 ] ])
+          ~d ();
+      part = { Hinf.nw = 1; nu = 2; nz = 1; ny = 2 };
+    }
+  in
+  let ctr = Obs.Metrics.counter "hinf.gamma_exceptions" in
+  let before = Obs.Metrics.count ctr in
+  check_bool "disabled: infeasible" true (Hinf.synthesize_at plant 2.0 = None);
+  check_int "disabled: not counted" before (Obs.Metrics.count ctr);
+  Obs.Collector.enable ();
+  let k, lines = Obs.Collector.capture (fun () -> Hinf.synthesize_at plant 2.0) in
+  Obs.Collector.disable ();
+  check_bool "infeasible" true (k = None);
+  check_int "counted once" (before + 1) (Obs.Metrics.count ctr);
+  match List.map Obs.Json.of_string lines with
+  | [ line ] ->
+    let field k =
+      Option.bind (Obs.Json.member "fields" line) (Obs.Json.member k)
+    in
+    check_bool "debug event" true
+      (Obs.Json.member "name" line = Some (Obs.Json.String "hinf.gamma_exception"));
+    check_bool "names the exception" true
+      (field "exception" = Some (Obs.Json.String "Linalg.Lu.Singular"));
+    check_bool "names the stage" true
+      (field "stage" = Some (Obs.Json.String "close_loop"))
+  | _ -> Alcotest.failf "expected one debug line, got %d" (List.length lines)
+
+let frequency_kernel_cases =
+  [
+    Alcotest.test_case "synthesis-size kernel bits" `Quick
+      test_planar_kernel_at_synthesis_size;
+    Alcotest.test_case "gamma exception counted" `Quick
+      test_gamma_exception_counted;
+  ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_planar_response_bits;
+        prop_planar_norm_bits;
+        prop_bounded_walk_decides_as_full;
+      ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -756,4 +989,5 @@ let () =
       ("edge cases", round2_cases);
       ("pid/reduce/mpc", round3_cases);
       ("properties", qcheck_cases);
+      ("frequency kernel", frequency_kernel_cases);
     ]

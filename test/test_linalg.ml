@@ -914,6 +914,125 @@ let prop_inplace_add_sub_exact =
       Mat.sub_into ~dst a b;
       add_ok && dst.Mat.data = (Mat.sub a b).Mat.data)
 
+(* The LU path before factorizations swapped rows in place and solves
+   substituted every column at once: one [solve_vec] per column of the
+   right-hand side, inverse and determinant each from its own
+   factorization. Kept as the oracle for the bit-identity property. *)
+module Lu_ref = struct
+  let factorize a =
+    let n = a.Mat.rows in
+    let lu = Mat.copy a in
+    let perm = Array.init n (fun i -> i) in
+    let sign = ref 1.0 in
+    let tol = 1e-13 *. Float.max 1.0 (Mat.max_abs a) in
+    for k = 0 to n - 1 do
+      let pivot_row = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !pivot_row k)
+        then pivot_row := i
+      done;
+      if Float.abs (Mat.get lu !pivot_row k) <= tol then raise Lu.Singular;
+      if !pivot_row <> k then begin
+        let tmp = Mat.row lu k in
+        Mat.set_row lu k (Mat.row lu !pivot_row);
+        Mat.set_row lu !pivot_row tmp;
+        let t = perm.(k) in
+        perm.(k) <- perm.(!pivot_row);
+        perm.(!pivot_row) <- t;
+        sign := -. !sign
+      end;
+      let pivot = Mat.get lu k k in
+      for i = k + 1 to n - 1 do
+        let m = Mat.get lu i k /. pivot in
+        Mat.set lu i k m;
+        if m <> 0.0 then
+          for j = k + 1 to n - 1 do
+            Mat.set lu i j (Mat.get lu i j -. (m *. Mat.get lu k j))
+          done
+      done
+    done;
+    (lu, perm, !sign)
+
+  let solve_vec (lu, perm, _) b =
+    let n = lu.Mat.rows in
+    let x = Array.init n (fun i -> b.(perm.(i))) in
+    for i = 1 to n - 1 do
+      for j = 0 to i - 1 do
+        x.(i) <- x.(i) -. (Mat.get lu i j *. x.(j))
+      done
+    done;
+    for i = n - 1 downto 0 do
+      for j = i + 1 to n - 1 do
+        x.(i) <- x.(i) -. (Mat.get lu i j *. x.(j))
+      done;
+      x.(i) <- x.(i) /. Mat.get lu i i
+    done;
+    x
+
+  let solve a b =
+    let f = factorize a in
+    let r = Mat.create b.Mat.rows b.Mat.cols in
+    for j = 0 to b.Mat.cols - 1 do
+      Mat.set_col r j (solve_vec f (Mat.col b j))
+    done;
+    r
+
+  let inv a = solve a (Mat.identity a.Mat.rows)
+
+  let det a =
+    match factorize a with
+    | lu, _, sign ->
+      let d = ref sign in
+      for i = 0 to lu.Mat.rows - 1 do
+        d := !d *. Mat.get lu i i
+      done;
+      !d
+    | exception Lu.Singular -> 0.0
+end
+
+(* Random square matrices of order 1-20; a third are made singular by
+   copying a scaled row (or zeroing a column), so [Singular] shows up on
+   both sides. *)
+let arb_lu_case =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (seed, n, kind) ->
+          let a = Mat.random ~seed n n in
+          (match kind with
+          | 0 when n > 1 ->
+            Mat.set_row a (n - 1) (Vec.scale 3.0 (Mat.row a 0))
+          | 1 -> Mat.set_col a (n / 2) (Vec.create n)
+          | _ -> ());
+          let b = Mat.random ~seed:(seed + 1) n (1 + (seed mod 5)) in
+          (a, b))
+        (triple (int_bound 100_000) (int_range 1 20) (int_bound 5)))
+  in
+  QCheck.make
+    ~print:(fun (a, _) -> Format.asprintf "%a" Mat.pp a)
+    gen
+
+let bits m = Array.map Int64.bits_of_float m.Mat.data
+
+let outcome f =
+  match f () with v -> Ok v | exception Lu.Singular -> Error ()
+
+let prop_lu_factored_bits =
+  QCheck.Test.make ~name:"factored inv/det/solve = per-column reference bits"
+    ~count:200 arb_lu_case (fun (a, b) ->
+      let f = outcome (fun () -> Lu.factorize a) in
+      let ref_inv = outcome (fun () -> bits (Lu_ref.inv a)) in
+      let det_bits x = Int64.bits_of_float x in
+      Result.map (fun f -> bits (Lu.inv_factored f)) f = ref_inv
+      && outcome (fun () -> bits (Lu.inv a)) = ref_inv
+      && outcome (fun () -> bits (Lu.solve a b))
+         = outcome (fun () -> bits (Lu_ref.solve a b))
+      && det_bits (Lu.det a) = det_bits (Lu_ref.det a)
+      &&
+      match f with
+      | Ok f -> det_bits (Lu.det_factored f) = det_bits (Lu_ref.det a)
+      | Error () -> Lu_ref.det a = 0.0)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -929,6 +1048,7 @@ let qcheck_cases =
       prop_expm_det;
       prop_inplace_mul_exact;
       prop_inplace_add_sub_exact;
+      prop_lu_factored_bits;
     ]
 
 

@@ -131,6 +131,23 @@ let test_session_requires_configure () =
     check_bool "non-fatal" false (jbool "fatal" e)
   | _ -> Alcotest.fail "expected one error line")
 
+(* An unknown app is refused by name, the session stays up, and a valid
+   configure still works after it. *)
+let test_session_unknown_app () =
+  let t = fresh_session () in
+  enqueue_ok t {|{"type":"configure","scheme":"coord","app":"nope"}|};
+  enqueue_ok t configure_line;
+  (match Serve.Session.process t with
+  | [ e; c ] ->
+    check_string "error" "error" (jtype e);
+    (match Option.bind (Json.member "message" (Json.of_string e)) Json.to_string_opt with
+    | Some m -> check_string "names the app" {|unknown app "nope"|} m
+    | None -> Alcotest.failf "error without message: %s" e);
+    check_bool "non-fatal" false (jbool "fatal" e);
+    check_string "then configured" "configured" (jtype c)
+  | other -> Alcotest.failf "expected 2 lines, got %d" (List.length other));
+  check_int "error counted" 1 (Serve.Session.errors t)
+
 let test_session_backpressure () =
   let t = fresh_session ~max_queue:2 ~retry_after_ms:7 () in
   enqueue_ok t configure_line;
@@ -344,6 +361,8 @@ let () =
             test_session_malformed_is_nonfatal;
           Alcotest.test_case "requires configure" `Quick
             test_session_requires_configure;
+          Alcotest.test_case "unknown app named" `Quick
+            test_session_unknown_app;
           Alcotest.test_case "backpressure" `Quick test_session_backpressure;
           Alcotest.test_case "closed rejects" `Quick test_session_closed_rejects;
           Alcotest.test_case "budget carry" `Quick test_session_budget_carry;
