@@ -658,14 +658,7 @@ let ablation () =
   let hw = Designs.hw () and sw = Designs.sw () in
   (* Quantization-aware synthesis vs the continuous-input assumption of
      the non-SSV designs (the Section VI-B failure mode). *)
-  let hw_no_quant =
-    let r = Designs.get_records () in
-    let spec = Hw_layer.spec () in
-    let model =
-      Design.identify spec ~u:r.Training.hw_u ~y:r.Training.hw_y
-    in
-    Design.synthesize ~ignore_quantization:true spec ~model
-  in
+  let hw_no_quant = Designs.hw_no_quant () in
   let full () = Schemes.yukta_full_stack hw sw in
   let variants =
     [

@@ -164,7 +164,7 @@ let mu_upper7 =
     smoke_reps = 15;
     prepare =
       (fun () ->
-        let m = Linalg.Cmat.of_real (Linalg.Mat.random ~seed:3 7 7) in
+        let m = (Linalg.Mat.random ~seed:3 7 7, Linalg.Mat.create 7 7) in
         let structure = [ Control.Ssv.Full (4, 4); Control.Ssv.Full (3, 3) ] in
         fun () -> ignore (Control.Ssv.mu_upper structure m));
   }

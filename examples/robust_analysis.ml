@@ -31,7 +31,12 @@ let () =
     sweep.Ssv.frequencies;
   Printf.printf "\nmu peak (upper bound): %.3f at %.4f rad/s\n" sweep.Ssv.peak
     sweep.Ssv.peak_frequency;
-  Printf.printf "mu peak (lower bound): %.3f\n" sweep.Ssv.lower_peak;
+  (* A concrete worst-case perturbation at the peak frequency: its
+     rho(M Delta) is a lower bound on mu there, hence on the peak. *)
+  let m = Ss.freq_response closed sweep.Ssv.peak_frequency in
+  let delta, rho = Ssv.worst_case_delta structure m in
+  Printf.printf "mu peak (lower bound): %.3f (worst-case Delta at the peak)\n"
+    rho;
   if sweep.Ssv.peak <= 1.0 then
     Printf.printf
       "certified: the +-%.0f%% guardband, quantization and bounds all hold.\n"
@@ -43,9 +48,6 @@ let () =
       sweep.Ssv.peak sweep.Ssv.peak
       (100.0 *. spec.Design.outputs.(0).Signal.bound_fraction)
       (100.0 *. spec.Design.outputs.(0).Signal.bound_fraction *. sweep.Ssv.peak);
-  (* A concrete worst-case perturbation at the peak frequency. *)
-  let m = Ss.freq_response closed sweep.Ssv.peak_frequency in
-  let delta, rho = Ssv.worst_case_delta structure m in
   Printf.printf
     "\nworst-case structured perturbation at the peak: |Delta| = %.3f,\n\
      rho(M Delta) = %.3f (any rho >= 1 at unit |Delta| would break a\n\

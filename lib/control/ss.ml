@@ -130,17 +130,17 @@ let lft_lower p k =
 
 (* The frequency response G(z) = C (zI - A)^-1 B + D, computed on planar
    re/im float arrays. Its bits must equal those of the boxed computation
-   ([Cmat.of_real] copies of A, B, C and D, complex Gaussian elimination
-   on [Complex.t], then [Cmat.mul] and [Cmat.add]; the oracle [Freq_ref]
-   in test/test_control.ml), so every entry of G gets that computation's
-   float operations in the same order:
+   (complex copies of A, B, C and D, complex Gaussian elimination on
+   [Complex.t], then a complex product and sum; the oracle [Freq_ref] in
+   test/oracle), so every entry of G gets that computation's float
+   operations in the same order:
    - the pivot is chosen, and singularity judged, on [Float.hypot]
      moduli ([Complex.norm]), against 1e-14 * max(1, largest modulus of
      zI - A);
    - quotients use the stdlib [Complex.div] formula, branch included;
    - products with C's real entries keep [Complex.mul]'s zero-imaginary
-     terms ([0.0 *. x] is not a no-op when x is infinite) and
-     [Cmat.mul]'s skip of zero entries.
+     terms ([0.0 *. x] is not a no-op when x is infinite) and the
+     boxed product's skip of zero entries.
    Only the order in which independent entries are visited differs, and
    the eliminated lower triangle, which nothing reads, is not written.
 
@@ -337,13 +337,14 @@ let respond r (z : Complex.t) =
   done
 
 let freq_response sys w =
-  if order sys = 0 then Cmat.of_real sys.d
+  if order sys = 0 then (Mat.copy sys.d, Mat.create (outputs sys) (inputs sys))
   else begin
     let r = response sys in
     respond r (point sys w);
-    Cmat.init r.nout r.nin (fun i j ->
-        let g = (i * r.row_step) + (j * r.col_step) in
-        { Complex.re = r.gre.(g); im = r.gim.(g) })
+    let plane p =
+      Mat.init r.nout r.nin (fun i j -> p.((i * r.row_step) + (j * r.col_step)))
+    in
+    (plane r.gre, plane r.gim)
   end
 
 let log_grid lo hi points =

@@ -73,10 +73,12 @@ val lft_lower : t -> t -> t
 
 (** {1 Frequency domain} *)
 
-val freq_response : t -> float -> Linalg.Cmat.t
+val freq_response : t -> float -> Linalg.Mat.t * Linalg.Mat.t
 (** [freq_response sys w] is [C (jw I - A)^-1 B + D] for continuous
     systems, and [C (e^{jwT} I - A)^-1 B + D] for discrete ones, at angular
-    frequency [w] (rad/s). *)
+    frequency [w] (rad/s), as its real and imaginary parts [(re, im)]:
+    the complex-matrix representation {!Ssv} and {!Linalg.Svd.norm2_complex}
+    take. *)
 
 val hinf_norm : t -> float
 (** Peak singular value of the frequency response over a logarithmic

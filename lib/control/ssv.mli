@@ -15,7 +15,11 @@
       [rho(M Delta) = r] certifies [mu >= r]).
 
     A robustly stable/performant design is certified by [mu <= 1] across
-    frequency (main loop theorem). *)
+    frequency (main loop theorem); D-K iteration reads only the upper
+    bound, whose scales are its D-step.
+
+    A complex matrix is a pair [(re, im)] of real matrices of one size,
+    as {!Ss.freq_response} returns it. *)
 
 type block =
   | Full of int * int
@@ -32,21 +36,25 @@ val block_rows : structure -> int
 
 val block_cols : structure -> int
 
-val validate : structure -> Linalg.Cmat.t -> unit
-(** @raise Invalid_argument if the structure does not tile [M]. *)
+val validate : structure -> Linalg.Mat.t * Linalg.Mat.t -> unit
+(** @raise Invalid_argument if the structure does not tile [M], or if
+    [M]'s two parts differ in size. *)
 
 type bound = {
   value : float;
   scales : float array;  (** One positive scale per block (upper bound). *)
 }
 
-val mu_upper : structure -> Linalg.Cmat.t -> bound
+val mu_upper : structure -> Linalg.Mat.t * Linalg.Mat.t -> bound
 (** Scaled-norm upper bound with optimized per-block D scales. *)
 
-val mu_lower : ?restarts:int -> structure -> Linalg.Cmat.t -> float
+val mu_lower : ?restarts:int -> structure -> Linalg.Mat.t * Linalg.Mat.t -> float
 (** Alignment-iteration lower bound. *)
 
-val worst_case_delta : structure -> Linalg.Cmat.t -> Linalg.Cmat.t * float
+val worst_case_delta :
+  structure ->
+  Linalg.Mat.t * Linalg.Mat.t ->
+  (Linalg.Mat.t * Linalg.Mat.t) * float
 (** The structured [Delta] (unit norm) found by the lower-bound search and
     the associated [rho(M Delta)] certificate. *)
 
@@ -54,11 +62,13 @@ type frequency_sweep = {
   peak : float;                  (** Peak upper bound over frequency. *)
   peak_frequency : float;
   peak_scales : float array;     (** D scales at the peak. *)
-  lower_peak : float;            (** Peak lower bound over frequency. *)
   frequencies : float array;
   upper_bounds : float array;
 }
 
 val sweep : ?points:int -> structure -> Ss.t -> frequency_sweep
 (** Evaluate the mu upper bound of a stable system's frequency response
-    over a log-spaced grid (plus dc and Nyquist for discrete systems). *)
+    over [points] (default 60) log-spaced frequencies from [wmax / 1e6]
+    to [wmax], the Nyquist frequency of a discrete system (no dc point).
+    No lower bound is computed: for a certificate at one frequency, run
+    {!worst_case_delta} on {!Ss.freq_response} there. *)

@@ -396,8 +396,3 @@ let is_positive_definite ?(tol = 1e-9) a =
   let values = symmetric_values (Mat.symmetrize a) in
   let floor = tol *. Float.max 1.0 (Mat.max_abs a) in
   Array.for_all (fun x -> x > floor) values
-
-let spectral_radius_complex c =
-  let re = Cmat.real_part c and im = Cmat.imag_part c in
-  let big = Mat.blocks [ [ re; Mat.neg im ]; [ im; re ] ] in
-  spectral_radius big

@@ -38,8 +38,3 @@ val is_positive_semidefinite : ?tol:float -> Mat.t -> bool
     eigenvalues above [-tol * max(1, |a|)] count as non-negative. *)
 
 val is_positive_definite : ?tol:float -> Mat.t -> bool
-
-val spectral_radius_complex : Cmat.t -> float
-(** Largest eigenvalue magnitude of a complex matrix, computed through the
-    real embedding [[re -im; im re]] (whose spectrum is the complex
-    spectrum plus its conjugate). *)

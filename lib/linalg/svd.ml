@@ -304,21 +304,23 @@ let norm2_planar ~m ~n wre wim =
     Float.sqrt !best
   end
 
-let norm2_complex cm =
-  let rows = cm.Cmat.rows and cols = cm.Cmat.cols in
+let norm2_complex (re, im) =
+  let rows = re.Mat.rows and cols = re.Mat.cols in
+  if im.Mat.rows <> rows || im.Mat.cols <> cols then
+    invalid_arg "Svd.norm2_complex: real and imaginary parts differ in size";
   (* Orthogonalize the smaller column set: transposing a complex matrix
      permutes nothing spectrally (sigma(A^T) = sigma(A)). *)
-  let m, n, get =
-    if rows >= cols then (rows, cols, fun i j -> Cmat.get cm i j)
-    else (cols, rows, fun i j -> Cmat.get cm j i)
+  let m, n, index =
+    if rows >= cols then (rows, cols, fun i q -> (i * cols) + q)
+    else (cols, rows, fun i q -> (q * cols) + i)
   in
   let wre = Array.make (n * m) 0.0 and wim = Array.make (n * m) 0.0 in
   for q = 0 to n - 1 do
     let qb = q * m in
     for i = 0 to m - 1 do
-      let z = get i q in
-      Array.unsafe_set wre (qb + i) z.Complex.re;
-      Array.unsafe_set wim (qb + i) z.Complex.im
+      let k = index i q in
+      Array.unsafe_set wre (qb + i) re.Mat.data.(k);
+      Array.unsafe_set wim (qb + i) im.Mat.data.(k)
     done
   done;
   norm2_planar ~m ~n wre wim

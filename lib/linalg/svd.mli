@@ -21,19 +21,21 @@ val singular_values : ?max_sweeps:int -> Mat.t -> Vec.t
 val norm2 : Mat.t -> float
 (** Spectral norm (largest singular value). Zero matrix yields [0.]. *)
 
-val norm2_complex : Cmat.t -> float
-(** Spectral norm of a complex matrix, by one-sided Jacobi run directly
-    in complex arithmetic (planar re/im columns) — no doubled real
-    embedding. This is {!norm2_planar} on a planar copy of the matrix
-    whose columns are the smaller dimension: the matrix itself when
-    [rows >= cols], its transpose otherwise. *)
+val norm2_complex : Mat.t * Mat.t -> float
+(** [norm2_complex (re, im)] is the spectral norm of the complex matrix
+    [re + i im], by one-sided Jacobi run directly in complex arithmetic
+    (planar re/im columns) — no doubled real embedding. This is
+    {!norm2_planar} on a planar copy of the matrix whose columns are the
+    smaller dimension: the matrix itself when [rows >= cols], its
+    transpose otherwise.
+    @raise Invalid_argument if [re] and [im] differ in size. *)
 
 val norm2_planar : m:int -> n:int -> float array -> float array -> float
 (** [norm2_planar ~m ~n re im] is the spectral norm of the complex
     [m]x[n] matrix stored column by column in two planes: entry [(i, q)]
     has real part [re.(q * m + i)] and imaginary part [im.(q * m + i)].
     Both planes are overwritten. A caller that lays a matrix out as
-    {!norm2_complex} does gets its bits without building a {!Cmat.t}. *)
+    {!norm2_complex} does gets its bits without the copy. *)
 
 val rank : ?tol:float -> Mat.t -> int
 (** Numerical rank: singular values above [tol * max_sv * max(m,n)]

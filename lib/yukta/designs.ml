@@ -89,20 +89,27 @@ let write_atomically path write =
        a silent replace; its bytes are equivalent, so just clean up. *)
     (try Sys.remove tmp with Sys_error _ -> ())
 
-let cache_store ?label key v =
+let cache_store ~label key v =
   if cache_enabled () then begin
     (* Racing [mkdir] from two processes: losing the race is success. *)
     if not (Sys.file_exists cache_dir) then (
       try Sys.mkdir cache_dir 0o755
       with Sys_error _ when Sys.file_exists cache_dir -> ());
     write_atomically (cache_path key) (fun oc -> Marshal.to_channel oc v []);
-    match label with
-    | None -> ()
-    | Some label ->
-      write_atomically
-        (Filename.concat cache_dir (digest_of_key key ^ ".meta"))
-        (fun oc -> output_string oc (label ^ "\n"))
+    write_atomically
+      (Filename.concat cache_dir (digest_of_key key ^ ".meta"))
+      (fun oc -> output_string oc (label ^ "\n"))
   end
+
+(* The value cached under [key], else [compute ()], stored under [key]
+   with its [.meta] [label]. *)
+let cached ~label key compute =
+  match cache_load key with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    cache_store ~label key v;
+    v
 
 (* The cache key covers everything that determines a design: the training
    records, the layer spec, and a schema version to bump when the design
@@ -143,15 +150,10 @@ let design_key kind spec =
     (spec_fingerprint spec)
     (records_fingerprint (get_records_unlocked ()))
 
-let cached_design kind spec compute =
-  let key = design_key kind spec in
-  match cache_load key with
-  | Some (d : Design.synthesis) -> d
-  | None ->
-    let d = compute () in
-    cache_store ~label:(Printf.sprintf "ssv %s design (%s)" kind spec.Design.layer)
-      key d;
-    d
+let cached_design kind spec (compute : unit -> Design.synthesis) =
+  cached
+    ~label:(Printf.sprintf "ssv %s design (%s)" kind spec.Design.layer)
+    (design_key kind spec) compute
 
 let design_hw_unlocked spec =
   cached_design "hw" spec (fun () ->
@@ -167,17 +169,23 @@ let hw_default = lazy (design_hw_unlocked (Hw_layer.spec ()))
 
 let sw_default = lazy (design_sw_unlocked (Sw_layer.spec ()))
 
-let cached_controller kind compute =
-  let key =
-    Printf.sprintf "lqg-v%d-%s-%s" schema_version kind
-      (records_fingerprint (get_records_unlocked ()))
-  in
-  match cache_load key with
-  | Some (c : Controller.t) -> c
-  | None ->
-    let c = compute () in
-    cache_store ~label:(Printf.sprintf "lqg %s controller" kind) key c;
-    c
+(* The default hardware spec synthesized with Delta_in collapsed (the
+   ablation's quantization-unaware variant); its own key kind keeps it
+   apart from the quantization-aware design of the same spec. *)
+let hw_no_quant_default =
+  lazy
+    (let spec = Hw_layer.spec () in
+     cached_design "hw-noquant" spec (fun () ->
+         let r = get_records_unlocked () in
+         let model = Design.identify spec ~u:r.Training.hw_u ~y:r.Training.hw_y in
+         Design.synthesize ~ignore_quantization:true spec ~model))
+
+let cached_controller kind (compute : unit -> Controller.t) =
+  cached
+    ~label:(Printf.sprintf "lqg %s controller" kind)
+    (Printf.sprintf "lqg-v%d-%s-%s" schema_version kind
+       (records_fingerprint (get_records_unlocked ())))
+    compute
 
 let lqg_hw_default =
   lazy
@@ -204,18 +212,13 @@ let rack_q = 1.0
 let rack_r = 4.0
 
 let rack_gain_unlocked () =
-  let key =
-    Printf.sprintf "rack-v%d-q%.17g-r%.17g" schema_version rack_q rack_r
-  in
-  match cache_load key with
-  | Some (g : float) -> g
-  | None ->
-    let m x = Linalg.Mat.of_lists [ [ x ] ] in
-    let a = m 1.0 and b = m 1.0 in
-    let x = Control.Dare.solve ~a ~b ~q:(m rack_q) ~r:(m rack_r) in
-    let g = Linalg.Mat.get (Control.Dare.gain ~a ~b ~r:(m rack_r) x) 0 0 in
-    cache_store ~label:"rack feedback gain" key g;
-    g
+  cached ~label:"rack feedback gain"
+    (Printf.sprintf "rack-v%d-q%.17g-r%.17g" schema_version rack_q rack_r)
+    (fun () ->
+      let m x = Linalg.Mat.of_lists [ [ x ] ] in
+      let a = m 1.0 and b = m 1.0 in
+      let x = Control.Dare.solve ~a ~b ~q:(m rack_q) ~r:(m rack_r) in
+      Linalg.Mat.get (Control.Dare.gain ~a ~b ~r:(m rack_r) x) 0 0)
 
 let rack_default = lazy (rack_gain_unlocked ())
 
@@ -232,6 +235,8 @@ let design_sw_with spec = with_memo_lock (fun () -> design_sw_unlocked spec)
 let hw () = with_memo_lock (fun () -> Lazy.force hw_default)
 
 let sw () = with_memo_lock (fun () -> Lazy.force sw_default)
+
+let hw_no_quant () = with_memo_lock (fun () -> Lazy.force hw_no_quant_default)
 
 let lqg_hw () = with_memo_lock (fun () -> Lazy.force lqg_hw_default)
 

@@ -29,6 +29,12 @@ val hw : unit -> Design.synthesis
 val sw : unit -> Design.synthesis
 (** The default Table III software-layer design. *)
 
+val hw_no_quant : unit -> Design.synthesis
+(** The default hardware-layer spec synthesized with
+    [~ignore_quantization:true]: the quantization-unaware design of the
+    [bench --ablation] study, memoized and disk-cached like {!hw} under
+    its own key. {!prepare} does not force it. *)
+
 val design_hw_with : Design.spec -> Design.synthesis
 (** Synthesize a hardware-layer variant (sensitivity studies) against the
     default records. *)

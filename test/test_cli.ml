@@ -20,13 +20,22 @@ let read_all ic =
    with End_of_file -> ());
   Buffer.contents b
 
-(* The exe path is relative to the test's directory in _build (declared
-   as a dune dep). *)
-let cli args =
-  let ic = Unix.open_process_in ("../bin/yukta_cli.exe " ^ args) in
+(* The CLI sits at ../bin/yukta_cli.exe from this test's own directory
+   in _build (declared as a dune dep), whatever the working directory. *)
+let exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/yukta_cli.exe"
+
+(* [args] is a shell fragment; the CLI's stdout and exit status. *)
+let run_cli args =
+  if not (Sys.file_exists exe) then
+    Alcotest.failf "yukta_cli not found at %s" exe;
+  let ic = Unix.open_process_in (Filename.quote exe ^ " " ^ args) in
   let out = read_all ic in
-  match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> out
+  (out, Unix.close_process_in ic)
+
+let cli args =
+  match run_cli args with
+  | out, Unix.WEXITED 0 -> out
   | _ -> Alcotest.fail (Printf.sprintf "yukta_cli %s failed" args)
 
 (* --help=plain: no pager, stable formatting. *)
@@ -92,9 +101,8 @@ let test_run_jobs_identical () =
 let test_unknown_app_named () =
   List.iter
     (fun args ->
-      let ic = Unix.open_process_in ("../bin/yukta_cli.exe " ^ args ^ " 2>&1") in
-      let out = read_all ic in
-      (match Unix.close_process_in ic with
+      let out, status = run_cli (args ^ " 2>&1") in
+      (match status with
       | Unix.WEXITED 124 -> ()
       | _ -> Alcotest.failf "yukta_cli %s: expected exit 124" args);
       Alcotest.(check bool)

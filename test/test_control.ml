@@ -4,6 +4,7 @@
 
 open Linalg
 open Control
+open Oracle
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_loose = Alcotest.(check (float 1e-6))
@@ -13,6 +14,16 @@ let check_int = Alcotest.(check int)
 let mat = Alcotest.testable Mat.pp (Mat.approx_equal ~tol:1e-7)
 
 let m1x1 x = Mat.of_lists [ [ x ] ]
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let mat_same_bits a b =
+  Mat.dims a = Mat.dims b && Array.for_all2 same_bits a.Mat.data b.Mat.data
+
+(* A (re, im) pair holds the boxed matrix [g], bit for bit. *)
+let pair_same_bits (re, im) g =
+  let re', im' = Cmat.to_pair g in
+  mat_same_bits re re' && mat_same_bits im im'
 
 (* ------------------------------------------------------------------ *)
 (* Ss                                                                  *)
@@ -51,9 +62,10 @@ let test_ss_simulate_step () =
 let test_ss_freq_response () =
   (* Continuous first-order low-pass: |G(jw)| = 1/sqrt(1+w^2) at a=-1. *)
   let sys = first_order (-1.0) 1.0 1.0 0.0 in
-  let g = Ss.freq_response sys 1.0 in
+  let ((re, im) as g) = Ss.freq_response sys 1.0 in
   check_float_loose "magnitude" (1.0 /. Float.sqrt 2.0)
-    (Complex.norm (Cmat.get g 0 0))
+    (Float.hypot (Mat.get re 0 0) (Mat.get im 0 0));
+  check_bool "boxed bits" true (pair_same_bits g (Freq_ref.response sys 1.0))
 
 let test_ss_hinf_norm_lowpass () =
   (* Peak of 1/(s+1) is 1 at dc. *)
@@ -301,7 +313,9 @@ let test_hinf_bad_partition () =
 (* Ssv                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let cm_of_real rows = Cmat.of_real (Mat.of_lists rows)
+let cm_of_real rows =
+  let re = Mat.of_lists rows in
+  (re, Mat.create re.Mat.rows re.Mat.cols)
 
 let test_mu_single_full_block () =
   (* With one full block, mu equals the maximum singular value. *)
@@ -332,13 +346,15 @@ let test_mu_homogeneous () =
   let m = cm_of_real [ [ 0.5; 0.2 ]; [ 0.1; 0.8 ] ] in
   let s = [ Ssv.Full (1, 1); Ssv.Full (1, 1) ] in
   let v1 = (Ssv.mu_upper s m).Ssv.value in
-  let v3 = (Ssv.mu_upper s (Cmat.scale_real 3.0 m)).Ssv.value in
+  let v3 =
+    (Ssv.mu_upper s (Mat.scale 3.0 (fst m), Mat.scale 3.0 (snd m))).Ssv.value
+  in
   check_bool "mu(3m) = 3 mu(m)" true (Float.abs (v3 -. (3.0 *. v1)) < 1e-6)
 
 let test_mu_lower_below_upper () =
   let m =
-    Cmat.init 3 3 (fun i j ->
-        { Complex.re = Float.of_int ((i + j) mod 3) -. 0.7; im = 0.3 *. Float.of_int (i - j) })
+    ( Mat.init 3 3 (fun i j -> Float.of_int ((i + j) mod 3) -. 0.7),
+      Mat.init 3 3 (fun i j -> 0.3 *. Float.of_int (i - j)) )
   in
   let s = [ Ssv.Full (1, 1); Ssv.Full (2, 2) ] in
   let ub = (Ssv.mu_upper s m).Ssv.value in
@@ -349,10 +365,11 @@ let test_mu_lower_below_upper () =
 let test_mu_worst_case_delta_valid () =
   let m = cm_of_real [ [ 0.9; 0.4 ]; [ -0.3; 1.1 ] ] in
   let s = [ Ssv.Full (1, 1); Ssv.Full (1, 1) ] in
-  let delta, rho = Ssv.worst_case_delta s m in
+  let ((dre, dim) as delta), rho = Ssv.worst_case_delta s m in
+  let modulus i j = Float.hypot (Mat.get dre i j) (Mat.get dim i j) in
   (* Delta must respect the structure: off-diagonal zero. *)
-  check_float "structured 01" 0.0 (Complex.norm (Cmat.get delta 0 1));
-  check_float "structured 10" 0.0 (Complex.norm (Cmat.get delta 1 0));
+  check_float "structured 01" 0.0 (modulus 0 1);
+  check_float "structured 10" 0.0 (modulus 1 0);
   (* And be a contraction. *)
   check_bool "unit norm" true (Svd.norm2_complex delta <= 1.0 +. 1e-6);
   check_bool "certificate consistent" true
@@ -360,7 +377,7 @@ let test_mu_worst_case_delta_valid () =
 
 let test_mu_repeated_scalar () =
   (* For M = c*I with repeated scalar structure, mu = |c|. *)
-  let m = Cmat.scale_real 2.5 (Cmat.identity 3) in
+  let m = (Mat.scalar 3 2.5, Mat.create 3 3) in
   let s = [ Ssv.Repeated 3 ] in
   let ub = (Ssv.mu_upper s m).Ssv.value in
   let lb = Ssv.mu_lower s m in
@@ -368,7 +385,7 @@ let test_mu_repeated_scalar () =
   check_bool "lower tight" true (lb >= 2.5 -. 1e-4)
 
 let test_mu_validate () =
-  let m = Cmat.identity 3 in
+  let m = (Mat.identity 3, Mat.create 3 3) in
   Alcotest.check_raises "tiling"
     (Invalid_argument "Ssv: structure does not tile the matrix") (fun () ->
       Ssv.validate [ Ssv.Full (2, 2) ] m)
@@ -382,8 +399,6 @@ let test_mu_sweep_runs () =
   let s = [ Ssv.Full (1, 1); Ssv.Full (1, 1) ] in
   let sweep = Ssv.sweep ~points:20 s sys in
   check_bool "peak positive" true (sweep.Ssv.peak > 0.0);
-  check_bool "lower below upper" true
-    (sweep.Ssv.lower_peak <= sweep.Ssv.peak +. 1e-9);
   check_int "grid size" 20 (Array.length sweep.Ssv.upper_bounds)
 
 (* ------------------------------------------------------------------ *)
@@ -501,67 +516,7 @@ let prop_dare_stabilizing =
 (* Planar frequency-response kernel vs the boxed path                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The boxed frequency response that [Ss]'s planar kernel replaced, kept
-   as its oracle: (zI - A)^-1 B by complex Gaussian elimination on
-   [Complex.t] (the resolvent [Cmat] used to export), then C x + D with
-   [Cmat.mul] and [Cmat.add], and the full [hinf_norm] grid walk over it
-   with [Svd.norm2_complex]. *)
-module Freq_ref = struct
-  let point sys w =
-    match sys.Ss.domain with
-    | Ss.Continuous -> { Complex.re = 0.0; im = w }
-    | Ss.Discrete p -> Complex.exp { Complex.re = 0.0; im = w *. p }
-
-  let resolvent z a b =
-    let n = a.Cmat.rows in
-    let shifted =
-      Cmat.init n n (fun i j ->
-          let x = Cmat.get a i j in
-          if i = j then Complex.sub z x else Complex.sub Complex.zero x)
-    in
-    Cmat.solve shifted b
-
-  let response sys w =
-    let x =
-      resolvent (point sys w) (Cmat.of_real sys.Ss.a) (Cmat.of_real sys.Ss.b)
-    in
-    Cmat.add (Cmat.mul (Cmat.of_real sys.Ss.c) x) (Cmat.of_real sys.Ss.d)
-
-  let log_grid lo hi points =
-    let llo = log lo and lhi = log hi in
-    Array.init points (fun i ->
-        exp
-          (llo +. ((lhi -. llo) *. Float.of_int i /. Float.of_int (points - 1))))
-
-  let hinf_norm sys =
-    if not (Ss.is_stable sys) then infinity
-    else if Ss.order sys = 0 then Svd.norm2 sys.Ss.d
-    else begin
-      let wmax =
-        match sys.Ss.domain with
-        | Ss.Continuous -> 1e4 *. Float.max 1.0 (Mat.norm_inf sys.Ss.a)
-        | Ss.Discrete p -> Float.pi /. p
-      in
-      let wmin = wmax /. 1e8 in
-      let eval w = Svd.norm2_complex (response sys w) in
-      let grid = log_grid wmin wmax 200 in
-      let best_w = ref grid.(0) and best = ref 0.0 in
-      Array.iter
-        (fun w ->
-          let v = eval w in
-          if v > !best then begin
-            best := v;
-            best_w := w
-          end)
-        grid;
-      let dc = Svd.norm2 (Ss.dcgain sys) in
-      if dc > !best then best := dc;
-      let lo = !best_w /. 3.0 and hi = !best_w *. 3.0 in
-      let sub = log_grid (Float.max wmin lo) (Float.min wmax hi) 40 in
-      Array.iter (fun w -> best := Float.max !best (eval w)) sub;
-      !best
-    end
-end
+(* The boxed path is [Oracle.Freq_ref]. *)
 
 (* A random stable system from a seed: A scaled into the unit disc
    (discrete, period 0.5) or shifted left of -0.2 (continuous), by
@@ -607,15 +562,6 @@ let system_arb ~max_order =
 let sys_of (seed, n, nin, nout, discrete) =
   random_stable_system ~seed ~order:n ~inputs:nin ~outputs:nout ~discrete
 
-let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-
-let cmat_same_bits g h =
-  Cmat.dims g = Cmat.dims h
-  && Array.for_all2
-       (fun (x : Complex.t) (y : Complex.t) ->
-         same_bits x.re y.re && same_bits x.im y.im)
-       g.Cmat.data h.Cmat.data
-
 (* Frequencies spanning the grid of a system's walk, plus dc-adjacent
    and near-Nyquist points. *)
 let probe_frequencies sys =
@@ -625,7 +571,7 @@ let probe_frequencies sys =
 
 let response_bits_match sys =
   List.for_all
-    (fun w -> cmat_same_bits (Ss.freq_response sys w) (Freq_ref.response sys w))
+    (fun w -> pair_same_bits (Ss.freq_response sys w) (Freq_ref.response sys w))
     (probe_frequencies sys)
 
 let prop_planar_response_bits =
@@ -729,6 +675,112 @@ let frequency_kernel_cases =
         prop_planar_norm_bits;
         prop_bounded_walk_decides_as_full;
       ]
+
+(* ------------------------------------------------------------------ *)
+(* SSV bounds on (re, im) pairs vs the boxed reference                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A block structure of one to three blocks, each Full (1-4 x 1-4) or
+   Repeated (1-3), and a seed for the complex matrix it tiles. *)
+let ssv_case_arb =
+  let block =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun p q -> Ssv.Full (p, q)) (int_range 1 4) (int_range 1 4));
+          (1, map (fun n -> Ssv.Repeated n) (int_range 1 3));
+        ])
+  in
+  let print (s, seed) =
+    Printf.sprintf "seed %d, %s" seed
+      (String.concat "; "
+         (List.map
+            (function
+              | Ssv.Full (p, q) -> Printf.sprintf "Full (%d, %d)" p q
+              | Ssv.Repeated n -> Printf.sprintf "Repeated %d" n)
+            s))
+  in
+  QCheck.make ~print
+    QCheck.Gen.(pair (list_size (int_range 1 3) block) (int_bound 1_000_000))
+
+(* The complex matrix of a case: about a fifth of the entries exactly
+   zero (the M Delta product skips them), a fifth purely real, a fifth
+   purely imaginary, magnitudes over four decades. *)
+let ssv_matrix (s, seed) =
+  let st = Random.State.make [| seed |] in
+  let rows = Ssv.block_rows s and cols = Ssv.block_cols s in
+  let re = Mat.create rows cols and im = Mat.create rows cols in
+  let draw () =
+    (Random.State.float st 2.0 -. 1.0)
+    *. (10.0 ** Float.of_int (Random.State.int st 4 - 2))
+  in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      let kind = Random.State.int st 5 in
+      if kind <> 0 && kind <> 2 then Mat.set re i j (draw ());
+      if kind <> 0 && kind <> 1 then Mat.set im i j (draw ())
+    done
+  done;
+  (re, im)
+
+(* Each case runs as drawn and transposed (every Full (p, q) becomes
+   Full (q, p)), so a non-square case covers rows >= cols and
+   rows < cols. *)
+let ssv_orientations (s, seed) =
+  let re, im = ssv_matrix (s, seed) in
+  [
+    (s, (re, im));
+    ( List.map (function Ssv.Full (p, q) -> Ssv.Full (q, p) | b -> b) s,
+      (Mat.transpose re, Mat.transpose im) );
+  ]
+
+let prop_mu_upper_bits =
+  QCheck.Test.make ~name:"mu_upper on pairs = boxed, bit for bit" ~count:200
+    ssv_case_arb (fun case ->
+      List.for_all
+        (fun (s, m) ->
+          let b = Ssv.mu_upper s m
+          and r = Ssv_ref.mu_upper s (Cmat.of_pair m) in
+          same_bits b.Ssv.value r.Ssv_ref.value
+          && Array.for_all2 same_bits b.Ssv.scales r.Ssv_ref.scales)
+        (ssv_orientations case))
+
+let prop_mu_lower_bits =
+  QCheck.Test.make ~name:"mu_lower on pairs = boxed, bit for bit" ~count:100
+    ssv_case_arb (fun case ->
+      List.for_all
+        (fun (s, m) ->
+          same_bits (Ssv.mu_lower s m) (Ssv_ref.mu_lower s (Cmat.of_pair m)))
+        (ssv_orientations case))
+
+let prop_worst_case_delta_bits =
+  QCheck.Test.make ~name:"worst-case delta on pairs = boxed, bit for bit"
+    ~count:100 ssv_case_arb (fun case ->
+      List.for_all
+        (fun (s, m) ->
+          let delta, rho = Ssv.worst_case_delta s m
+          and delta', rho' = Ssv_ref.worst_case_delta s (Cmat.of_pair m) in
+          pair_same_bits delta delta' && same_bits rho rho')
+        (ssv_orientations case))
+
+(* An infinite entry in a diagonal block leaves the balancing scales
+   finite, so the scaled entry's imaginary part is [0.0 *. inf = nan]
+   on both paths: the pair code must keep [Complex.mul]'s zero terms. *)
+let test_mu_upper_infinite_entry () =
+  let s = [ Ssv.Full (1, 1); Ssv.Full (2, 1) ] in
+  let m =
+    ( Mat.of_lists [ [ infinity; 0.5 ]; [ 0.3; 1.0 ]; [ -0.2; 0.0 ] ],
+      Mat.of_lists [ [ 0.25; 0.0 ]; [ -0.1; 0.4 ]; [ 0.0; 0.7 ] ] )
+  in
+  let b = Ssv.mu_upper s m and r = Ssv_ref.mu_upper s (Cmat.of_pair m) in
+  check_bool "value bits" true (same_bits b.Ssv.value r.Ssv_ref.value);
+  check_bool "scale bits" true
+    (Array.for_all2 same_bits b.Ssv.scales r.Ssv_ref.scales)
+
+let ssv_pair_cases =
+  Alcotest.test_case "infinite entry" `Quick test_mu_upper_infinite_entry
+  :: List.map QCheck_alcotest.to_alcotest
+       [ prop_mu_upper_bits; prop_mu_lower_bits; prop_worst_case_delta_bits ]
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -990,4 +1042,5 @@ let () =
       ("pid/reduce/mpc", round3_cases);
       ("properties", qcheck_cases);
       ("frequency kernel", frequency_kernel_cases);
+      ("ssv pairs", ssv_pair_cases);
     ]
