@@ -1,30 +1,5 @@
 open Linalg
 
-let c2d_zoh sys period =
-  (match sys.Ss.domain with
-  | Ss.Continuous -> ()
-  | Ss.Discrete _ -> invalid_arg "Discretize.c2d_zoh: already discrete");
-  if period <= 0.0 then invalid_arg "Discretize.c2d_zoh: period must be > 0";
-  let n = Ss.order sys and m = Ss.inputs sys in
-  if n = 0 then { sys with Ss.domain = Ss.Discrete period }
-  else begin
-    (* exp([A B; 0 0] T) = [Ad Bd; 0 I]. *)
-    let block =
-      Mat.blocks
-        [
-          [ Mat.scale period sys.Ss.a; Mat.scale period sys.Ss.b ];
-          [ Mat.create m n; Mat.create m m ];
-        ]
-    in
-    let e = Expm.expm block in
-    {
-      sys with
-      Ss.a = Mat.sub_matrix e 0 0 n n;
-      b = Mat.sub_matrix e 0 n n m;
-      domain = Ss.Discrete period;
-    }
-  end
-
 (* Tustin with state scaling: given x' = Ax + Bu continuous,
    Ad = (I + AT/2)(I - AT/2)^-1, Bd = (I - AT/2)^-1 B sqrt(T),
    Cd = sqrt(T) C (I - AT/2)^-1, Dd = D + C (I - AT/2)^-1 B T/2.

@@ -1,12 +1,8 @@
 (** Conversions between continuous- and discrete-time systems.
 
-    Zero-order hold is exact for piecewise-constant inputs and is used to
-    discretize physical models (e.g. the thermal RC network). The bilinear
-    (Tustin) transform preserves stability and the H-infinity norm and is
-    the bridge used by the discrete H-infinity synthesis path. *)
-
-val c2d_zoh : Ss.t -> float -> Ss.t
-(** Zero-order-hold discretization with the given period. *)
+    The bilinear (Tustin) transform preserves stability and the
+    H-infinity norm and is the bridge used by the discrete H-infinity
+    synthesis path. *)
 
 val c2d_tustin : Ss.t -> float -> Ss.t
 (** Bilinear transform [s = (2/T)(z-1)/(z+1)].

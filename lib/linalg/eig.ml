@@ -87,9 +87,11 @@ let qr_iters_metric = Obs.Metrics.counter "eig.qr_iterations"
    for the block start [l] walks the whole subdiagonal from the bottom,
    committing hard zeros as it finds negligible entries — so interior
    zero subdiagonals split the problem into independent sub-blocks for
-   free. Stalls are broken with the classic exceptional shift at
-   iterations 10 and 20 of a block; 30 iterations without deflation is a
-   convergence failure. [h] is destroyed. *)
+   free. Stalls are broken with the classic exceptional shift at every
+   10th iteration without deflation; 30 * max(10, n) such iterations
+   (LAPACK dlahqr's budget) are a convergence failure. The real
+   embedding of a complex matrix (its spectrum plus the conjugate) can
+   need more than two exceptional shifts. [h] is destroyed. *)
 let francis_hessenberg_eigenvalues h =
   let n = h.Mat.rows in
   let hd = h.Mat.data in
@@ -107,6 +109,7 @@ let francis_hessenberg_eigenvalues h =
   done;
   let anorm = if !anorm = 0.0 then 1.0 else !anorm in
   let iter_count = ref 0 in
+  let max_its = 30 * max 10 n in
   (* [t] accumulates exceptional shifts subtracted from the diagonal so
      the eigenvalues can be restored on extraction. *)
   let t = ref 0.0 in
@@ -166,13 +169,16 @@ let francis_hessenberg_eigenvalues h =
         end
         else begin
           (* Active block of order >= 3: one Francis double-shift sweep. *)
-          if !its = 30 then
+          if !its = max_its then
             failwith "Eig.eigenvalues: QR iteration did not converge";
           incr iter_count;
           let x = ref x and y = ref y and w = ref w in
-          if !its = 10 || !its = 20 then begin
+          if !its > 0 && !its mod 10 = 0 then begin
             (* Exceptional shift: translate the spectrum and use an
-               ad-hoc shift built from the last two subdiagonals. *)
+               ad-hoc shift built from the last two subdiagonals. From
+               the third one on, every other shift sits below the
+               translated spectrum instead of above it: a stall that
+               survives one side rarely survives both. *)
             t := !t +. !x;
             for i = 0 to !nn do
               set i i (get i i -. !x)
@@ -181,7 +187,10 @@ let francis_hessenberg_eigenvalues h =
               Float.abs (get !nn (!nn - 1))
               +. Float.abs (get (!nn - 1) (!nn - 2))
             in
-            x := 0.75 *. s;
+            let side =
+              if !its >= 30 && (!its / 10) mod 2 = 1 then -0.75 else 0.75
+            in
+            x := side *. s;
             y := !x;
             w := -0.4375 *. s *. s
           end;
@@ -306,16 +315,13 @@ let is_stable_continuous ?(margin = 1e-9) a = spectral_abscissa a < -.margin
 
 (* Cyclic Jacobi for symmetric matrices: rotate away the off-diagonal
    entries until convergence. Quadratically convergent and unconditionally
-   reliable, which matters more here than speed. The rotation choice
-   never reads [v], so the values-only driver below runs the same sweeps
-   without accumulating eigenvectors (about a third less work per
-   rotation) — that path serves the definiteness checks on the H-infinity
-   bisection's hot loop. *)
-let jacobi_symmetric ~want_vectors a =
-  if not (Mat.is_square a) then invalid_arg "Eig.symmetric: non-square";
+   reliable, which matters more here than speed. Only the eigenvalues
+   are wanted (the definiteness checks on the H-infinity bisection's hot
+   loop), so the rotations are not accumulated. *)
+let symmetric_values a =
+  if not (Mat.is_square a) then invalid_arg "Eig.symmetric_values: non-square";
   let n = a.Mat.rows in
   let m = Mat.init n n (fun i j -> if j <= i then Mat.get a i j else Mat.get a j i) in
-  let v = if want_vectors then Mat.identity n else Mat.create 0 0 in
   let off_norm () =
     let acc = ref 0.0 in
     for i = 0 to n - 1 do
@@ -355,35 +361,12 @@ let jacobi_symmetric ~want_vectors a =
             and mqk = Array.unsafe_get md (rq + k) in
             Array.unsafe_set md (rp + k) ((c *. mpk) -. (s *. mqk));
             Array.unsafe_set md (rq + k) ((s *. mpk) +. (c *. mqk))
-          done;
-          if want_vectors then begin
-            let vd = v.Mat.data in
-            for k = 0 to n - 1 do
-              let row = k * n in
-              let vkp = Array.unsafe_get vd (row + p)
-              and vkq = Array.unsafe_get vd (row + q) in
-              Array.unsafe_set vd (row + p) ((c *. vkp) -. (s *. vkq));
-              Array.unsafe_set vd (row + q) ((s *. vkp) +. (c *. vkq))
-            done
-          end
+          done
         end
       done
     done
   done;
-  (Mat.diagonal m, v)
-
-let symmetric a =
-  let values, v = jacobi_symmetric ~want_vectors:true a in
-  let n = Vec.dim values in
-  (* Sort ascending, permuting eigenvector columns alongside. *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> Float.compare values.(i) values.(j)) order;
-  let sorted_values = Array.map (fun i -> values.(i)) order in
-  let sorted_vectors = Mat.init n n (fun i j -> Mat.get v i order.(j)) in
-  (sorted_values, sorted_vectors)
-
-let symmetric_values a =
-  let values, _ = jacobi_symmetric ~want_vectors:false a in
+  let values = Mat.diagonal m in
   Array.sort Float.compare values;
   values
 

@@ -5,7 +5,7 @@
     implicit double-shift QR iteration (complex conjugate pairs are
     extracted from trailing 2x2 blocks at the end, so no complex
     arithmetic runs in the iteration itself); symmetric matrices by the
-    cyclic Jacobi method, which also yields eigenvectors. *)
+    cyclic Jacobi method. *)
 
 val hessenberg : Mat.t -> Mat.t
 (** Orthogonal reduction of a square matrix to upper Hessenberg form
@@ -25,13 +25,9 @@ val is_stable_discrete : ?margin:float -> Mat.t -> bool
 val is_stable_continuous : ?margin:float -> Mat.t -> bool
 (** All eigenvalues with real part below [-margin]. *)
 
-val symmetric : Mat.t -> Vec.t * Mat.t
-(** [symmetric a] for symmetric [a] is [(values, vectors)] with eigenvalues
-    ascending and eigenvectors as the corresponding columns of [vectors]
-    (orthonormal). Only the lower triangle of [a] is read. *)
-
 val symmetric_values : Mat.t -> Vec.t
-(** Eigenvalues of a symmetric matrix, ascending. *)
+(** Eigenvalues of a symmetric matrix, ascending. Only the lower
+    triangle of [a] is read. *)
 
 val is_positive_semidefinite : ?tol:float -> Mat.t -> bool
 (** Symmetric positive semidefiniteness check via Jacobi eigenvalues;

@@ -204,9 +204,9 @@ let step_once t r =
 
 (* A drain free-runs the rest of the workload, so it must be bounded:
    a degraded plant (or a hostile request) could otherwise spin the
-   server forever. The cap matches [Stack.run]'s default [max_time] —
-   any well-formed run ends well before it. *)
-let drain_max_time = 3000.0
+   server forever. The cap is [Stack.run]'s default horizon, so a
+   drained session ends where a batch run would. *)
+let drain_max_time = Yukta.Stack.default_max_time
 
 (* Stream drain epochs under the budget. When the run ends — or the
    simulated-time cap trips — emit the [drained] summary and leave

@@ -196,33 +196,11 @@ type synthesis = {
   model : Control.Ss.t;
 }
 
-let synthesize ?(dk_iterations = 3) ?(mu_points = 30) ?reduce_order
-    ?ignore_quantization spec ~model =
+let synthesize ?(dk_iterations = 3) ?(mu_points = 30) ?ignore_quantization
+    spec ~model =
   let t0 = if Obs.Collector.enabled () then Obs.Collector.now () else 0.0 in
   let plant, structure = generalized_plant ?ignore_quantization spec ~model in
   let result = Dk.synthesize ~iterations:dk_iterations ~mu_points ~plant ~structure () in
-  (* Optional balanced-truncation of the controller toward a hardware
-     budget (Section VI-D); kept only if the reduced loop stays stable
-     and certified no worse. *)
-  let result =
-    match reduce_order with
-    | Some n
-      when n > 0
-           && n < Ss.order result.Dk.controller
-           && Ss.is_stable result.Dk.controller -> (
-      match Reduce.balanced_truncation result.Dk.controller ~order:n with
-      | reduced -> (
-        match Hinf.close_loop plant reduced with
-        | cl when Ss.is_stable cl ->
-          let sweep = Ssv.sweep ~points:mu_points structure cl in
-          if sweep.Ssv.peak <= result.Dk.mu_peak *. 1.1 then
-            { result with Dk.controller = reduced; mu_peak = sweep.Ssv.peak }
-          else result
-        | _ -> result
-        | exception _ -> result)
-      | exception _ -> result)
-    | _ -> result
-  in
   let scale = Float.max 1.0 result.Dk.mu_peak in
   let guaranteed_bounds =
     Array.map (fun o -> scale *. Signal.bound_absolute o) spec.outputs
@@ -246,6 +224,6 @@ let synthesize ?(dk_iterations = 3) ?(mu_points = 30) ?reduce_order
     model;
   }
 
-let design ?order ?dk_iterations ?reduce_order spec ~u ~y =
+let design ?order ?dk_iterations spec ~u ~y =
   let model = identify ?order spec ~u ~y in
-  synthesize ?dk_iterations ?reduce_order spec ~model
+  synthesize ?dk_iterations spec ~model

@@ -77,22 +77,18 @@ type synthesis = {
 val synthesize :
   ?dk_iterations:int ->
   ?mu_points:int ->
-  ?reduce_order:int ->
   ?ignore_quantization:bool ->
   spec ->
   model:Control.Ss.t ->
   synthesis
-(** Run mu-synthesis (default 3 D-K iterations) and wrap the result.
-    [reduce_order] balance-truncates the controller toward a hardware
-    state budget (Section VI-D); the reduction is kept only when the
-    reduced closed loop stays stable with a certificate no more than 10%
-    worse.
+(** Run mu-synthesis (default 3 D-K iterations) and wrap the result. The
+    controller is deployed at the order synthesis gives it (the hardware
+    layer's is the paper's 20 states, Section VI-D).
     @raise Control.Dk.Synthesis_failed when no stabilizing design exists. *)
 
 val design :
   ?order:int ->
   ?dk_iterations:int ->
-  ?reduce_order:int ->
   spec ->
   u:Linalg.Vec.t array ->
   y:Linalg.Vec.t array ->

@@ -20,6 +20,7 @@ let step ?cap t board o =
   List.iter (fun l -> Layer.step ?cap l board o) t.layers
 
 let default_epoch = 0.5
+let default_max_time = 3000.0
 
 type trace_point = {
   time : float;
@@ -210,8 +211,8 @@ let result_of_stepper s ~trace =
     health = s.health;
   }
 
-let run ?(max_time = 3000.0) ?(collect_trace = false) ?sensor_period ?epoch
-    ?injector ?cap t workloads =
+let run ?(max_time = default_max_time) ?(collect_trace = false)
+    ?sensor_period ?epoch ?injector ?cap t workloads =
   let s = stepper ?sensor_period ?epoch ?injector ?cap t workloads in
   let trace = ref [] in
   let continue = ref true in

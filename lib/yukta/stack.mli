@@ -38,6 +38,11 @@ val default_epoch : float
 (** The default invocation period, seconds (0.5 — the power-sensor-
     limited period of Section V-A). Override per run with [run ?epoch]. *)
 
+val default_max_time : float
+(** The default simulated-time horizon of a run, seconds (3000). Any
+    well-formed run ends well before it. Override per run with
+    [run ?max_time]. *)
+
 type trace_point = {
   time : float;
   power_big : float;          (** True instantaneous big-cluster power. *)
@@ -121,9 +126,9 @@ val run :
   Board.Workload.t list ->
   result
 (** Run the stack to workload completion (or [max_time], default
-    3000 s). [sensor_period] overrides the power-sensor refresh for the
-    sensitivity ablation; [epoch] the stepping period (default
-    {!default_epoch}; must be positive); [injector] attaches
+    {!default_max_time}). [sensor_period] overrides the power-sensor
+    refresh for the sensitivity ablation; [epoch] the stepping period
+    (default {!default_epoch}; must be positive); [injector] attaches
     fault-injection hooks to the board (robustness campaigns). Emits
     per-epoch [runtime.epoch] events and a [runtime.run_complete]
     summary when the Obs collector is on.

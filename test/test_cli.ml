@@ -1,7 +1,8 @@
 (* Help sync: every registered yukta_cli subcommand must appear in the
    top-level --help, so the CLI's own documentation can never silently
-   fall behind the command group; and `run` prints the same bytes at any
-   -j (the dune rule makes the built executable a test dependency). *)
+   fall behind the command group; `run` prints the same bytes at any -j;
+   and `bench compare` exits with the codes the CI perf gate reads (the
+   dune rule makes both built executables test dependencies). *)
 
 let subcommands =
   (* The full command group of bin/yukta_cli.ml; adding a subcommand
@@ -20,18 +21,22 @@ let read_all ic =
    with End_of_file -> ());
   Buffer.contents b
 
-(* The CLI sits at ../bin/yukta_cli.exe from this test's own directory
-   in _build (declared as a dune dep), whatever the working directory. *)
-let exe =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/yukta_cli.exe"
+(* The executables sit at ../bin/yukta_cli.exe and ../bench/main.exe
+   from this test's own directory in _build (declared as dune deps),
+   whatever the working directory. *)
+let built path = Filename.concat (Filename.dirname Sys.executable_name) path
 
-(* [args] is a shell fragment; the CLI's stdout and exit status. *)
-let run_cli args =
-  if not (Sys.file_exists exe) then
-    Alcotest.failf "yukta_cli not found at %s" exe;
+let exe = built "../bin/yukta_cli.exe"
+let bench_exe = built "../bench/main.exe"
+
+(* [args] is a shell fragment; the program's stdout and exit status. *)
+let run_exe exe args =
+  if not (Sys.file_exists exe) then Alcotest.failf "%s not found" exe;
   let ic = Unix.open_process_in (Filename.quote exe ^ " " ^ args) in
   let out = read_all ic in
   (out, Unix.close_process_in ic)
+
+let run_cli args = run_exe exe args
 
 let cli args =
   match run_cli args with
@@ -122,6 +127,58 @@ let test_fleet_help_documents_flags () =
         true (contains out flag))
     [ "--boards"; "--cap"; "--policy"; "--seed"; "--jobs" ]
 
+(* A yukta.bench-micro/v1 document holding only what [bench compare]
+   reads: the schema and each kernel's median. *)
+let micro_doc ?(schema = "yukta.bench-micro/v1") kernels =
+  Printf.sprintf {|{"schema": "%s", "kernels": [%s]}|} schema
+    (String.concat ", "
+       (List.map
+          (fun (k, median) ->
+            Printf.sprintf {|{"kernel": "%s", "median_s": %g}|} k median)
+          kernels))
+
+(* The CI perf gate reads three exit codes: 0 pass, 1 regression or
+   missing kernel, 2 usage, IO or schema error. *)
+let test_bench_compare_exit_codes () =
+  let dir = Filename.temp_dir "bench-compare" "" in
+  let docs =
+    [
+      ("base.json", micro_doc [ ("gemm4", 1e-6); ("eig32", 2e-5) ]);
+      ("slower.json", micro_doc [ ("gemm4", 2e-6); ("eig32", 2e-5) ]);
+      ("missing.json", micro_doc [ ("gemm4", 1e-6) ]);
+      ( "schema.json",
+        micro_doc ~schema:"yukta.bench/v1" [ ("gemm4", 1e-6); ("eig32", 2e-5) ]
+      );
+    ]
+  in
+  let path name = Filename.quote (Filename.concat dir name) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (name, _) -> Sys.remove (Filename.concat dir name)) docs;
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (name, text) ->
+          Out_channel.with_open_text (Filename.concat dir name) (fun oc ->
+              output_string oc text))
+        docs;
+      let base = path "base.json" in
+      List.iter
+        (fun (what, args, code) ->
+          match run_exe bench_exe ("compare " ^ args ^ " 2>/dev/null") with
+          | _, Unix.WEXITED c -> Alcotest.(check int) what code c
+          | _ -> Alcotest.failf "bench compare (%s) did not exit" what)
+        [
+          ("identical documents pass", base ^ " " ^ base, 0);
+          ("a kernel 2x slower fails", base ^ " " ^ path "slower.json", 1);
+          ("a missing kernel fails", base ^ " " ^ path "missing.json", 1);
+          ("a wrong schema is an error", base ^ " " ^ path "schema.json", 2);
+          ( "a negative tolerance is an error",
+            "--tolerance -1 " ^ base ^ " " ^ base,
+            2 );
+          ("one positional argument is an error", base, 2);
+        ])
+
 let () =
   Alcotest.run "cli"
     [
@@ -139,5 +196,10 @@ let () =
           Alcotest.test_case "-j1/-j2 stdout identical" `Quick
             test_run_jobs_identical;
           Alcotest.test_case "unknown app named" `Quick test_unknown_app_named;
+        ] );
+      ( "bench",
+        [
+          Alcotest.test_case "compare exit codes" `Quick
+            test_bench_compare_exit_codes;
         ] );
     ]

@@ -297,12 +297,9 @@ let test_eig_hessenberg_preserves_spectrum () =
 
 let test_eig_symmetric () =
   let a = Mat.of_lists [ [ 2.0; 1.0 ]; [ 1.0; 2.0 ] ] in
-  let values, vectors = Eig.symmetric a in
+  let values = Eig.symmetric_values a in
   check_float_loose "lambda min" 1.0 values.(0);
-  check_float_loose "lambda max" 3.0 values.(1);
-  (* Reconstruct a = V diag V^T. *)
-  let recon = Mat.mul3 vectors (Mat.diag values) (Mat.transpose vectors) in
-  Alcotest.check mat "reconstruction" a recon
+  check_float_loose "lambda max" 3.0 values.(1)
 
 let test_eig_psd () =
   let a = Mat.of_lists [ [ 2.0; 1.0 ]; [ 1.0; 2.0 ] ] in
@@ -387,40 +384,6 @@ let test_cmat_solve () =
   let b = Cmat.of_real (Mat.random ~seed:24 4 2) in
   let x = Cmat.solve a b in
   check_bool "a x = b" true (Cmat.approx_equal ~tol:1e-9 (Cmat.mul a x) b)
-
-(* ------------------------------------------------------------------ *)
-(* Expm                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_expm_zero () =
-  Alcotest.check mat "e^0 = I" (Mat.identity 3) (Expm.expm (Mat.create 3 3))
-
-let test_expm_diag () =
-  let a = Mat.diag (Vec.of_list [ 1.0; -2.0 ]) in
-  let e = Expm.expm a in
-  check_float_loose "e^1" (exp 1.0) (Mat.get e 0 0);
-  check_float_loose "e^-2" (exp (-2.0)) (Mat.get e 1 1);
-  check_float_loose "off-diagonal" 0.0 (Mat.get e 0 1)
-
-let test_expm_nilpotent () =
-  (* exp([[0,1],[0,0]]) = [[1,1],[0,1]] exactly. *)
-  let a = Mat.of_lists [ [ 0.0; 1.0 ]; [ 0.0; 0.0 ] ] in
-  Alcotest.check mat "shear" (Mat.of_lists [ [ 1.0; 1.0 ]; [ 0.0; 1.0 ] ])
-    (Expm.expm a)
-
-let test_expm_rotation () =
-  (* exp(theta * [[0,-1],[1,0]]) is rotation by theta. *)
-  let theta = 0.7 in
-  let a = Mat.scale theta (Mat.of_lists [ [ 0.0; -1.0 ]; [ 1.0; 0.0 ] ]) in
-  let e = Expm.expm a in
-  check_float_loose "cos" (cos theta) (Mat.get e 0 0);
-  check_float_loose "sin" (sin theta) (Mat.get e 1 0)
-
-let test_expm_inverse_property () =
-  let a = Mat.random ~seed:25 4 4 in
-  let e = Expm.expm a and em = Expm.expm (Mat.neg a) in
-  check_bool "e^a e^-a = I" true
-    (Mat.approx_equal ~tol:1e-7 (Mat.mul e em) (Mat.identity 4))
 
 (* ------------------------------------------------------------------ *)
 (* In-place kernels                                                    *)
@@ -559,8 +522,9 @@ let test_svd_unconverged_reported () =
 (* Greedy nearest-match pairing. Sorting eigenvalues lexicographically
    mispairs conjugate partners that differ by one ulp in the real part,
    so instead match each reference eigenvalue to its closest remaining
-   computed one and report the worst matched distance. *)
-let max_pair_distance reference computed =
+   computed one and report the worst matched distance, each divided by
+   [tol] of its reference eigenvalue (1 by default). *)
+let max_pair_distance ?(tol = fun _ -> 1.0) reference computed =
   let used = Array.make (Array.length computed) false in
   Array.fold_left
     (fun worst (z : Complex.t) ->
@@ -576,7 +540,7 @@ let max_pair_distance reference computed =
           end)
         computed;
       used.(!best) <- true;
-      Float.max worst !bestd)
+      Float.max worst (!bestd /. tol z))
     0.0 reference
 
 let francis_matches_ref ?(tol = 1e-6) a =
@@ -680,6 +644,62 @@ let prop_francis_matches_reference =
   QCheck.Test.make ~name:"francis real qr = complex qr reference" ~count:60
     arb_mat_sized francis_matches_ref
 
+(* The real embedding [[re -im]; [im re]] of a random complex n x n
+   matrix, n = 1..6: its spectrum is the complex one plus its conjugate,
+   the shape the SSV lower bound hands to Francis QR. About a fifth of
+   the entries are exactly zero, a fifth purely real and a fifth purely
+   imaginary, with magnitudes over four decades. *)
+let arb_complex_embedding =
+  let part =
+    QCheck.Gen.(
+      map2
+        (fun x e -> x *. (10.0 ** Float.of_int e))
+        (float_range (-1.0) 1.0) (int_range (-2) 1))
+  in
+  let entry =
+    QCheck.Gen.(
+      map3
+        (fun kind re im ->
+          ( (if kind = 0 || kind = 2 then 0.0 else re),
+            if kind = 0 || kind = 1 then 0.0 else im ))
+        (int_bound 4) part part)
+  in
+  let embed n entries =
+    let re = { Mat.rows = n; cols = n; data = Array.map fst entries }
+    and im = { Mat.rows = n; cols = n; data = Array.map snd entries } in
+    Mat.blocks [ [ re; Mat.neg im ]; [ im; re ] ]
+  in
+  QCheck.make
+    ~print:(Format.asprintf "%a" Mat.pp)
+    QCheck.Gen.(
+      int_range 1 6 >>= fun n -> map (embed n) (array_size (return (n * n)) entry))
+
+(* Exact zeros make some embeddings defective (a nilpotent M puts
+   Jordan blocks on 0). Both methods deflate at 1e-13 relative, so their
+   backward errors reach about 1e-13 |A|, and a cluster of m eigenvalues
+   can scatter by (1e-13)^(1/m) |A|. A reference eigenvalue with m
+   reference eigenvalues within 1e-2 |A| (itself included) may therefore
+   lie up to |A| max(1e-6, (1e-13)^(1/m)) from its match. *)
+let embedding_matches_ref a =
+  let reference = Eig_ref.eigenvalues_complex_ref a in
+  let computed = Eig.eigenvalues a in
+  let scale = Float.max 1.0 (Mat.norm_inf a) in
+  let tol (z : Complex.t) =
+    let m =
+      Array.fold_left
+        (fun m w ->
+          if Complex.norm (Complex.sub z w) <= 1e-2 *. scale then m + 1 else m)
+        0 reference
+    in
+    scale *. Float.max 1e-6 (1e-13 ** (1.0 /. Float.of_int m))
+  in
+  Array.length computed = Array.length reference
+  && max_pair_distance ~tol reference computed <= 1.0
+
+let prop_francis_complex_embedding =
+  QCheck.Test.make ~name:"francis converges on complex embeddings = reference"
+    ~count:2000 arb_complex_embedding embedding_matches_ref
+
 let prop_transpose_product =
   QCheck.Test.make ~name:"(ab)^T = b^T a^T" ~count:100 arb_mat_pair
     (fun (a, b) ->
@@ -727,14 +747,6 @@ let prop_symmetric_eig_bounds =
       let values = Eig.symmetric_values s in
       let bound = Mat.norm_inf s +. 1e-7 in
       Array.for_all (fun x -> Float.abs x <= bound) values)
-
-let prop_expm_det =
-  (* det(e^A) = e^trace(A). *)
-  QCheck.Test.make ~name:"det expm = exp trace" ~count:40 arb_mat3 (fun a ->
-      let a = Mat.scale 0.3 a in
-      let lhs = Lu.det (Expm.expm a) in
-      let rhs = exp (Mat.trace a) in
-      Float.abs (lhs -. rhs) <= 1e-5 *. Float.max 1.0 (Float.abs rhs))
 
 let prop_inplace_mul_exact =
   QCheck.Test.make ~name:"mul_into bitwise equals mul" ~count:100 arb_mat_pair
@@ -883,7 +895,6 @@ let qcheck_cases =
       prop_spectral_radius_bounded;
       prop_symmetric_eig_bounds;
       prop_francis_matches_reference;
-      prop_expm_det;
       prop_inplace_mul_exact;
       prop_inplace_add_sub_exact;
       prop_lu_factored_bits;
@@ -943,15 +954,6 @@ let test_svd_zero_matrix () =
   check_float "norm2" 0.0 (Svd.norm2 (Mat.create 3 2));
   check_int "rank" 0 (Svd.rank (Mat.create 3 2))
 
-let test_expm_large_norm_scaling () =
-  (* Large-norm input exercises the squaring phase. *)
-  let a = Mat.scale 8.0 (Mat.of_lists [ [ 0.0; -1.0 ]; [ 1.0; 0.0 ] ]) in
-  let e = Expm.expm a in
-  (* Rotation by 8 rad. *)
-  check_bool "cos" true (Float.abs (Mat.get e 0 0 -. cos 8.0) < 1e-6);
-  (* And e^a is orthogonal: |det| = 1. *)
-  check_bool "det 1" true (Float.abs (Lu.det e -. 1.0) < 1e-6)
-
 let test_cmat_singular_solve_raises () =
   let z = Cmat.create 2 2 in
   Alcotest.check_raises "singular" Lu.Singular (fun () ->
@@ -966,7 +968,6 @@ let round2_cases =
     Alcotest.test_case "repeated eigenvalues" `Quick
       test_eig_repeated_eigenvalues;
     Alcotest.test_case "svd zero" `Quick test_svd_zero_matrix;
-    Alcotest.test_case "expm large norm" `Quick test_expm_large_norm_scaling;
     Alcotest.test_case "cmat singular" `Quick test_cmat_singular_solve_raises;
   ]
 
@@ -1032,6 +1033,7 @@ let () =
             test_eig_francis_interior_deflation;
           Alcotest.test_case "francis clustered symmetric" `Quick
             test_eig_francis_clustered_symmetric;
+          QCheck_alcotest.to_alcotest prop_francis_complex_embedding;
         ] );
       ( "svd",
         [
@@ -1047,15 +1049,6 @@ let () =
           Alcotest.test_case "mul/inv" `Quick test_cmat_mul_inv;
           Alcotest.test_case "real roundtrip" `Quick test_cmat_real_roundtrip;
           Alcotest.test_case "solve" `Quick test_cmat_solve;
-        ] );
-      ( "expm",
-        [
-          Alcotest.test_case "zero" `Quick test_expm_zero;
-          Alcotest.test_case "diagonal" `Quick test_expm_diag;
-          Alcotest.test_case "nilpotent" `Quick test_expm_nilpotent;
-          Alcotest.test_case "rotation" `Quick test_expm_rotation;
-          Alcotest.test_case "inverse property" `Quick
-            test_expm_inverse_property;
         ] );
       ( "inplace",
         [

@@ -323,23 +323,6 @@ let test_identify_recovers_tiny_model () =
   check_bool "dc gain recovered" true (Float.abs (dc_true -. dc_est) < 0.15)
 
 
-let test_synthesis_with_reduction () =
-  (* Ask for a 2-state controller on the tiny layer: the option must never
-     produce a worse certificate or an unstable loop, and when it applies
-     the controller order shrinks. *)
-  let full =
-    Design.synthesize ~dk_iterations:1 ~mu_points:8 tiny_spec ~model:tiny_model
-  in
-  let reduced =
-    Design.synthesize ~dk_iterations:1 ~mu_points:8 ~reduce_order:2 tiny_spec
-      ~model:tiny_model
-  in
-  check_bool "order never grows" true
-    (Controller.order reduced.Design.controller
-     <= Controller.order full.Design.controller);
-  check_bool "certificate not much worse" true
-    (reduced.Design.mu_peak <= (full.Design.mu_peak *. 1.11) +. 1e-9)
-
 (* ------------------------------------------------------------------ *)
 (* Layer specifications (Tables II and III)                            *)
 (* ------------------------------------------------------------------ *)
@@ -837,8 +820,6 @@ let () =
             test_tiny_synthesis_end_to_end;
           Alcotest.test_case "identify tiny model" `Quick
             test_identify_recovers_tiny_model;
-          Alcotest.test_case "synthesis with reduction" `Slow
-            test_synthesis_with_reduction;
         ] );
       ( "layers",
         [
