@@ -192,52 +192,15 @@ let xu3_epochs =
           done);
   }
 
-(* One Yukta controller invocation (the Section VI-D cost figure) on a
-   synthetic discrete controller with the hardware layer's signal
-   dimensions. *)
-let controller_step =
-  {
-    kernel = "controller_step";
-    size = "6 states, 7 in, 4 out";
-    batch = 20000;
-    reps = 30;
-    smoke_reps = 15;
-    prepare =
-      (fun () ->
-        let open Linalg in
-        let n = 6 in
-        let inputs = Hw_layer.inputs () in
-        let outputs = Hw_layer.outputs () in
-        let externals = Hw_layer.externals () in
-        let n_meas = Array.length outputs + Array.length externals in
-        let core =
-          Control.Ss.make ~domain:(Control.Ss.Discrete 0.5)
-            ~a:(Mat.scale 0.3 (Mat.random ~seed:11 n n))
-            ~b:(Mat.random ~seed:12 n n_meas)
-            ~c:(Mat.random ~seed:13 (Array.length inputs) n)
-            ~d:(Mat.random ~seed:14 (Array.length inputs) n_meas)
-            ()
-        in
-        let ctrl = Controller.make ~controller:core ~inputs ~outputs ~externals in
-        let measurements = [| 5.0; 2.5; 0.25; 65.0 |] in
-        let targets = [| 6.0; 3.0; 0.3; 77.0 |] in
-        let ext = [| 6.0; 1.5; 1.0 |] in
-        fun () ->
-          ignore (Controller.step ctrl ~measurements ~targets ~externals:ext));
-  }
-
-(* The collector.mli claim — "a disabled instrumentation site pays one
-   branch" — as a measured pair instead of prose: one controlled
-   [Layer.step] (the instrumented site wrapping [Controller.step]) with
-   collection off vs on (null sink, so encoding is paid but IO is not).
-   The controller, signals and inputs match the [controller_step]
-   kernel; the board exists only to give the layer something to read. *)
-let obs_layer () =
+(* A synthetic 6-state discrete controller with the hardware layer's
+   signal dimensions, and one epoch's measurements, targets and
+   externals for it. *)
+let hw_shaped_controller () =
   let open Linalg in
   let n = 6 in
   let inputs = Hw_layer.inputs () in
   let outputs = Hw_layer.outputs () in
-  let externals = Hw_layer.externals () in
+  let externals = Knobs.placement () in
   let n_meas = Array.length outputs + Array.length externals in
   let core =
     Control.Ss.make ~domain:(Control.Ss.Discrete 0.5)
@@ -247,14 +210,41 @@ let obs_layer () =
       ~d:(Mat.random ~seed:14 (Array.length inputs) n_meas)
       ()
   in
-  let ctrl = Controller.make ~controller:core ~inputs ~outputs ~externals in
-  let meas = [| 5.0; 2.5; 0.25; 65.0 |] in
-  let ext = [| 6.0; 1.5; 1.0 |] in
+  Controller.make ~controller:core ~inputs ~outputs ~externals
+
+let hw_measurements = [| 5.0; 2.5; 0.25; 65.0 |]
+let hw_targets = [| 6.0; 3.0; 0.3; 77.0 |]
+let hw_externals = [| 6.0; 1.5; 1.0 |]
+
+(* One Yukta controller invocation (the Section VI-D cost figure). *)
+let controller_step =
+  {
+    kernel = "controller_step";
+    size = "6 states, 7 in, 4 out";
+    batch = 20000;
+    reps = 30;
+    smoke_reps = 15;
+    prepare =
+      (fun () ->
+        let ctrl = hw_shaped_controller () in
+        fun () ->
+          ignore
+            (Controller.step ctrl ~measurements:hw_measurements
+               ~targets:hw_targets ~externals:hw_externals));
+  }
+
+(* The collector.mli claim — "a disabled instrumentation site pays one
+   branch" — as a measured pair instead of prose: one controlled
+   [Layer.step] (the instrumented site wrapping [Controller.step]) with
+   collection off vs on (null sink, so encoding is paid but IO is not).
+   The controller, signals and inputs match the [controller_step]
+   kernel; the board exists only to give the layer something to read. *)
+let obs_layer () =
   let layer =
-    Layer.controlled ~label:"bench-obs" ~controller:ctrl
-      ~targets:(Layer.Fixed [| 6.0; 3.0; 0.3; 77.0 |])
-      ~measure:(fun _ -> meas)
-      ~externals:(fun _ -> ext)
+    Layer.controlled ~label:"bench-obs" ~controller:(hw_shaped_controller ())
+      ~targets:(Layer.Fixed hw_targets)
+      ~measure:(fun _ -> hw_measurements)
+      ~externals:(fun _ -> hw_externals)
       ~actuate:(fun _ _ -> ())
       ()
   in

@@ -35,15 +35,7 @@ let app_spec =
     Design.layer = "application";
     inputs = [| quality_knob |];
     outputs = [| fps_output |];
-    externals =
-      [|
-        {
-          Signal.name = "freq_big";
-          info =
-            Signal.From_input
-              (Control.Quantize.make ~minimum:0.2 ~maximum:2.0 ~step:0.1);
-        };
-      |];
+    externals = [| Knobs.freq_big |];
     uncertainty = 0.45;  (* two layers of interference below us *)
     period = 0.5;
   }

@@ -5,8 +5,10 @@
     This is the N-layer generalisation one level above {!Yukta.Stack}:
     the rack measures its boards the way a layer measures its board, and
     actuates per-board caps the way a layer actuates configurations
-    (the caps flow into each board's {!Board.Emergency} enforcement and
-    each controlled layer's target rewrite — see [Stack.run ?cap]).
+    (each cap goes to the board through {!Board.Xu3.set_power_cap}, for
+    {!Board.Emergency} enforcement, and to every layer through
+    {!Yukta.Stack.step}, for the controlled layers' target rewrite —
+    see {!Sim}).
 
     Three policies, in ascending sophistication:
     - {e even-split} — the static baseline: every board gets cap/N,

@@ -78,12 +78,12 @@ let max_attempts = 3
 
 (* The warm-start prior: the batch ARX fit over the offline training
    records, in normalized design coordinates — the same data the
-   cached offline design was identified from. Shared per process; the
-   collection is a few thousand simulated epochs (milliseconds). *)
+   cached offline design was identified from, and the same memoized
+   records. Shared per process. *)
 let prior =
   lazy
     (let spec = Yukta.Hw_layer.spec () in
-     let r = Yukta.Training.collect () in
+     let r = Yukta.Designs.get_records () in
      let u, y =
        Yukta.Design.normalize_records spec ~u:r.Yukta.Training.hw_u
          ~y:r.Yukta.Training.hw_y
@@ -152,9 +152,8 @@ let pre_step t board =
   let c = Xu3.effective_config board in
   let p = Xu3.placement board in
   let u_phys =
-    Linalg.Vec.concat
-      (Yukta.Hw_layer.command_of_config c)
-      (Yukta.Hw_layer.externals_of_placement p)
+    Linalg.Vec.concat (Yukta.Knobs.vec_of_config c)
+      (Yukta.Knobs.vec_of_placement p)
   in
   let inputs = t.spec.Yukta.Design.inputs in
   let externals = t.spec.Yukta.Design.externals in

@@ -114,7 +114,7 @@ let cached ~label key compute =
 (* The cache key covers everything that determines a design: the training
    records, the layer spec, and a schema version to bump when the design
    pipeline itself changes. *)
-let schema_version = 1
+let schema_version = 2
 
 let spec_fingerprint (spec : Design.spec) =
   Marshal.to_string
@@ -132,7 +132,10 @@ let spec_fingerprint (spec : Design.spec) =
           (o.Signal.name, o.Signal.lo, o.Signal.hi, o.Signal.bound_fraction,
            o.Signal.integral))
         spec.Design.outputs,
-      Array.length spec.Design.externals,
+      Array.map
+        (fun (e : Signal.external_signal) ->
+          (e.name, e.channel.minimum, e.channel.maximum))
+        spec.Design.externals,
       spec.Design.uncertainty,
       spec.Design.period )
     []

@@ -26,15 +26,7 @@ let temp_range = (30.0, 95.0)
 (* Deviation bound of the three critical outputs (Table II: +-10%). *)
 let critical_bound = 0.10
 
-let inputs ?(weight = 1.0) () =
-  [|
-    Signal.input ~name:"big_cores" ~minimum:1.0 ~maximum:4.0 ~step:1.0 ~weight;
-    Signal.input ~name:"little_cores" ~minimum:1.0 ~maximum:4.0 ~step:1.0
-      ~weight;
-    Signal.input ~name:"freq_big" ~minimum:0.2 ~maximum:2.0 ~step:0.1 ~weight;
-    Signal.input ~name:"freq_little" ~minimum:0.2 ~maximum:1.4 ~step:0.1
-      ~weight;
-  |]
+let inputs ?(weight = 1.0) () = Knobs.inputs ~weight (Knobs.config ())
 
 let outputs ?(perf_bound = 0.20) () =
   let lo_p, hi_p = perf_range in
@@ -52,36 +44,12 @@ let outputs ?(perf_bound = 0.20) () =
       ~bound_fraction:critical_bound ~critical:true ~integral:false ();
   |]
 
-(* External signals: the three software-layer inputs (Table II), with
-   their discrete values as exchanged through the interface. *)
-let externals () =
-  [|
-    {
-      Signal.name = "threads_big";
-      info =
-        Signal.From_input
-          (Control.Quantize.make ~minimum:0.0 ~maximum:8.0 ~step:1.0);
-    };
-    {
-      Signal.name = "tpc_big";
-      info =
-        Signal.From_input
-          (Control.Quantize.make ~minimum:1.0 ~maximum:2.0 ~step:0.5);
-    };
-    {
-      Signal.name = "tpc_little";
-      info =
-        Signal.From_input
-          (Control.Quantize.make ~minimum:1.0 ~maximum:2.0 ~step:0.5);
-    };
-  |]
-
 let spec ?(uncertainty = 0.40) ?(input_weight = 1.0) ?(perf_bound = 0.20) () =
   {
     Design.layer = "hardware";
     inputs = inputs ~weight:input_weight ();
     outputs = outputs ~perf_bound ();
-    externals = externals ();
+    externals = Knobs.placement ();
     uncertainty;
     period;
   }
@@ -119,22 +87,3 @@ let make_optimizer () = Optimizer.make ~outputs:(outputs ()) ~roles:optimizer_ro
 
 let measurements (o : Board.Xu3.outputs) =
   [| o.Board.Xu3.bips; o.power_big; o.power_little; o.temperature |]
-
-let externals_of_placement (p : Board.Xu3.placement) =
-  [| Float.of_int p.Board.Xu3.threads_big; p.tpc_big; p.tpc_little |]
-
-let config_of_command (u : Vec.t) =
-  {
-    Board.Xu3.big_cores = int_of_float (Float.round u.(0));
-    little_cores = int_of_float (Float.round u.(1));
-    freq_big = u.(2);
-    freq_little = u.(3);
-  }
-
-let command_of_config (c : Board.Xu3.config) =
-  [|
-    Float.of_int c.Board.Xu3.big_cores;
-    Float.of_int c.little_cores;
-    c.freq_big;
-    c.freq_little;
-  |]

@@ -4,7 +4,8 @@
     frequencies (DVFS grids), all with weight 1. Outputs: total
     performance (+-20% bound) and the three critical signals — big/little
     cluster power and hot-spot temperature (+-10% bounds). External
-    signals: the three software-layer inputs. Guardband: +-40%.
+    signals: the three software-layer inputs ({!Knobs.placement}).
+    Guardband: +-40%.
 
     Goal: minimize E x D subject to
     [Power_big < 3.3 W], [Power_little < 0.33 W], [Temp < 79 C]
@@ -19,15 +20,12 @@ val period : float
 (** 0.5 s — the power-sensor-limited invocation period. *)
 
 val inputs : ?weight:float -> unit -> Signal.input array
-(** The four Table II inputs ([weight] defaults to the paper's 1). *)
+(** The four Table II inputs, {!Knobs.config} ([weight] defaults to the
+    paper's 1). *)
 
 val outputs : ?perf_bound:float -> unit -> Signal.output array
 (** The four Table II outputs: performance (default bound +-20%) and the
     three critical signals (+-10%). *)
-
-val externals : unit -> Signal.external_signal array
-(** The three software-layer inputs, with their discrete values as
-    exchanged through the Figure 3 interface. *)
 
 val spec :
   ?uncertainty:float ->
@@ -59,10 +57,3 @@ val make_optimizer : unit -> Optimizer.t
 
 val measurements : Board.Xu3.outputs -> Linalg.Vec.t
 (** [perf; power_big; power_little; temperature] from a board sample. *)
-
-val externals_of_placement : Board.Xu3.placement -> Linalg.Vec.t
-
-val config_of_command : Linalg.Vec.t -> Board.Xu3.config
-(** Interpret a (quantized) controller command as a board configuration. *)
-
-val command_of_config : Board.Xu3.config -> Linalg.Vec.t

@@ -22,7 +22,7 @@ let hw_layer ~externals controller =
     ~targets:(Layer.Optimized (Hw_layer.make_optimizer ()))
     ~measure:Hw_layer.measurements ~externals
     ~actuate:(fun board u ->
-      Xu3.set_config board (Hw_layer.config_of_command u))
+      Xu3.set_config board (Knobs.config_of_vec u))
     ()
 
 let sw_layer ~externals controller =
@@ -31,16 +31,16 @@ let sw_layer ~externals controller =
     ~targets:(Layer.Optimized (Sw_layer.make_optimizer ()))
     ~measure:Sw_layer.measurements ~externals
     ~actuate:(fun board u ->
-      Xu3.set_placement board (Sw_layer.placement_of_command u))
+      Xu3.set_placement board (Knobs.placement_of_vec u))
     ()
 
 let hw_ssv_layer (syn : Design.synthesis) =
   hw_layer syn.Design.controller ~externals:(fun board ->
-      Hw_layer.externals_of_placement (Xu3.placement board))
+      Knobs.vec_of_placement (Xu3.placement board))
 
 let sw_ssv_layer (syn : Design.synthesis) =
   sw_layer syn.Design.controller ~externals:(fun board ->
-      Sw_layer.externals_of_config (Xu3.config board))
+      Knobs.vec_of_config (Xu3.config board))
 
 let no_externals _board = [||]
 
@@ -50,9 +50,8 @@ let lqg_monolithic_layer controller =
     ~targets:(Layer.Optimized (Lqg_layer.monolithic_optimizer ()))
     ~measure:Lqg_layer.monolithic_measurements ~externals:no_externals
     ~actuate:(fun board u ->
-      Xu3.set_config board (Hw_layer.config_of_command (Vec.slice u 0 4));
-      Xu3.set_placement board
-        (Sw_layer.placement_of_command (Vec.slice u 4 3)))
+      Xu3.set_config board (Knobs.config_of_vec (Vec.slice u 0 4));
+      Xu3.set_placement board (Knobs.placement_of_vec (Vec.slice u 4 3)))
     ()
 
 (* The Table IV OS scheduler as a layer of its own: schemes (a) and (c)
@@ -93,14 +92,6 @@ let qos_layer () =
   let fps_output =
     Signal.output ~name:"fps" ~lo:0.0 ~hi:120.0 ~bound_fraction:0.1 ()
   in
-  let freq_external =
-    {
-      Signal.name = "freq_big";
-      info =
-        Signal.From_input
-          (Control.Quantize.make ~minimum:0.2 ~maximum:2.0 ~step:0.1);
-    }
-  in
   (* x(T+1) = 0.9 x + 0.25 dfps; u = x + 0.4 dfps + 0.05 freq: an
      integrating compensator with direct feedthrough. The loop gain is
      negative (higher quality costs more work per frame, so the frame
@@ -116,7 +107,7 @@ let qos_layer () =
   in
   let controller =
     Controller.make ~controller:core ~inputs:[| quality_knob |]
-      ~outputs:[| fps_output |] ~externals:[| freq_external |]
+      ~outputs:[| fps_output |] ~externals:[| Knobs.freq_big |]
   in
   Layer.controlled ~label:"qos"
     ~on_reset:(fun () -> quality := qos_quality_default)
@@ -212,9 +203,8 @@ let three_layer_stack () =
 let externals_centers externs =
   let centers =
     Array.map
-      (fun e ->
-        let lo, hi = Signal.external_range e in
-        (lo +. hi) /. 2.0)
+      (fun (e : Signal.external_signal) ->
+        (e.channel.minimum +. e.channel.maximum) /. 2.0)
       externs
   in
   fun _board -> centers
@@ -223,9 +213,9 @@ let yukta_no_externals_stack hw_syn sw_syn =
   Stack.make ~label:"yukta-no-externals"
     [
       Layer.with_externals (sw_ssv_layer sw_syn)
-        (externals_centers (Sw_layer.externals ()));
+        (externals_centers (Knobs.config ()));
       Layer.with_externals (hw_ssv_layer hw_syn)
-        (externals_centers (Hw_layer.externals ()));
+        (externals_centers (Knobs.placement ()));
     ]
 
 (* Optimizer-value ablation: both controllers track their initial

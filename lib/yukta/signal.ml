@@ -13,12 +13,7 @@ type output = {
   integral : bool;
 }
 
-type external_info =
-  | From_input of Control.Quantize.channel
-  | From_output of { lo : float; hi : float; bound : float }
-  | Opaque of { lo : float; hi : float }
-
-type external_signal = { name : string; info : external_info }
+type external_signal = { name : string; channel : Control.Quantize.channel }
 
 let input ~name ~minimum ~maximum ~step ~weight =
   if weight <= 0.0 then invalid_arg "Signal.input: weight must be positive";
@@ -33,41 +28,27 @@ let output ~name ~lo ~hi ~bound_fraction ?(critical = false)
 
 let bound_absolute o = o.bound_fraction *. (o.hi -. o.lo)
 
-let center_input i =
-  (i.channel.Control.Quantize.minimum +. i.channel.Control.Quantize.maximum)
-  /. 2.0
+let center (ch : Control.Quantize.channel) = (ch.minimum +. ch.maximum) /. 2.0
 
-let half_span_input i = Control.Quantize.span i.channel /. 2.0
+let half_span ch = Control.Quantize.span ch /. 2.0
 
 let center_output o = (o.lo +. o.hi) /. 2.0
 
 let half_span_output o = (o.hi -. o.lo) /. 2.0
 
-let normalize_input i x = (x -. center_input i) /. half_span_input i
+let normalize_input (i : input) x =
+  (x -. center i.channel) /. half_span i.channel
 
-let denormalize_input i x = center_input i +. (x *. half_span_input i)
+let denormalize_input (i : input) x =
+  center i.channel +. (x *. half_span i.channel)
 
 let normalize_output o x = (x -. center_output o) /. half_span_output o
 
 let denormalize_output o x = center_output o +. (x *. half_span_output o)
 
-let external_range e =
-  match e.info with
-  | From_input ch -> (ch.Control.Quantize.minimum, ch.Control.Quantize.maximum)
-  | From_output { lo; hi; _ } -> (lo, hi)
-  | Opaque { lo; hi } -> (lo, hi)
-
-(* Inlined per-case (rather than via [external_range]) so the per-step
-   hot path allocates no range tuple. *)
-let normalize_external e x =
-  let norm lo hi = (x -. ((lo +. hi) /. 2.0)) /. ((hi -. lo) /. 2.0) in
-  match e.info with
-  | From_input ch ->
-    norm ch.Control.Quantize.minimum ch.Control.Quantize.maximum
-  | From_output { lo; hi; _ } -> norm lo hi
-  | Opaque { lo; hi } -> norm lo hi
+let normalize_external e x = (x -. center e.channel) /. half_span e.channel
 
 let normalized_bound o = bound_absolute o /. half_span_output o
 
-let quantization_uncertainty i =
+let quantization_uncertainty (i : input) =
   Control.Quantize.relative_uncertainty i.channel

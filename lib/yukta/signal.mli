@@ -4,8 +4,8 @@
     signal, the information SSV synthesis consumes: allowed discrete values
     and a weight for each input; a deviation bound (as a fraction of the
     observed range) for each output; and, for each external signal, the
-    meta-information received from the owning layer through the interface
-    exchange.
+    allowed discrete values of the owning layer's input of that name,
+    received through the interface exchange (Figure 3).
 
     All design happens in {e normalized} coordinates: a signal with range
     [[lo, hi]] maps to [[-1, 1]] via its center and half-span. The helpers
@@ -32,15 +32,9 @@ type output = {
                            stay-under constraint rather than a setpoint). *)
 }
 
-(** What the owning layer exports about an external signal (Figure 3):
-    discrete values if it is an input there, a deviation bound if an
-    output, or nothing (the receiving team then inflates its guardband). *)
-type external_info =
-  | From_input of Control.Quantize.channel
-  | From_output of { lo : float; hi : float; bound : float }
-  | Opaque of { lo : float; hi : float }
-
-type external_signal = { name : string; info : external_info }
+(** Another layer's input, read by this layer (Figure 3). Design and
+    runtime read only the channel's range, to normalize. *)
+type external_signal = { name : string; channel : Control.Quantize.channel }
 
 val input : name:string -> minimum:float -> maximum:float -> step:float -> weight:float -> input
 
@@ -67,7 +61,6 @@ val denormalize_input : input -> float -> float
 val normalize_output : output -> float -> float
 val denormalize_output : output -> float -> float
 
-val external_range : external_signal -> float * float
 val normalize_external : external_signal -> float -> float
 
 val normalized_bound : output -> float

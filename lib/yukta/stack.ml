@@ -107,7 +107,6 @@ type stepper = {
   s_stack : t;
   board : Xu3.t;
   epoch : float;
-  cap_stream : (float -> float option) option;
   health : Obs.Health.t;
   hlayers : Obs.Health.layer list;
   ch_pb : Obs.Health.channel;
@@ -118,8 +117,7 @@ type stepper = {
   mutable epochs : int;
 }
 
-let stepper ?sensor_period ?(epoch = default_epoch) ?injector ?cap t workloads
-    =
+let stepper ?sensor_period ?(epoch = default_epoch) ?injector t workloads =
   if not (epoch > 0.0) then
     invalid_arg "Stack.stepper: epoch must be positive";
   let board = Xu3.create ?sensor_period ?injector workloads in
@@ -136,7 +134,6 @@ let stepper ?sensor_period ?(epoch = default_epoch) ?injector ?cap t workloads
     s_stack = t;
     board;
     epoch;
-    cap_stream = cap;
     health;
     hlayers;
     ch_pb;
@@ -157,20 +154,9 @@ let epoch_count s = s.epochs
 let step_epoch s =
   if Xu3.finished s.board then None
   else begin
-    (* Sample the cap stream at epoch start: the value governs both the
-       board's emergency enforcement during the epoch and the layers'
-       target rewrites after it. Cap-less runs never touch the board. *)
-    let cap_now =
-      match s.cap_stream with
-      | None -> None
-      | Some stream ->
-        let c = stream (Xu3.time s.board) in
-        Xu3.set_power_cap s.board c;
-        c
-    in
     let o = Xu3.run_epoch s.board s.epoch in
     List.iter2
-      (fun l hl -> Layer.step ~health:hl ?cap:cap_now l s.board o)
+      (fun l hl -> Layer.step ~health:hl l s.board o)
       s.s_stack.layers s.hlayers;
     let now = Xu3.time s.board in
     let dt = now -. s.last_time in
@@ -212,8 +198,8 @@ let result_of_stepper s ~trace =
   }
 
 let run ?(max_time = default_max_time) ?(collect_trace = false)
-    ?sensor_period ?epoch ?injector ?cap t workloads =
-  let s = stepper ?sensor_period ?epoch ?injector ?cap t workloads in
+    ?sensor_period ?epoch ?injector t workloads =
+  let s = stepper ?sensor_period ?epoch ?injector t workloads in
   let trace = ref [] in
   let continue = ref true in
   while !continue && Xu3.time s.board < max_time do

@@ -31,8 +31,8 @@ val reset : t -> unit
 val step : ?cap:float -> t -> Board.Xu3.t -> Board.Xu3.outputs -> unit
 (** One epoch: step every layer in declared order. [?cap] is the
     external total-power cap active this epoch, forwarded to every
-    {!Layer.step}; the caller is responsible for also imposing it on
-    the board ({!Board.Xu3.set_power_cap}) — {!run} does both. *)
+    {!Layer.step}; the caller also imposes it on the board
+    ({!Board.Xu3.set_power_cap}), as [Fleet.Sim] does for each board. *)
 
 val default_epoch : float
 (** The default invocation period, seconds (0.5 — the power-sensor-
@@ -69,8 +69,8 @@ type result = {
 
     The stepping loop, reified as a value: a [stepper] owns a fresh
     board and advances it one epoch per {!step_epoch} call, doing
-    exactly what one iteration of {!run}'s loop does — cap sampling,
-    layer stepping, health feeding. {!run} itself is implemented on a
+    exactly what one iteration of {!run}'s loop does — layer stepping
+    and health feeding. {!run} itself is implemented on a
     stepper, so any driver that hosts one (a serving session, a bench)
     produces bit-identical decisions to a batch run of the same stack
     by construction. *)
@@ -81,7 +81,6 @@ val stepper :
   ?sensor_period:float ->
   ?epoch:float ->
   ?injector:Board.Xu3.injector ->
-  ?cap:(float -> float option) ->
   t ->
   Board.Workload.t list ->
   stepper
@@ -121,7 +120,6 @@ val run :
   ?sensor_period:float ->
   ?epoch:float ->
   ?injector:Board.Xu3.injector ->
-  ?cap:(float -> float option) ->
   t ->
   Board.Workload.t list ->
   result
@@ -132,10 +130,4 @@ val run :
     fault-injection hooks to the board (robustness campaigns). Emits
     per-epoch [runtime.epoch] events and a [runtime.run_complete]
     summary when the Obs collector is on.
-
-    [cap] is a time-varying external power-cap stream: sampled at each
-    epoch start with the current simulated time, the returned watts (or
-    [None] for uncapped) are imposed on the board and forwarded to
-    every layer's step. Not supplying [cap] is bit-identical to a
-    cap-less build; so is a stream that always returns [None].
     @raise Invalid_argument on a non-positive [epoch]. *)

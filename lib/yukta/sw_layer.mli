@@ -4,15 +4,17 @@
     hardware, Section IV-B): threads assigned to the big cluster and the
     average threads per non-idle core in each cluster. Outputs (+-20%
     bounds): per-cluster performance and the spare-compute-capacity
-    difference of Eq. 2. External signals: the four hardware-layer inputs.
-    Guardband: +-50%.
+    difference of Eq. 2. External signals: the four hardware-layer
+    inputs ({!Knobs.config}). Guardband: +-50%.
 
     Goal: minimize E x D, relying on the hardware controller for the
     power/temperature caps. *)
 
 val inputs : ?weight:float -> unit -> Signal.input array
+(** The three Table III inputs, {!Knobs.placement} ([weight] defaults to
+    the paper's 2). *)
+
 val outputs : ?bound:float -> unit -> Signal.output array
-val externals : unit -> Signal.external_signal array
 
 val spec :
   ?uncertainty:float -> ?input_weight:float -> ?bound:float -> unit -> Design.spec
@@ -26,7 +28,3 @@ val make_optimizer : unit -> Optimizer.t
 
 val measurements : Board.Xu3.outputs -> Linalg.Vec.t
 (** [perf_little; perf_big; spare_big - spare_little]. *)
-
-val externals_of_config : Board.Xu3.config -> Linalg.Vec.t
-val placement_of_command : Linalg.Vec.t -> Board.Xu3.placement
-val command_of_placement : Board.Xu3.placement -> Linalg.Vec.t

@@ -47,21 +47,9 @@ let collect ?(epochs_per_workload = 220) () =
       while !i < epochs_per_workload && not (Board.Xu3.finished board) do
         let s = seq.(!i) in
         incr i;
-        let config =
-          Board.Xu3.
-            {
-              big_cores = int_of_float s.(0);
-              little_cores = int_of_float s.(1);
-              freq_big = s.(2);
-              freq_little = s.(3);
-            }
-        in
-        let placement =
-          Board.Xu3.
-            { threads_big = int_of_float s.(4); tpc_big = s.(5); tpc_little = s.(6) }
-        in
-        Board.Xu3.set_config board config;
-        Board.Xu3.set_placement board placement;
+        Board.Xu3.set_config board (Knobs.config_of_vec (Vec.slice s 0 4));
+        Board.Xu3.set_placement board
+          (Knobs.placement_of_vec (Vec.slice s 4 3));
         let o = Board.Xu3.run_epoch board epoch in
         (* Record what the hardware actually ran (the requested values
            after quantization and any emergency clamping) and what the
@@ -69,8 +57,8 @@ let collect ?(epochs_per_workload = 220) () =
            input-output relation. *)
         let c = Board.Xu3.effective_config board in
         let p = Board.Xu3.placement board in
-        let hw_in = Hw_layer.command_of_config c in
-        let sw_in = Sw_layer.command_of_placement p in
+        let hw_in = Knobs.vec_of_config c in
+        let sw_in = Knobs.vec_of_placement p in
         hw_u := Vec.concat hw_in sw_in :: !hw_u;
         hw_y := Hw_layer.measurements o :: !hw_y;
         sw_u := Vec.concat sw_in hw_in :: !sw_u;

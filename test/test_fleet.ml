@@ -147,42 +147,40 @@ let test_policy_names_round_trip () =
 let cap_workloads () =
   [ Workload.scale ~ginsts:30.0 (Workload.by_name "blackscholes") ]
 
+let coord_stack () = Schemes.stack (Schemes.find_exn "coord")
+
+let batch_metrics () =
+  (Stack.run ~max_time:120.0 (coord_stack ()) (cap_workloads ()))
+    .Stack.metrics
+
+(* The per-board loop [Fleet.Sim] runs: the cap imposed on the board
+   ([Xu3.set_power_cap]) and forwarded to every layer ([Stack.step]). *)
+let capped_metrics cap =
+  let stack = coord_stack () in
+  let board = Xu3.create (cap_workloads ()) in
+  Stack.reset stack;
+  Xu3.set_power_cap board cap;
+  while (not (Xu3.finished board)) && Xu3.time board < 120.0 do
+    let o = Xu3.run_epoch board Stack.default_epoch in
+    Stack.step ?cap stack board o
+  done;
+  Xu3.metrics board
+
 let test_cap_absent_is_bit_identical () =
-  let stack = Schemes.stack (Schemes.find_exn "coord") in
-  let bare =
-    Stack.reset stack;
-    Stack.run ~max_time:120.0 stack (cap_workloads ())
-  in
-  let none_stream =
-    Stack.reset stack;
-    Stack.run ~max_time:120.0 ~cap:(fun _ -> None) stack (cap_workloads ())
-  in
-  let huge =
-    Stack.reset stack;
-    Stack.run ~max_time:120.0 ~cap:(fun _ -> Some 1000.0) stack (cap_workloads ())
-  in
-  check_bool "always-None cap stream is bit-identical" true
-    (bare.Stack.metrics = none_stream.Stack.metrics);
+  let bare = batch_metrics () in
+  check_bool "no cap reproduces Stack.run" true (capped_metrics None = bare);
   (* A cap far above what the board can draw never trips the limiter,
      and the heuristic stack ignores it: same trajectory. *)
   check_bool "unreachable cap is bit-identical" true
-    (bare.Stack.metrics = huge.Stack.metrics)
+    (capped_metrics (Some 1000.0) = bare)
 
 let test_tight_cap_enforced () =
-  let stack = Schemes.stack (Schemes.find_exn "coord") in
-  let bare =
-    Stack.reset stack;
-    Stack.run ~max_time:120.0 stack (cap_workloads ())
-  in
-  let capped =
-    Stack.reset stack;
-    Stack.run ~max_time:120.0 ~cap:(fun _ -> Some 1.0) stack (cap_workloads ())
-  in
+  let bare = batch_metrics () in
+  let capped = capped_metrics (Some 1.0) in
   check_bool "tight cap trips the power_cap limiter" true
-    (capped.Stack.metrics.Xu3.trips > bare.Stack.metrics.Xu3.trips);
+    (capped.Xu3.trips > bare.Xu3.trips);
   check_bool "tight cap slows the run" true
-    (capped.Stack.metrics.Xu3.execution_time
-    > bare.Stack.metrics.Xu3.execution_time)
+    (capped.Xu3.execution_time > bare.Xu3.execution_time)
 
 let test_cap_targets_identity () =
   let targets = [| 8.0; 3.3; 0.33; 79.0 |] in

@@ -103,6 +103,31 @@ let test_session_bit_identical_to_batch () =
   | _ -> Alcotest.failf "expected exactly one end line, got %d" (List.length rest));
   check_int "frames served" n (Serve.Session.frames_served t)
 
+(* With no plant drift the adaptation engine only observes: an
+   adaptive hw-ssv session streams the frozen session's frames byte for
+   byte and never sends an [adapt] notice. *)
+let served_lines ~adapt =
+  let t = fresh_session () in
+  enqueue_ok t
+    (Printf.sprintf
+       {|{"type":"configure","scheme":"hw-ssv","app":"blackscholes","adapt":%b}|}
+       adapt);
+  enqueue_ok t {|{"type":"step","count":100000}|};
+  let lines = Serve.Session.process t in
+  Serve.Session.finish t;
+  lines
+
+let test_session_adapt_without_drift_observes () =
+  let frames lines = List.filter (fun l -> jtype l = "frame") lines in
+  let frozen = served_lines ~adapt:false in
+  let adaptive = served_lines ~adapt:true in
+  check_bool "configured adaptive" true
+    (List.exists (fun l -> jtype l = "configured" && jbool "adapt" l) adaptive);
+  check_bool "run has epochs" true (List.length (frames frozen) > 100);
+  check_bool "frames byte-identical" true (frames adaptive = frames frozen);
+  check_int "no adapt lines" 0
+    (List.length (List.filter (fun l -> jtype l = "adapt") adaptive))
+
 (* ------------------------------------------------------------------ *)
 (* Crash isolation and backpressure                                    *)
 (* ------------------------------------------------------------------ *)
@@ -357,6 +382,8 @@ let () =
         [
           Alcotest.test_case "bit-identical to batch" `Quick
             test_session_bit_identical_to_batch;
+          Alcotest.test_case "adapt without drift only observes" `Quick
+            test_session_adapt_without_drift_observes;
           Alcotest.test_case "malformed is non-fatal" `Quick
             test_session_malformed_is_nonfatal;
           Alcotest.test_case "requires configure" `Quick

@@ -14,10 +14,6 @@ let check_string = Alcotest.(check string)
 let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | _ -> false
 
-(* A scratch directory per call, under the test's cwd so dune cleans it
-   with the build tree. *)
-let scratch_counter = ref 0
-
 let rec rm_rf path =
   if Sys.file_exists path then
     if Sys.is_directory path then begin
@@ -26,11 +22,11 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-let scratch_dir () =
-  incr scratch_counter;
-  let d = Printf.sprintf "_sweep_test_%d" !scratch_counter in
-  rm_rf d;
-  d
+(* [f] on a fresh directory under the system temp directory, removed
+   afterwards whatever [f] does. *)
+let with_scratch_dir f =
+  let dir = Filename.temp_dir "yukta_sweep_test" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* ------------------------------------------------------------------ *)
 (* Space                                                               *)
@@ -225,7 +221,7 @@ let write_checkpoint ~fingerprint file records =
   close_out oc
 
 let test_checkpoint_roundtrip () =
-  let dir = scratch_dir () in
+  with_scratch_dir @@ fun dir ->
   let file = Checkpoint.path ~dir ~fingerprint:"fp" ~shard:1 ~shards:2 in
   check_bool "missing file loads empty" true
     (Checkpoint.load ~fingerprint:"fp" file = []);
@@ -238,11 +234,10 @@ let test_checkpoint_roundtrip () =
   Checkpoint.append oc (record 9);
   close_out oc;
   check_int "append extends" 4
-    (List.length (Checkpoint.load ~fingerprint:"fp" file));
-  rm_rf dir
+    (List.length (Checkpoint.load ~fingerprint:"fp" file))
 
 let test_checkpoint_partial_tail () =
-  let dir = scratch_dir () in
+  with_scratch_dir @@ fun dir ->
   let file = Checkpoint.path ~dir ~fingerprint:"fp" ~shard:1 ~shards:1 in
   write_checkpoint ~fingerprint:"fp" file (List.map record [ 0; 1 ]);
   (* A kill mid-append leaves a partial final line: tolerated. *)
@@ -250,11 +245,10 @@ let test_checkpoint_partial_tail () =
   output_string oc "{\"type\":\"point\",\"id\":2,\"del";
   close_out oc;
   check_int "partial tail dropped" 2
-    (List.length (Checkpoint.load ~fingerprint:"fp" file));
-  rm_rf dir
+    (List.length (Checkpoint.load ~fingerprint:"fp" file))
 
 let test_checkpoint_corruption () =
-  let dir = scratch_dir () in
+  with_scratch_dir @@ fun dir ->
   let file = Checkpoint.path ~dir ~fingerprint:"fp" ~shard:1 ~shards:1 in
   write_checkpoint ~fingerprint:"fp" file [ record 0 ];
   let oc = open_out_gen [ Open_append ] 0o644 file in
@@ -267,11 +261,10 @@ let test_checkpoint_corruption () =
   check_bool "garbage mid-file raises" true
     (match Checkpoint.load ~fingerprint:"fp" file with
     | _ -> false
-    | exception Checkpoint.Mismatch _ -> true);
-  rm_rf dir
+    | exception Checkpoint.Mismatch _ -> true)
 
 let test_checkpoint_fingerprint_mismatch () =
-  let dir = scratch_dir () in
+  with_scratch_dir @@ fun dir ->
   let file = Checkpoint.path ~dir ~fingerprint:"old" ~shard:1 ~shards:1 in
   write_checkpoint ~fingerprint:"old" file [ record 0 ];
   check_bool "foreign fingerprint raises" true
@@ -285,8 +278,7 @@ let test_checkpoint_fingerprint_mismatch () =
   check_bool "non-checkpoint file raises" true
     (match Checkpoint.load ~fingerprint:"new" foreign with
     | _ -> false
-    | exception Checkpoint.Mismatch _ -> true);
-  rm_rf dir
+    | exception Checkpoint.Mismatch _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Plan, shards, merge (no synthesis needed)                           *)
@@ -398,17 +390,20 @@ let block outcome =
     (Run.frontier_block outcome.Run.plan outcome.Run.frontier)
 
 let test_e2e_serial_parallel_byte_identical () =
-  let serial = Run.run ~dir:(scratch_dir ()) e2e_plan in
+  with_scratch_dir @@ fun dir ->
+  let serial = Run.run ~dir:(Filename.concat dir "serial") e2e_plan in
   check_int "all points evaluated" 3 serial.Run.evaluated;
   check_bool "frontier non-empty" true (Frontier.size serial.Run.frontier > 0);
   let pool = Parallel.Pool.create ~jobs:4 in
-  let parallel = Run.run ~pool ~dir:(scratch_dir ()) e2e_plan in
+  let parallel =
+    Run.run ~pool ~dir:(Filename.concat dir "parallel") e2e_plan
+  in
   Parallel.Pool.shutdown pool;
   check_string "-j1 and -j4 frontier blocks byte-identical" (block serial)
     (block parallel)
 
 let test_e2e_resume_after_kill () =
-  let dir = scratch_dir () in
+  with_scratch_dir @@ fun dir ->
   let first = Run.run ~dir e2e_plan in
   let file = first.Run.checkpoint in
   (* Simulate a kill: drop the last complete record and leave a partial
@@ -433,25 +428,24 @@ let test_e2e_resume_after_kill () =
   (* A third run resumes everything. *)
   let third = Run.run ~dir e2e_plan in
   check_int "nothing left to evaluate" 0 third.Run.evaluated;
-  check_int "all points resumed" 3 third.Run.resumed;
-  rm_rf dir
+  check_int "all points resumed" 3 third.Run.resumed
 
 let test_e2e_sharded_merge_equals_single_shot () =
-  let whole = Run.run ~dir:(scratch_dir ()) e2e_plan in
-  let dir = scratch_dir () in
+  with_scratch_dir @@ fun dir ->
+  let whole = Run.run ~dir:(Filename.concat dir "whole") e2e_plan in
   let artifact shard =
-    Run.artifact ~jobs:1 ~wall_s:0.0 (Run.run ~dir ~shard e2e_plan)
+    Run.artifact ~jobs:1 ~wall_s:0.0
+      (Run.run ~dir:(Filename.concat dir "sharded") ~shard e2e_plan)
   in
   let docs =
     [ artifact { Run.index = 1; shards = 2 };
       artifact { Run.index = 2; shards = 2 } ]
   in
   check_string "sharded-then-merged equals single-shot" (block whole)
-    (Obs.Json.to_string (Run.merge docs));
-  rm_rf dir
+    (Obs.Json.to_string (Run.merge docs))
 
 let test_e2e_checkpoint_fingerprint_guard () =
-  let dir = scratch_dir () in
+  with_scratch_dir @@ fun dir ->
   ignore (Run.run ~dir e2e_plan);
   (* Same checkpoint path shape, different probe: fingerprint differs,
      so the files never collide; forcing a collision raises. *)
@@ -469,8 +463,7 @@ let test_e2e_checkpoint_fingerprint_guard () =
   check_bool "resume refuses a foreign checkpoint" true
     (match Run.run ~dir other with
     | _ -> false
-    | exception Checkpoint.Mismatch _ -> true);
-  rm_rf dir
+    | exception Checkpoint.Mismatch _ -> true)
 
 let () =
   Alcotest.run "sweep"

@@ -51,7 +51,10 @@ let test_signal_validation () =
 
 let test_signal_external_normalization () =
   let e =
-    { Signal.name = "threads"; info = Signal.Opaque { lo = 0.0; hi = 8.0 } }
+    {
+      Signal.name = "threads";
+      channel = Control.Quantize.make ~minimum:0.0 ~maximum:8.0 ~step:1.0;
+    }
   in
   check_float "center" 0.0 (Signal.normalize_external e 4.0);
   check_float "max" 1.0 (Signal.normalize_external e 8.0)
@@ -59,6 +62,13 @@ let test_signal_external_normalization () =
 (* ------------------------------------------------------------------ *)
 (* Controller (runtime state machine)                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* An external signal whose range [-1, 1] normalizes to itself. *)
+let unit_external =
+  {
+    Signal.name = "e";
+    channel = Control.Quantize.make ~minimum:(-1.0) ~maximum:1.0 ~step:0.1;
+  }
 
 (* A hand-built "controller" whose command equals the (normalized)
    deviation of its single output, plus the external: easy to predict. *)
@@ -71,9 +81,7 @@ let toy_controller () =
       ()
   in
   Controller.make ~controller:core ~inputs:[| freq_input |]
-    ~outputs:[| perf_output |]
-    ~externals:
-      [| { Signal.name = "e"; info = Signal.Opaque { lo = -1.0; hi = 1.0 } } |]
+    ~outputs:[| perf_output |] ~externals:[| unit_external |]
 
 let test_controller_step_quantizes () =
   let c = toy_controller () in
@@ -148,7 +156,7 @@ let test_controller_cost_matches_paper_shape () =
   in
   let inputs = Hw_layer.inputs () in
   let outputs = Hw_layer.outputs () in
-  let externals = Hw_layer.externals () in
+  let externals = Knobs.placement () in
   let c = Controller.make ~controller:core ~inputs ~outputs ~externals in
   let cost = Controller.cost c in
   check_int "states" 20 cost.Controller.states;
@@ -240,8 +248,7 @@ let tiny_spec =
     Design.layer = "tiny";
     inputs = [| freq_input |];
     outputs = [| perf_output |];
-    externals =
-      [| { Signal.name = "e"; info = Signal.Opaque { lo = -1.0; hi = 1.0 } } |];
+    externals = [| unit_external |];
     uncertainty = 0.3;
     period = 0.5;
   }
@@ -348,33 +355,42 @@ let test_sw_layer_table3 () =
   check_float "input weight" 2.0 spec.Design.inputs.(0).Signal.weight
 
 let test_layer_interface_consistency () =
-  (* Every hw external must be an sw input and vice versa (Figure 3). *)
+  (* Every external of one layer is the other layer's input of the same
+     name, with the same discrete values (Figure 3). *)
   let hw = Hw_layer.spec () and sw = Sw_layer.spec () in
-  let sw_input_names =
-    Array.to_list
-      (Array.map (fun (i : Signal.input) -> i.Signal.name) sw.Design.inputs)
+  let check_against (owner : Design.spec) (reader : Design.spec) =
+    Array.iter
+      (fun (e : Signal.external_signal) ->
+        match
+          Array.find_opt
+            (fun (i : Signal.input) -> i.Signal.name = e.Signal.name)
+            owner.Design.inputs
+        with
+        | None ->
+          Alcotest.failf "%s external %s is no %s input" reader.Design.layer
+            e.Signal.name owner.Design.layer
+        | Some i ->
+          let ch (c : Control.Quantize.channel) =
+            [ c.minimum; c.maximum; c.step ]
+          in
+          Alcotest.(check (list (float 0.0)))
+            (e.Signal.name ^ " channel") (ch i.Signal.channel)
+            (ch e.Signal.channel))
+      reader.Design.externals
   in
-  Array.iter
-    (fun e -> check_bool e.Signal.name true (List.mem e.Signal.name sw_input_names))
-    hw.Design.externals;
-  let hw_input_names =
-    Array.to_list
-      (Array.map (fun (i : Signal.input) -> i.Signal.name) hw.Design.inputs)
-  in
-  Array.iter
-    (fun e -> check_bool e.Signal.name true (List.mem e.Signal.name hw_input_names))
-    sw.Design.externals
+  check_against sw hw;
+  check_against hw sw
 
 let test_hw_command_roundtrip () =
   let c =
     { Board.Xu3.big_cores = 3; little_cores = 2; freq_big = 1.4; freq_little = 0.8 }
   in
-  let c' = Hw_layer.config_of_command (Hw_layer.command_of_config c) in
+  let c' = Knobs.config_of_vec (Knobs.vec_of_config c) in
   check_bool "roundtrip" true (c = c')
 
 let test_sw_command_roundtrip () =
   let p = { Board.Xu3.threads_big = 5; tpc_big = 1.5; tpc_little = 1.0 } in
-  let p' = Sw_layer.placement_of_command (Sw_layer.command_of_placement p) in
+  let p' = Knobs.placement_of_vec (Knobs.vec_of_placement p) in
   check_bool "roundtrip" true (p = p')
 
 (* ------------------------------------------------------------------ *)
