@@ -10,8 +10,8 @@
    but absent from the candidate are "missing" (a gate must not pass
    because a kernel silently stopped running); kernels only in the
    candidate are "new". Exit codes: 0 pass, 1 regression or missing
-   kernel, 2 usage/IO/schema errors. Verdict schema
-   (yukta.bench-compare/v1) in BENCHMARKS.md. *)
+   kernel, 2 usage/IO/schema errors; --help (or -h) exits 0. Verdict
+   schema (yukta.bench-compare/v1) in BENCHMARKS.md. *)
 
 let schema = "yukta.bench-micro/v1"
 
@@ -25,32 +25,17 @@ type case = {
   status : string; (* ok | regression | improved | missing | new *)
 }
 
-let usage () =
-  prerr_endline
-    "usage: bench compare [--tolerance T] [--json OUT] BASELINE CANDIDATE"
-
-let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("bench compare: " ^ s); exit 2) fmt
-
 (* Kernel -> median list from a bench-micro document, in document order. *)
 let load path =
-  let text =
-    match In_channel.with_open_text path In_channel.input_all with
-    | s -> s
-    | exception Sys_error msg -> fail "%s" msg
-  in
-  let json =
-    match Obs.Json.of_string text with
-    | j -> j
-    | exception Obs.Json.Parse_error msg -> fail "%s: %s" path msg
-  in
+  let json = Cli.read_json path in
   (match Option.bind (Obs.Json.member "schema" json) Obs.Json.to_string_opt with
   | Some s when s = schema -> ()
-  | Some s -> fail "%s: schema %S, expected %S" path s schema
-  | None -> fail "%s: missing \"schema\" field" path);
+  | Some s -> Cli.fail "%s: schema %S, expected %S" path s schema
+  | None -> Cli.fail "%s: missing \"schema\" field" path);
   let kernels =
     match Option.bind (Obs.Json.member "kernels" json) Obs.Json.to_list_opt with
     | Some l -> l
-    | None -> fail "%s: missing \"kernels\" list" path
+    | None -> Cli.fail "%s: missing \"kernels\" list" path
   in
   List.filter_map
     (fun k ->
@@ -59,7 +44,7 @@ let load path =
           Option.bind (Obs.Json.member "median_s" k) Obs.Json.to_float_opt )
       with
       | Some name, Some median -> Some (name, median)
-      | _ -> fail "%s: kernel entry lacks \"kernel\"/\"median_s\"" path)
+      | _ -> Cli.fail "%s: kernel entry lacks \"kernel\"/\"median_s\"" path)
     kernels
 
 let classify ~tolerance baseline candidate =
@@ -135,34 +120,20 @@ let pretty_time = function
 
 let main args =
   let tolerance = ref 0.25 in
-  let json_out = ref None in
   let positional = ref [] in
-  let rec parse = function
-    | "--tolerance" :: t :: rest -> (
-      match float_of_string_opt t with
-      | Some t when t > 0.0 ->
-        tolerance := t;
-        parse rest
-      | _ -> fail "--tolerance expects a positive number, got %S" t)
-    | "--json" :: path :: rest ->
-      json_out := Some path;
-      parse rest
-    | [ ("--tolerance" | "--json") ] -> fail "missing value after last flag"
-    | ("--help" | "-h") :: _ ->
-      usage ();
-      exit 0
-    | a :: rest ->
-      positional := a :: !positional;
-      parse rest
-    | [] -> ()
-  in
-  parse args;
+  Cli.parse "bench compare"
+    "usage: bench compare [--tolerance T] [--json OUT] BASELINE CANDIDATE"
+    ~anon:(fun a -> positional := a :: !positional)
+    [
+      Cli.positive "--tolerance" (( := ) tolerance)
+        "T Tolerance band on the median ratio (default 0.25)";
+      Cli.json_spec;
+    ]
+    (List.map (fun a -> if a = "-h" then "--help" else a) args);
   let base_path, cand_path =
     match List.rev !positional with
     | [ b; c ] -> (b, c)
-    | _ ->
-      usage ();
-      exit 2
+    | _ -> Cli.fail "expects two documents, BASELINE and CANDIDATE"
   in
   let cases =
     classify ~tolerance:!tolerance (load base_path) (load cand_path)
@@ -187,26 +158,17 @@ let main args =
     (if pass then "PASS" else "FAIL")
     (List.length cases) regressions missing (count "new" cases)
     (100.0 *. !tolerance);
-  (match !json_out with
-  | None -> ()
-  | Some path ->
-    let doc =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.String verdict_schema);
-          ("baseline", Obs.Json.String base_path);
-          ("candidate", Obs.Json.String cand_path);
-          ("tolerance", Obs.Json.Float !tolerance);
-          ("pass", Obs.Json.Bool pass);
-          ("regressions", Obs.Json.Int regressions);
-          ("missing", Obs.Json.Int missing);
-          ("new", Obs.Json.Int (count "new" cases));
-          ("kernels", Obs.Json.List (List.map case_json cases));
-        ]
-    in
-    let oc = open_out path in
-    output_string oc (Obs.Json.to_string ~pretty:true doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" path);
+  Cli.write_json
+    (Obs.Json.Obj
+       [
+         ("schema", Obs.Json.String verdict_schema);
+         ("baseline", Obs.Json.String base_path);
+         ("candidate", Obs.Json.String cand_path);
+         ("tolerance", Obs.Json.Float !tolerance);
+         ("pass", Obs.Json.Bool pass);
+         ("regressions", Obs.Json.Int regressions);
+         ("missing", Obs.Json.Int missing);
+         ("new", Obs.Json.Int (count "new" cases));
+         ("kernels", Obs.Json.List (List.map case_json cases));
+       ]);
   if pass then 0 else 1

@@ -12,89 +12,57 @@
    static even split) and streaming throughput in board epochs per wall
    second. The --json document's "fleet" block holds only simulated
    quantities, so it is byte-identical at any -j; wall clock and
-   throughput land in the "bench" block. Schema in BENCHMARKS.md. *)
+   throughput land in the "bench" block. Schema in BENCHMARKS.md. This
+   is the one fleet front-end: [--policy feedback] alone is a single
+   64-board coord run at 1.6 W per board, seed 42. *)
 
 let policies =
   [ Fleet.Rack.Even_split; Fleet.Rack.Proportional; Fleet.Rack.Feedback ]
 
-let usage () =
-  prerr_endline
-    "usage: bench fleet [--smoke] [-j N] [--json OUT] [--boards N]\n\
-    \                   [--cap W_PER_BOARD] [--policy P] [--scheme S] [--seed N]";
-  2
-
 let main args =
-  let smoke = ref false in
-  let jobs = ref 1 in
-  let json_path = ref None in
   let boards = ref 0 in
   let cap = ref None in
   let policy = ref None in
   let scheme = ref "coord" in
   let seed = ref 42 in
-  let bad fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
-  let int_value flag n k =
-    match int_of_string_opt n with
-    | Some v when v >= 1 -> k v
-    | _ -> bad "bench fleet: %s expects an integer >= 1, got %S" flag n
+  let set_policy p =
+    match Fleet.Rack.policy_of_string p with
+    | Some v -> policy := Some v
+    | None ->
+      Cli.bad "unknown policy %S (even-split, proportional, feedback)" p
   in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | ("-j" | "--jobs") :: n :: rest ->
-      int_value "-j" n (fun v -> jobs := v);
-      parse rest
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse rest
-    | "--boards" :: n :: rest ->
-      int_value "--boards" n (fun v -> boards := v);
-      parse rest
-    | "--cap" :: w :: rest ->
-      (match float_of_string_opt w with
-      | Some v when v > 0.0 -> cap := Some v
-      | _ -> bad "bench fleet: --cap expects a positive per-board wattage");
-      parse rest
-    | "--policy" :: p :: rest ->
-      (match Fleet.Rack.policy_of_string p with
-      | Some v -> policy := Some v
-      | None -> bad "bench fleet: unknown policy %S (even-split, proportional, feedback)" p);
-      parse rest
-    | "--scheme" :: s :: rest ->
-      scheme := s;
-      parse rest
-    | "--seed" :: n :: rest ->
-      int_value "--seed" n (fun v -> seed := v);
-      parse rest
-    | [ ("-j" | "--jobs" | "--json" | "--boards" | "--cap" | "--policy"
-        | "--scheme" | "--seed") ] ->
-      prerr_endline "bench fleet: missing value after last flag";
-      exit 2
-    | a :: _ ->
-      Printf.eprintf "bench fleet: unknown argument %S\n" a;
-      exit (usage ())
-  in
-  parse args;
-  if Yukta.Schemes.find !scheme = None then
-    bad "bench fleet: unknown scheme %S (see yukta_cli schemes)" !scheme;
-  let boards = if !boards > 0 then !boards else if !smoke then 8 else 64 in
-  let max_time = if !smoke then 60.0 else 240.0 in
-  let ginsts = if !smoke then 20.0 else 60.0 in
+  Cli.parse "bench fleet" "usage: bench fleet [FLAG...]"
+    ([
+       Cli.smoke_spec " 8 boards, 60 s horizon, smaller workloads";
+       Cli.json_spec;
+       Cli.count "--boards" (fun n -> boards := n) "N Boards (default 64)";
+       Cli.positive "--cap" (fun w -> cap := Some w)
+         "W Shared rack budget per board, watts (default 1.6)";
+       ( "--policy",
+         Arg.String set_policy,
+         "P Run only even-split, proportional or feedback (default: all)" );
+       Cli.scheme_spec scheme "S Per-board scheme (default coord)";
+       Cli.count "--seed" (( := ) seed) "N Fleet seed (default 42)";
+     ]
+    @ Cli.jobs_specs)
+    args;
+  let smoke = !Cli.smoke in
+  let boards = if !boards > 0 then !boards else if smoke then 8 else 64 in
+  let max_time = if smoke then 60.0 else 240.0 in
+  let ginsts = if smoke then 20.0 else 60.0 in
   let config policy =
     Fleet.Sim.config ?cap_per_board:!cap ~policy ~scheme:!scheme ~seed:!seed
       ~max_time ~ginsts ~boards ()
   in
   let run_policies = match !policy with Some p -> [ p ] | None -> policies in
-  let pool = Parallel.Pool.create ~jobs:!jobs in
+  let pool = Parallel.Pool.create ~jobs:!Cli.jobs in
   let c0 = config (List.hd run_policies) in
   Printf.printf
     "fleet: %d boards x %s, budget %.1f W (%.2f W/board), %s, seed %d, -j %d\n"
     boards !scheme c0.Fleet.Sim.cap
     (c0.Fleet.Sim.cap /. float_of_int boards)
-    (if !smoke then "smoke horizon" else "full horizon")
-    !seed !jobs;
+    (if smoke then "smoke horizon" else "full horizon")
+    !seed !Cli.jobs;
   Printf.printf "%-14s %6s %6s %10s %10s %12s %8s %6s %12s\n" "policy"
     "racks" "done" "makespan" "energy(J)" "ExD(J.s)" "over(s)" "trips"
     "epochs/s";
@@ -128,43 +96,33 @@ let main args =
             (r.Fleet.Sim.exd /. base.Fleet.Sim.exd))
       results
   | _ -> ());
-  (match !json_path with
-  | None -> ()
-  | Some path ->
-    let doc =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.String "yukta.bench-fleet/v1");
-          ("smoke", Obs.Json.Bool !smoke);
-          ( "fleet",
-            Obs.Json.Obj
-              (List.map
-                 (fun (p, r, _, _) ->
-                   (Fleet.Rack.policy_name p, Fleet.Sim.json r))
-                 results) );
-          ( "bench",
-            Obs.Json.Obj
-              [
-                ("jobs", Obs.Json.Int !jobs);
-                ( "wall_s",
-                  Obs.Json.Obj
-                    (List.map
-                       (fun (p, _, wall, _) ->
-                         (Fleet.Rack.policy_name p, Obs.Json.Float wall))
-                       results) );
-                ( "board_epochs_per_s",
-                  Obs.Json.Obj
-                    (List.map
-                       (fun (p, _, _, tp) ->
-                         (Fleet.Rack.policy_name p, Obs.Json.Float tp))
-                       results) );
-              ] );
-        ]
-    in
-    let oc = open_out path in
-    output_string oc (Obs.Json.to_string ~pretty:true doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nwrote %s\n" path);
-  Parallel.Pool.shutdown pool;
-  0
+  Cli.write_json
+    (Obs.Json.Obj
+       [
+         ("schema", Obs.Json.String "yukta.bench-fleet/v1");
+         ("smoke", Obs.Json.Bool smoke);
+         ( "fleet",
+           Obs.Json.Obj
+             (List.map
+                (fun (p, r, _, _) ->
+                  (Fleet.Rack.policy_name p, Fleet.Sim.json r))
+                results) );
+         ( "bench",
+           Obs.Json.Obj
+             [
+               ("jobs", Obs.Json.Int !Cli.jobs);
+               ( "wall_s",
+                 Obs.Json.Obj
+                   (List.map
+                      (fun (p, _, wall, _) ->
+                        (Fleet.Rack.policy_name p, Obs.Json.Float wall))
+                      results) );
+               ( "board_epochs_per_s",
+                 Obs.Json.Obj
+                   (List.map
+                      (fun (p, _, _, tp) ->
+                        (Fleet.Rack.policy_name p, Obs.Json.Float tp))
+                      results) );
+             ] );
+       ]);
+  Parallel.Pool.shutdown pool

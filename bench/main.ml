@@ -6,8 +6,8 @@
      dune exec bench/main.exe -- -j 4 ...             -- domain-parallel grids
      dune exec bench/main.exe -- fleet ...            -- rack-level fleet runs
 
-   Flags, the --json document schema, and the parallelism/cache rules
-   are documented in BENCHMARKS.md.
+   Flags (--help lists them), the --json document schema, and the
+   parallelism/cache rules are documented in BENCHMARKS.md.
 
    Absolute numbers differ from the paper (the substrate is a simulator,
    not the authors' ODROID XU3); the reproduction targets are the shapes:
@@ -29,13 +29,12 @@ let json_record key v = json_out := (key, v) :: !json_out
 (* [-j N]: every figure's runs fan out to a pool of N domains, created
    once the flags are parsed (a one-job pool, inline, by default); every
    figure's output is byte-identical at any job count. *)
-let jobs = ref 1
-
 let pool = ref (Parallel.Pool.create ~jobs:1)
 
 (* Wall time per generated figure, keyed like the JSON document, in run
-   order. These (and [jobs]) land in the document's "bench" block — the
-   only fields expected to differ between [-j 1] and [-j N] runs. *)
+   order. These (and the job count) land in the document's "bench"
+   block — the only fields expected to differ between [-j 1] and [-j N]
+   runs. *)
 let started_at = Obs.Collector.now ()
 
 let walls : (string * float) list ref = ref []
@@ -49,25 +48,18 @@ let timed key f =
 let bench_json () =
   Obs.Json.Obj
     [
-      ("jobs", Obs.Json.Int !jobs);
+      ("jobs", Obs.Json.Int !Cli.jobs);
       ( "wall_s",
         Obs.Json.Obj
           (List.rev_map (fun (k, s) -> (k, Obs.Json.Float s)) !walls) );
       ("total_wall_s", Obs.Json.Float (Obs.Collector.now () -. started_at));
     ]
 
-let write_json path =
-  let doc =
-    Obs.Json.Obj
-      (("schema", Obs.Json.String "yukta.bench/v1")
-      :: ("bench", bench_json ())
-      :: List.rev !json_out)
-  in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string ~pretty:true doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n" path
+let document () =
+  Obs.Json.Obj
+    (("schema", Obs.Json.String "yukta.bench/v1")
+    :: ("bench", bench_json ())
+    :: List.rev !json_out)
 
 (* All naming comes from the scheme registry; the harness keeps no
    tables of its own. *)
@@ -78,19 +70,17 @@ let scheme key = Schemes.find_exn key
 (* [--smoke]: a CI-sized run — two suite entries, capped simulated time.
    Shapes are meaningless at this size; the point is exercising every
    code path and the JSON schema. *)
-let smoke = ref false
-
-let run_max_time () = if !smoke then Some 120.0 else None
+let run_max_time () = if !Cli.smoke then Some 120.0 else None
 
 let suite_entries () =
   let entries = Experiment.suite_entries () in
-  if !smoke then
+  if !Cli.smoke then
     match entries with a :: b :: _ -> [ a; b ] | short -> short
   else entries
 
 let mix_entries () =
   let entries = Experiment.mix_entries () in
-  if !smoke then
+  if !Cli.smoke then
     match entries with a :: _ -> [ a ] | [] -> []
   else entries
 
@@ -194,8 +184,8 @@ let print_rows title rows schemes value =
       Printf.printf "\n")
     labels
 
-let fig9 ?rows () =
-  let rows = match rows with Some r -> r | None -> suite_rows fig9_schemes in
+let fig9 () =
+  let rows = suite_rows fig9_schemes in
   print_rows "Figure 9(a): ExD normalized to Coordinated heuristic" rows
     fig9_schemes (fun r -> r.Experiment.exd);
   print_rows "Figure 9(b): execution time normalized to Coordinated heuristic"
@@ -203,8 +193,7 @@ let fig9 ?rows () =
   json_record "fig9" (Experiment.suite_json rows);
   (* Fleet health over the same grid: per-scheme merged Obs.Health
      aggregates — byte-identical at any -j by construction. *)
-  json_record "health" (Experiment.suite_health_json rows);
-  rows
+  json_record "health" (Experiment.suite_health_json rows)
 
 (* ------------------------------------------------------------------ *)
 (* Figures 10 and 11: blackscholes traces                              *)
@@ -383,7 +372,7 @@ let cost () =
   in
   List.iter
     (fun spec ->
-      let m = Micro.run_spec ~smoke:!smoke spec in
+      let m = Micro.run_spec ~smoke:!Cli.smoke spec in
       Printf.printf "  %-24s %10.2f ns/invocation (median)\n" m.Micro.m_kernel
         (m.Micro.m_median_s *. 1e9))
     [ step; Micro.mu_upper7 ]
@@ -575,7 +564,7 @@ let fig17 () =
 let robustness_seed = 42
 
 let robustness_schemes () =
-  if !smoke then
+  if !Cli.smoke then
     [ scheme "coord"; scheme "decoupled"; scheme "lqg-dec"; scheme "yukta" ]
   else
     [
@@ -685,76 +674,83 @@ let ablation () =
 (* Main                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The figures in run order: each one's selector flags, its key in the
+   JSON document and the wall-time block, and what generates it. *)
+let figures =
+  [
+    ( [ "--tables" ],
+      "tables",
+      (fun () ->
+        table2 ();
+        table3 ();
+        table4 ()),
+      " Tables II-IV: controller specifications and the scheme registry" );
+    ([ "--fig9" ], "fig9", fig9, " ExD and execution time, 4 schemes x suite");
+    ([ "--fig10" ], "fig10", fig10, " Big-cluster power trace (blackscholes)");
+    ([ "--fig11" ], "fig11", fig11, " Performance trace (blackscholes)");
+    ( [ "--fig12"; "--fig13" ],
+      "fig12_13",
+      fig12_13,
+      " LQG-based designs vs Yukta (one pass gives Figs. 12 and 13)" );
+    ([ "--fig14" ], "fig14", fig14, " ExD on heterogeneous workload mixes");
+    ([ "--cost" ], "cost", cost, " Section VI-D: controller cost and timings");
+    ([ "--fig15" ], "fig15", fig15, " Sensitivity to output deviation bounds");
+    ([ "--fig16" ], "fig16", fig16, " Sensitivity to the guardband");
+    ([ "--fig17" ], "fig17", fig17, " Sensitivity to input weights");
+    ( [ "--robustness" ],
+      "robustness",
+      robustness,
+      " Seeded fault campaigns, in and out of the guardband" );
+    ( [ "--ablation" ],
+      "ablation",
+      ablation,
+      " Value of coordination, optimizer, quantization-awareness, sensors" );
+  ]
+
 let () =
-  let raw = Array.to_list Sys.argv |> List.tl in
-  (* The kernel micro-benchmark suite is its own subcommand with its own
-     flags (see bench/micro.ml and BENCHMARKS.md). *)
-  (match raw with
-  | "micro" :: rest ->
-    Micro.main rest;
-    exit 0
-  (* The perf-regression gate: diff two bench-micro documents. *)
-  | "compare" :: rest -> exit (Compare.main rest)
-  (* The fleet harness: N boards under one rack budget (bench/fleetbench.ml). *)
-  | "fleet" :: rest -> exit (Fleetbench.main rest)
-  (* The serving harness: concurrent sessions + adaptation (bench/servebench.ml). *)
-  | "serve" :: rest -> exit (Servebench.main rest)
-  (* The design-space exploration farm (bench/sweepbench.ml). *)
-  | "sweep" :: rest -> exit (Sweepbench.main rest)
-  | _ -> ());
-  (* [--json OUT] and [-j N] consume their values; everything else is a
-     flag. *)
-  let json_path = ref None in
-  let rec split_valued acc = function
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      split_valued acc rest
-    | ("-j" | "--jobs") :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        jobs := n;
-        split_valued acc rest
-      | _ ->
-        Printf.eprintf "bench: -j expects an integer >= 1, got %S\n" n;
-        exit 2)
-    | [ ("-j" | "--jobs" | "--json") ] ->
-      prerr_endline "bench: missing value after -j/--jobs/--json";
-      exit 2
-    | a :: rest -> split_valued (a :: acc) rest
-    | [] -> List.rev acc
-  in
-  let args = split_valued [] raw in
-  let args =
-    List.filter
-      (fun a ->
-        if a = "--smoke" then begin
-          smoke := true;
-          false
-        end
-        else true)
-      args
-  in
-  pool := Parallel.Pool.create ~jobs:!jobs;
-  let has f = List.mem f args in
-  let all = args = [] || has "--all" in
-  if all || has "--tables" then timed "tables" (fun () ->
-      table2 ();
-      table3 ();
-      table4 ());
-  (* Synthesis timings are wall-clock and therefore nondeterministic;
-     they join the JSON document only on full runs so that selective
-     invocations (notably --robustness) stay byte-for-byte reproducible. *)
-  if !json_path <> None && all then synthesis_json ();
-  if all || has "--fig9" then timed "fig9" (fun () -> ignore (fig9 ()));
-  if all || has "--fig10" then timed "fig10" fig10;
-  if all || has "--fig11" then timed "fig11" fig11;
-  if all || has "--fig12" || has "--fig13" then timed "fig12_13" fig12_13;
-  if all || has "--fig14" then timed "fig14" fig14;
-  if all || has "--cost" then timed "cost" cost;
-  if all || has "--fig15" then timed "fig15" fig15;
-  if all || has "--fig16" then timed "fig16" fig16;
-  if all || has "--fig17" then timed "fig17" fig17;
-  if all || has "--robustness" then timed "robustness" robustness;
-  if all || has "--ablation" then timed "ablation" ablation;
-  (match !json_path with None -> () | Some path -> write_json path);
-  Parallel.Pool.shutdown !pool
+  match List.tl (Array.to_list Sys.argv) with
+  (* The subcommands, each with its own flags (BENCHMARKS.md): the
+     kernel micro-benchmarks (bench/micro.ml), the perf-regression gate
+     over two of their documents (bench/compare.ml), and the fleet,
+     serving and design-space harnesses (bench/fleetbench.ml,
+     bench/servebench.ml, bench/sweepbench.ml). *)
+  | "micro" :: args -> Micro.main args
+  | "compare" :: args -> exit (Compare.main args)
+  | "fleet" :: args -> Fleetbench.main args
+  | "serve" :: args -> Servebench.main args
+  | "sweep" :: args -> Sweepbench.main args
+  | args ->
+    let selected = ref [] and all = ref false in
+    let figure_specs =
+      List.concat_map
+        (fun (flags, key, _, doc) ->
+          let select () = selected := key :: !selected in
+          List.map (fun flag -> (flag, Arg.Unit select, doc)) flags)
+        figures
+    in
+    Cli.parse "bench"
+      "usage: bench [FIGURE...] [--smoke] [-j N] [--json OUT]\n\
+      \       (no FIGURE flag, or --all, runs every figure)\n\
+      \       bench micro|compare|fleet|serve|sweep ... (each answers --help)"
+      (figure_specs
+      @ [
+          ("--all", Arg.Set all, " Every figure (the default)");
+          Cli.smoke_spec
+            " Two suite entries (one mix), simulated time capped at 120 s";
+          Cli.json_spec;
+        ]
+      @ Cli.jobs_specs)
+      args;
+    let all = !all || !selected = [] in
+    pool := Parallel.Pool.create ~jobs:!Cli.jobs;
+    (* Synthesis timings are wall-clock and therefore nondeterministic;
+       they join the JSON document only on full runs so that selective
+       invocations (notably --robustness) stay byte-for-byte
+       reproducible. *)
+    if all && !Cli.json <> None then synthesis_json ();
+    List.iter
+      (fun (_, key, run, _) ->
+        if all || List.mem key !selected then timed key run)
+      figures;
+    Cli.write_json (document ());
+    Parallel.Pool.shutdown !pool

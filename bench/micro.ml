@@ -4,14 +4,14 @@
 
      dune exec bench/main.exe -- micro                 -- full suite
      dune exec bench/main.exe -- micro --smoke         -- CI-sized run
-     dune exec bench/main.exe -- micro --json OUT      -- output path
+     dune exec bench/main.exe -- micro --json OUT      -- also write OUT
      dune exec bench/main.exe -- micro gemm xu3        -- name filter
 
    Each kernel runs [warmup] throwaway invocations and then [reps] timed
    repetitions (a repetition may batch several invocations so that tiny
    kernels get above timer noise); the per-invocation median and p90 of
-   the repetitions are printed and written to the JSON document. Schema
-   in BENCHMARKS.md. *)
+   the repetitions are printed and, under --json, written to the
+   document. Schema in BENCHMARKS.md. *)
 
 open Yukta
 
@@ -400,25 +400,13 @@ let pretty_time s =
   else Printf.sprintf "%8.3f s " s
 
 let main args =
-  let smoke = ref false in
-  let json_path = ref "BENCH_micro.json" in
   let filters = ref [] in
-  let rec parse = function
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--json" :: path :: rest ->
-      json_path := path;
-      parse rest
-    | [ "--json" ] ->
-      prerr_endline "bench micro: missing value after --json";
-      exit 2
-    | name :: rest ->
-      filters := name :: !filters;
-      parse rest
-    | [] -> ()
-  in
-  parse args;
+  Cli.parse "bench micro"
+    "usage: bench micro [--smoke] [--json OUT] [KERNEL...]\n\
+    \       (KERNEL: run only kernels whose name contains it)"
+    ~anon:(fun name -> filters := name :: !filters)
+    [ Cli.smoke_spec " Fewer timed repetitions (the CI run)"; Cli.json_spec ]
+    args;
   let selected =
     match !filters with
     | [] -> all_kernels
@@ -436,17 +424,14 @@ let main args =
       in
       List.filter matches all_kernels
   in
-  if selected = [] then begin
-    Printf.eprintf "bench micro: no kernel matches %s\n"
-      (String.concat ", " !filters);
-    exit 2
-  end;
+  if selected = [] then
+    Cli.fail "no kernel matches %s" (String.concat ", " !filters);
   Printf.printf "%-18s %-22s %5s %12s %12s\n" "kernel" "size" "reps"
     "median" "p90";
   let results =
     List.map
       (fun spec ->
-        let m = run_spec ~smoke:!smoke spec in
+        let m = run_spec ~smoke:!Cli.smoke spec in
         Printf.printf "%-18s %-22s %5d %12s %12s\n%!" m.m_kernel m.m_size
           m.m_reps (pretty_time m.m_median_s) (pretty_time m.m_p90_s);
         m)
@@ -456,17 +441,10 @@ let main args =
      restore the default disabled state whatever subset ran. *)
   Obs.Collector.disable ();
   Obs.Collector.buffer_sink ();
-  let doc =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.String "yukta.bench-micro/v1");
-        ("smoke", Obs.Json.Bool !smoke);
-        ( "kernels",
-          Obs.Json.List (List.map json_of_measurement results) );
-      ]
-  in
-  let oc = open_out !json_path in
-  output_string oc (Obs.Json.to_string ~pretty:true doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n" !json_path
+  Cli.write_json
+    (Obs.Json.Obj
+       [
+         ("schema", Obs.Json.String "yukta.bench-micro/v1");
+         ("smoke", Obs.Json.Bool !Cli.smoke);
+         ("kernels", Obs.Json.List (List.map json_of_measurement results));
+       ])

@@ -17,12 +17,6 @@
 
 module Json = Obs.Json
 
-let usage () =
-  prerr_endline
-    "usage: bench serve [--smoke] [--json OUT] [--sessions N] [--requests N]\n\
-    \                   [--chunk N] [--scheme S] [--severity F] [--pace MS]";
-  2
-
 (* ------------------------------------------------------------------ *)
 (* Throughput / latency: concurrent sessions against a live server     *)
 (* ------------------------------------------------------------------ *)
@@ -254,10 +248,7 @@ let run_adaptive ~scheme ~severity ~pace_s =
   let engine =
     match Serve.Adapt.for_stack (Yukta.Stack.stack s) with
     | Some e -> e
-    | None ->
-      Printf.eprintf "bench serve: scheme %s has no adaptable hw layer\n"
-        scheme;
-      exit 2
+    | None -> Cli.fail "scheme %s has no adaptable hw layer" scheme
   in
   let board = Yukta.Stack.board s in
   let n = ref 0 in
@@ -298,69 +289,30 @@ let arm_json (a : arm) =
     ]
 
 let main args =
-  let smoke = ref false in
-  let json_path = ref None in
   let sessions = ref 0 in
   let requests = ref 0 in
   let chunk = ref 25 in
   let scheme = ref "hw-ssv" in
   let severity = ref 1.5 in
   let pace_ms = ref 25 in
-  let bad fmt =
-    Printf.ksprintf
-      (fun m ->
-        prerr_endline m;
-        exit 2)
-      fmt
-  in
-  let int_value flag n k =
-    match int_of_string_opt n with
-    | Some v when v >= 1 -> k v
-    | _ -> bad "bench serve: %s expects an integer >= 1, got %S" flag n
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse rest
-    | "--sessions" :: n :: rest ->
-      int_value "--sessions" n (fun v -> sessions := v);
-      parse rest
-    | "--requests" :: n :: rest ->
-      int_value "--requests" n (fun v -> requests := v);
-      parse rest
-    | "--chunk" :: n :: rest ->
-      int_value "--chunk" n (fun v -> chunk := v);
-      parse rest
-    | "--scheme" :: s :: rest ->
-      scheme := s;
-      parse rest
-    | "--severity" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some f when f > 0.0 -> severity := f
-      | _ -> bad "bench serve: --severity expects a positive float");
-      parse rest
-    | "--pace" :: n :: rest ->
-      int_value "--pace" n (fun v -> pace_ms := v);
-      parse rest
-    | [ ("--json" | "--sessions" | "--requests" | "--chunk" | "--scheme"
-        | "--severity" | "--pace") ] ->
-      prerr_endline "bench serve: missing value after last flag";
-      exit 2
-    | a :: _ ->
-      Printf.eprintf "bench serve: unknown argument %S\n" a;
-      exit (usage ())
-  in
-  parse args;
-  if Yukta.Schemes.find !scheme = None then
-    bad "bench serve: unknown scheme %S (see yukta_cli schemes)" !scheme;
-  let sessions = if !sessions > 0 then !sessions else if !smoke then 2 else 8 in
-  let requests =
-    if !requests > 0 then !requests else if !smoke then 4 else 12
-  in
+  Cli.parse "bench serve" "usage: bench serve [FLAG...]"
+    [
+      Cli.smoke_spec " 2 sessions x 4 step requests";
+      Cli.json_spec;
+      Cli.count "--sessions" (( := ) sessions) "N Sessions (default 8)";
+      Cli.count "--requests" (( := ) requests)
+        "N Step requests per session (default 12)";
+      Cli.count "--chunk" (( := ) chunk) "N Epochs per request (default 25)";
+      Cli.scheme_spec scheme "S Session scheme (default hw-ssv)";
+      Cli.positive "--severity" (( := ) severity)
+        "F Power-gain drift of the adaptive scenario (default 1.5)";
+      Cli.count "--pace" (( := ) pace_ms)
+        "MS Wall pause per epoch until the swap lands (default 25)";
+    ]
+    args;
+  let smoke = !Cli.smoke in
+  let sessions = if !sessions > 0 then !sessions else if smoke then 2 else 8 in
+  let requests = if !requests > 0 then !requests else if smoke then 4 else 12 in
   Printf.printf "serve: %d sessions x %d step requests x %d epochs, %s\n%!"
     sessions requests !chunk !scheme;
   let t0 = Obs.Collector.now () in
@@ -396,59 +348,49 @@ let main args =
   if frozen.exd > 0.0 then
     Printf.printf "# adaptive ExD x%.3f vs frozen\n%!"
       (adaptive.exd /. frozen.exd);
-  (match !json_path with
-  | None -> ()
-  | Some path ->
-    let doc =
-      Json.Obj
-        [
-          ("schema", Json.String "yukta.bench-serve/v1");
-          ("smoke", Json.Bool !smoke);
-          ( "serve",
-            Json.Obj
-              [
-                ("sessions", Json.Int sessions);
-                ("requests_per_session", Json.Int requests);
-                ("epochs_per_request", Json.Int !chunk);
-                ("scheme", Json.String !scheme);
-                ("frames", Json.Int frames);
-              ] );
-          ( "adaptive",
-            Json.Obj
-              [
-                ("drift_kind", Json.String "power_gain");
-                ("drift_severity", Json.Float !severity);
-                ("frozen", arm_json frozen);
-                ("adaptive", arm_json adaptive);
-                ( "exd_ratio",
-                  Json.Float
-                    (if frozen.exd > 0.0 then adaptive.exd /. frozen.exd
-                     else 0.0) );
-                ( "swap",
-                  match swap with
-                  | None -> Json.Null
-                  | Some (epoch, lat_e, lat_s, mu) ->
-                    Json.Obj
-                      [
-                        ("epoch", Json.Int epoch);
-                        ("latency_epochs", Json.Int lat_e);
-                        ("latency_s", Json.Float lat_s);
-                        ("mu_peak", Json.Float mu);
-                      ] );
-              ] );
-          ( "bench",
-            Json.Obj
-              [
-                ("wall_s", Json.Float (Obs.Collector.now () -. t0));
-                ("throughput_frames_per_s", Json.Float throughput);
-                ("step_latency_ms_p50", Json.Float p50);
-                ("step_latency_ms_p99", Json.Float p99);
-              ] );
-        ]
-    in
-    let oc = open_out path in
-    output_string oc (Json.to_string ~pretty:true doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path);
-  0
+  Cli.write_json
+    (Json.Obj
+       [
+         ("schema", Json.String "yukta.bench-serve/v1");
+         ("smoke", Json.Bool smoke);
+         ( "serve",
+           Json.Obj
+             [
+               ("sessions", Json.Int sessions);
+               ("requests_per_session", Json.Int requests);
+               ("epochs_per_request", Json.Int !chunk);
+               ("scheme", Json.String !scheme);
+               ("frames", Json.Int frames);
+             ] );
+         ( "adaptive",
+           Json.Obj
+             [
+               ("drift_kind", Json.String "power_gain");
+               ("drift_severity", Json.Float !severity);
+               ("frozen", arm_json frozen);
+               ("adaptive", arm_json adaptive);
+               ( "exd_ratio",
+                 Json.Float
+                   (if frozen.exd > 0.0 then adaptive.exd /. frozen.exd
+                    else 0.0) );
+               ( "swap",
+                 match swap with
+                 | None -> Json.Null
+                 | Some (epoch, lat_e, lat_s, mu) ->
+                   Json.Obj
+                     [
+                       ("epoch", Json.Int epoch);
+                       ("latency_epochs", Json.Int lat_e);
+                       ("latency_s", Json.Float lat_s);
+                       ("mu_peak", Json.Float mu);
+                     ] );
+             ] );
+         ( "bench",
+           Json.Obj
+             [
+               ("wall_s", Json.Float (Obs.Collector.now () -. t0));
+               ("throughput_frames_per_s", Json.Float throughput);
+               ("step_latency_ms_p50", Json.Float p50);
+               ("step_latency_ms_p99", Json.Float p99);
+             ] );
+       ])

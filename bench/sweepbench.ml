@@ -12,40 +12,13 @@
    from wall-clock metadata; schema in BENCHMARKS.md, architecture in
    DESIGN.md section 14. *)
 
-let usage () =
-  prerr_endline
-    "usage: bench sweep [--smoke] [-j N] [--json OUT] [--points N] [--seed N]\n\
-    \                   [--shard I/N] [--dir DIR]\n\
-    \       bench sweep --merge FILE... [--json OUT]";
-  2
-
-let read_doc path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  match Obs.Json.of_string s with
-  | doc -> doc
-  | exception Obs.Json.Parse_error msg ->
-    Printf.eprintf "bench sweep: %s: %s\n" path msg;
-    exit 2
-
-let write_doc path doc =
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string ~pretty:true doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-let merge_main files json_path =
-  if files = [] then exit (usage ());
-  let docs = List.map read_doc files in
+let merge_main files =
+  if files = [] then Cli.fail "--merge expects at least one shard document";
+  let docs = List.map Cli.read_json files in
   let merged =
     match Sweep.Run.merge docs with
     | doc -> doc
-    | exception Invalid_argument msg ->
-      Printf.eprintf "bench sweep: %s\n" msg;
-      exit 2
+    | exception Invalid_argument msg -> Cli.fail "%s" msg
   in
   let doc =
     Obs.Json.Obj
@@ -60,89 +33,58 @@ let merge_main files json_path =
     Printf.printf "merged %d shard documents: frontier of %d points\n"
       (List.length files) (List.length ms)
   | _ -> ());
-  (match json_path with
-  | Some path -> write_doc path doc
-  | None -> print_endline (Obs.Json.to_string ~pretty:true doc));
-  0
+  if !Cli.json = None then
+    print_endline (Obs.Json.to_string ~pretty:true doc)
+  else Cli.write_json doc
 
 let main args =
-  let smoke = ref false in
-  let jobs = ref 1 in
-  let json_path = ref None in
   let points = ref None in
   let seed = ref 42 in
   let shard = ref Sweep.Run.{ index = 1; shards = 1 } in
   let dir = ref ".yukta_sweep" in
-  let merge_files = ref None in
-  let bad fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
-  let int_value flag n k =
-    match int_of_string_opt n with
-    | Some v when v >= 1 -> k v
-    | _ -> bad "bench sweep: %s expects an integer >= 1, got %S" flag n
+  let merge = ref false in
+  let files = ref [] in
+  let set_shard s =
+    match List.map int_of_string_opt (String.split_on_char '/' s) with
+    | [ Some i; Some n ] when n >= 1 && i >= 1 && i <= n ->
+      shard := Sweep.Run.{ index = i; shards = n }
+    | _ -> Cli.bad "--shard expects I/N with 1 <= I <= N, got %S" s
   in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | ("-j" | "--jobs") :: n :: rest ->
-      int_value "-j" n (fun v -> jobs := v);
-      parse rest
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse rest
-    | "--points" :: n :: rest ->
-      int_value "--points" n (fun v -> points := Some v);
-      parse rest
-    | "--seed" :: n :: rest ->
-      int_value "--seed" n (fun v -> seed := v);
-      parse rest
-    | "--shard" :: s :: rest ->
-      (match String.split_on_char '/' s with
-      | [ i; n ] -> (
-        match (int_of_string_opt i, int_of_string_opt n) with
-        | Some i, Some n when n >= 1 && i >= 1 && i <= n ->
-          shard := Sweep.Run.{ index = i; shards = n }
-        | _ -> bad "bench sweep: --shard expects I/N with 1 <= I <= N, got %S" s)
-      | _ -> bad "bench sweep: --shard expects I/N, got %S" s);
-      parse rest
-    | "--dir" :: d :: rest ->
-      dir := d;
-      parse rest
-    | "--merge" :: rest ->
-      (* Everything after --merge that is not a flag is a shard document. *)
-      let rec files acc = function
-        | [] -> List.rev acc
-        | "--json" :: path :: rest ->
-          json_path := Some path;
-          files acc rest
-        | [ "--json" ] ->
-          prerr_endline "bench sweep: missing value after --json";
-          exit 2
-        | f :: rest -> files (f :: acc) rest
-      in
-      merge_files := Some (files [] rest)
-    | [ ("-j" | "--jobs" | "--json" | "--points" | "--seed" | "--shard"
-        | "--dir") ] ->
-      prerr_endline "bench sweep: missing value after last flag";
-      exit 2
-    | a :: _ ->
-      Printf.eprintf "bench sweep: unknown argument %S\n" a;
-      exit (usage ())
-  in
-  parse args;
-  match !merge_files with
-  | Some files -> merge_main files !json_path
-  | None ->
-    let space = if !smoke then Sweep.Space.smoke else Sweep.Space.default in
+  Cli.parse "bench sweep"
+    "usage: bench sweep [FLAG...]\n\
+    \       bench sweep --merge FILE... [--json OUT]"
+    ~anon:(fun f -> files := f :: !files)
+    ([
+       Cli.smoke_spec " The smoke grid and probe";
+       Cli.json_spec;
+       Cli.count "--points" (fun n -> points := Some n)
+         "N Sample N points of the grid (default: every point)";
+       Cli.count "--seed" (( := ) seed) "N Sampling seed (default 42)";
+       ("--shard", Arg.String set_shard, "I/N Run shard I of N (default 1/1)");
+       ( "--dir",
+         Arg.Set_string dir,
+         "DIR Shard checkpoints directory (default .yukta_sweep)" );
+       ( "--merge",
+         Arg.Set merge,
+         " Merge the shard documents FILE... into one frontier" );
+     ]
+    @ Cli.jobs_specs)
+    args;
+  if !merge then merge_main (List.rev !files)
+  else if !files <> [] then
+    Cli.fail "unexpected argument %S (shard documents need --merge)"
+      (List.hd (List.rev !files))
+  else
+    let smoke = !Cli.smoke in
+    let space = if smoke then Sweep.Space.smoke else Sweep.Space.default in
     let probe =
-      if !smoke then Sweep.Run.smoke_probe else Sweep.Run.default_probe
+      if smoke then Sweep.Run.smoke_probe else Sweep.Run.default_probe
     in
     let plan =
       Sweep.Run.plan ~space ~seed:!seed
         ?points:!points ~probe ()
     in
-    let pool = Parallel.Pool.create ~jobs:!jobs in
+    let pool = Parallel.Pool.create ~jobs:!Cli.jobs in
     Printf.printf
       "sweep: %d of %d points, seed %d, shard %d/%d, probe %s @ %.0f Ginsts, \
        -j %d\n\
@@ -152,7 +94,7 @@ let main args =
       (Sweep.Space.cardinality space)
       !seed !shard.Sweep.Run.index !shard.Sweep.Run.shards
       plan.Sweep.Run.probe.Sweep.Run.app
-      plan.Sweep.Run.probe.Sweep.Run.ginsts !jobs
+      plan.Sweep.Run.probe.Sweep.Run.ginsts !Cli.jobs
       (Sweep.Run.fingerprint plan)
       !dir;
     let t0 = Obs.Collector.now () in
@@ -182,9 +124,5 @@ let main args =
           e.Sweep.Frontier.point.Sweep.Space.epoch e.Sweep.Frontier.mu
           e.Sweep.Frontier.exd e.Sweep.Frontier.macs)
       (Sweep.Frontier.members outcome.Sweep.Run.frontier);
-    (match !json_path with
-    | None -> ()
-    | Some path ->
-      write_doc path
-        (Sweep.Run.artifact ~smoke:!smoke ~jobs:!jobs ~wall_s:wall outcome));
-    0
+    Cli.write_json
+      (Sweep.Run.artifact ~smoke ~jobs:!Cli.jobs ~wall_s:wall outcome)

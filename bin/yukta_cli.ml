@@ -14,13 +14,14 @@
      yukta_cli design                    synthesize & describe the designs
      yukta_cli faults                    show a deterministic fault schedule
      yukta_cli faults --run -s yukta     replay it against a scheme
-     yukta_cli fleet --boards 256 -j 4   rack-capped fleet run
-     yukta_cli fleet --policy even-split --cap 1.2  the static baseline
      yukta_cli trace -f out.jsonl        tail a live trace (poll+seek)
      yukta_cli cache                     list the on-disk design cache
      yukta_cli cache --clear             wipe it
      yukta_cli serve --port 7077         NDJSON session server
-     yukta_cli serve --socket y.sock --once   CI smoke mode *)
+     yukta_cli serve --socket y.sock --once   CI smoke mode
+     yukta_cli sweep out.json            a `bench sweep` frontier as a table
+
+   Rack-capped fleet runs are `bench fleet` (BENCHMARKS.md). *)
 
 open Cmdliner
 open Yukta
@@ -645,93 +646,6 @@ let sweep_cmd =
           table (one row per non-dominated design point)")
     Term.(const run $ file_arg)
 
-let fleet_cmd =
-  let policy_conv =
-    let parse s =
-      match Fleet.Rack.policy_of_string s with
-      | Some p -> Ok p
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown policy %S (even-split, proportional, feedback)" s))
-    in
-    let print fmt p = Format.pp_print_string fmt (Fleet.Rack.policy_name p) in
-    Arg.conv (parse, print)
-  in
-  let boards_arg =
-    let doc = "Number of boards in the fleet." in
-    Arg.(value & opt int 64 & info [ "boards" ] ~docv:"N" ~doc)
-  in
-  let cap_arg =
-    let doc =
-      "Shared rack budget per board, watts (the rack apportions \
-       $(docv) x boards over the fleet; the uncapped per-board budget \
-       is 3.63 W)."
-    in
-    Arg.(value & opt (some float) None & info [ "cap" ] ~docv:"W" ~doc)
-  in
-  let policy_arg =
-    let doc = "Rack apportionment policy: even-split, proportional or feedback." in
-    Arg.(
-      value
-      & opt policy_conv Fleet.Rack.Feedback
-      & info [ "p"; "policy" ] ~docv:"POLICY" ~doc)
-  in
-  let seed_arg =
-    let doc = "Fleet seed; per-board seeds derive deterministically." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let fleet_scheme_arg =
-    let doc = "Per-board controller scheme (see `schemes`)." in
-    Arg.(
-      value
-      & opt scheme_conv (Schemes.find_exn "coord")
-      & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
-  in
-  let run boards cap policy (scheme : Schemes.info) seed jobs =
-    if jobs < 1 then begin
-      prerr_endline "yukta_cli fleet: -j expects an integer >= 1";
-      exit 2
-    end;
-    let cfg =
-      match
-        Fleet.Sim.config ?cap_per_board:cap ~policy ~scheme:scheme.Schemes.key
-          ~seed ~boards ()
-      with
-      | cfg -> cfg
-      | exception Invalid_argument msg ->
-        prerr_endline ("yukta_cli fleet: " ^ msg);
-        exit 2
-    in
-    Printf.printf
-      "fleet: %d boards x %s, budget %.1f W (%.2f W/board), %s policy, seed %d...\n%!"
-      boards scheme.Schemes.key cfg.Fleet.Sim.cap
-      (cfg.Fleet.Sim.cap /. float_of_int boards)
-      (Fleet.Rack.policy_name policy)
-      seed;
-    let r =
-      Parallel.Pool.with_pool ~jobs (fun pool -> Fleet.Sim.run ~pool cfg)
-    in
-    Printf.printf "rack epochs:    %d (%.0f s each)\n" r.Fleet.Sim.rack_epochs
-      cfg.Fleet.Sim.rack_epoch;
-    Printf.printf "board epochs:   %d\n" r.Fleet.Sim.board_epochs;
-    Printf.printf "completed:      %d/%d boards\n" r.Fleet.Sim.completed boards;
-    Printf.printf "makespan:       %.1f s\n" r.Fleet.Sim.makespan;
-    Printf.printf "fleet energy:   %.1f J\n" r.Fleet.Sim.energy;
-    Printf.printf "fleet E x D:    %.0f J.s\n" r.Fleet.Sim.exd;
-    Printf.printf "over budget:    %.1f s\n" r.Fleet.Sim.cap_violation_s;
-    Printf.printf "emergency trips: %d\n" r.Fleet.Sim.trips
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Run N boards under one shared rack power budget; the rack \
-          policy re-apportions per-board caps each rack epoch")
-    Term.(
-      const run $ boards_arg $ cap_arg $ policy_arg $ fleet_scheme_arg
-      $ seed_arg $ jobs_arg)
-
 let () =
   let info =
     Cmd.info "yukta_cli" ~version:"1.0"
@@ -748,7 +662,6 @@ let () =
             trace_cmd;
             design_cmd;
             faults_cmd;
-            fleet_cmd;
             cache_cmd;
             serve_cmd;
             sweep_cmd;

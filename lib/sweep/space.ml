@@ -4,8 +4,8 @@
    Point ids are indices in a fixed mixed-radix order (delta varies
    fastest), so an id names the same design on every shard, job count
    and resumed run. Sampling derives all randomness from the caller's
-   seed through the same splitmix64 finalizer Fleet.Seed uses, never
-   from the global Random state. *)
+   seed through Fleet.Seed (swap step i draws board i's stream 0),
+   never from the global Random state. *)
 
 type arrangement = Sw_over_hw | Hw_over_sw | Hw_only
 
@@ -100,22 +100,6 @@ let point s id =
   let arrangement = next s.arrangements in
   { id; delta; weight; bound; epoch; arrangement }
 
-(* Splitmix64 finalizer — the Fleet.Seed construction, reused here so
-   sampling needs no dependency on the fleet library. *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xff51afd7ed558ccdL in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
-  logxor z (shift_right_logical z 33)
-
-let derive ~seed ~stream =
-  let open Int64 in
-  let z =
-    add (mul (of_int seed) 0x9e3779b97f4a7c15L)
-      (mul (of_int (stream + 1)) 0xbf58476d1ce4e5b9L)
-  in
-  to_int (logand (mix64 z) 0x3FFFFFFFL)
-
 let sample s ~seed ~count =
   let n = cardinality s in
   if count <= 0 || count >= n then List.init n Fun.id
@@ -124,7 +108,9 @@ let sample s ~seed ~count =
        uniform [count]-subset; sort it so shards stripe a stable order. *)
     let ids = Array.init n Fun.id in
     for i = 0 to count - 1 do
-      let j = i + (derive ~seed ~stream:i mod (n - i)) in
+      let j =
+        i + (Fleet.Seed.derive ~fleet_seed:seed ~board:i ~stream:0 mod (n - i))
+      in
       let t = ids.(i) in
       ids.(i) <- ids.(j);
       ids.(j) <- t

@@ -91,8 +91,8 @@ val sample : t -> seed:int -> count:int -> int list
 (** A deterministic sample of [count] distinct point ids, ascending.
     [count >= cardinality] (or [count <= 0]) selects every point; a
     proper subset is drawn by a partial Fisher-Yates shuffle whose
-    randomness derives from [seed] through a splitmix64 finalizer (the
-    [Fleet.Seed] construction), so the same [(space, seed, count)]
+    randomness derives from [seed] through [Fleet.Seed.derive] (swap
+    step [i] draws board [i]'s stream 0), so the same [(space, seed, count)]
     yields the same ids on every run, shard and machine. *)
 
 val to_json : t -> Obs.Json.t

@@ -112,8 +112,8 @@ let cached ~label key compute =
     v
 
 (* The cache key covers everything that determines a design: the training
-   records, the layer spec, and a schema version to bump when the design
-   pipeline itself changes. *)
+   records, the layer specs whose signals it reads, and a schema version
+   to bump when the design pipeline itself changes. *)
 let schema_version = 2
 
 let spec_fingerprint (spec : Design.spec) =
@@ -148,15 +148,15 @@ let records_fingerprint r =
       (if Array.length r.Training.sw_y > 0 then r.Training.sw_y.(7) else [||]) )
     []
 
-let design_key kind spec =
+let design_key kind specs =
   Printf.sprintf "design-v%d-%s-%s-%s" schema_version kind
-    (spec_fingerprint spec)
+    (String.concat "" (List.map spec_fingerprint specs))
     (records_fingerprint (get_records_unlocked ()))
 
 let cached_design kind spec (compute : unit -> Design.synthesis) =
   cached
     ~label:(Printf.sprintf "ssv %s design (%s)" kind spec.Design.layer)
-    (design_key kind spec) compute
+    (design_key kind [ spec ]) compute
 
 let design_hw_unlocked spec =
   cached_design "hw" spec (fun () ->
@@ -183,27 +183,26 @@ let hw_no_quant_default =
          let model = Design.identify spec ~u:r.Training.hw_u ~y:r.Training.hw_y in
          Design.synthesize ~ignore_quantization:true spec ~model))
 
-let cached_controller kind (compute : unit -> Controller.t) =
+(* An LQG controller, keyed on the specs whose inputs and outputs it
+   reads. *)
+let cached_controller kind specs
+    (controller : Training.records -> Controller.t) =
   cached
     ~label:(Printf.sprintf "lqg %s controller" kind)
-    (Printf.sprintf "lqg-v%d-%s-%s" schema_version kind
-       (records_fingerprint (get_records_unlocked ())))
-    compute
+    (design_key ("lqg-" ^ kind) specs)
+    (fun () -> controller (get_records_unlocked ()))
 
 let lqg_hw_default =
-  lazy
-    (cached_controller "hw" (fun () ->
-         Lqg_layer.hw_controller (get_records_unlocked ())))
+  lazy (cached_controller "hw" [ Hw_layer.spec () ] Lqg_layer.hw_controller)
 
 let lqg_sw_default =
-  lazy
-    (cached_controller "sw" (fun () ->
-         Lqg_layer.sw_controller (get_records_unlocked ())))
+  lazy (cached_controller "sw" [ Sw_layer.spec () ] Lqg_layer.sw_controller)
 
 let lqg_mono_default =
   lazy
-    (cached_controller "mono" (fun () ->
-         Lqg_layer.monolithic_controller (get_records_unlocked ())))
+    (cached_controller "mono"
+       [ Hw_layer.spec (); Sw_layer.spec () ]
+       Lqg_layer.monolithic_controller)
 
 (* The rack layer's feedback design: the budget-tracking loop is a
    scalar integrator plant (total fleet power responds within one rack

@@ -1,15 +1,16 @@
 (* Help sync: every registered yukta_cli subcommand must appear in the
    top-level --help, so the CLI's own documentation can never silently
    fall behind the command group; `run` prints the same bytes at any -j;
-   and `bench compare` exits with the codes the CI perf gate reads (the
+   `bench compare` exits with the codes the CI perf gate reads; and every
+   bench entry point documents its flags and refuses an unknown one (the
    dune rule makes both built executables test dependencies). *)
 
 let subcommands =
   (* The full command group of bin/yukta_cli.ml; adding a subcommand
      there without updating this list fails the count check below. *)
   [
-    "apps"; "schemes"; "run"; "csv"; "trace"; "design"; "faults"; "fleet";
-    "cache"; "serve"; "sweep";
+    "apps"; "schemes"; "run"; "csv"; "trace"; "design"; "faults"; "cache";
+    "serve"; "sweep";
   ]
 
 let read_all ic =
@@ -24,15 +25,25 @@ let read_all ic =
 (* The executables sit at ../bin/yukta_cli.exe and ../bench/main.exe
    from this test's own directory in _build (declared as dune deps),
    whatever the working directory. *)
-let built path = Filename.concat (Filename.dirname Sys.executable_name) path
+let built path =
+  let dir = Filename.dirname Sys.executable_name in
+  let dir =
+    if Filename.is_relative dir then Filename.concat (Sys.getcwd ()) dir
+    else dir
+  in
+  Filename.concat dir path
 
 let exe = built "../bin/yukta_cli.exe"
 let bench_exe = built "../bench/main.exe"
 
-(* [args] is a shell fragment; the program's stdout and exit status. *)
-let run_exe exe args =
+(* [args] is a shell fragment; the program's stdout and exit status,
+   run in [dir] when given. *)
+let run_exe ?dir exe args =
   if not (Sys.file_exists exe) then Alcotest.failf "%s not found" exe;
-  let ic = Unix.open_process_in (Filename.quote exe ^ " " ^ args) in
+  let cd =
+    match dir with Some d -> "cd " ^ Filename.quote d ^ " && " | None -> ""
+  in
+  let ic = Unix.open_process_in (cd ^ Filename.quote exe ^ " " ^ args) in
   let out = read_all ic in
   (out, Unix.close_process_in ic)
 
@@ -118,14 +129,63 @@ let test_unknown_app_named () =
         && not (contains out "internal error")))
     [ "run -s coord -a nope"; "csv -s coord -a nope"; "faults --run -a nope" ]
 
-let test_fleet_help_documents_flags () =
-  let out = cli "fleet --help=plain" in
+(* [bench args --help] exits 0 and names each of [flags]. *)
+let check_bench_help args flags =
+  match run_exe bench_exe (args ^ " --help") with
+  | out, Unix.WEXITED 0 ->
+    List.iter
+      (fun flag ->
+        Alcotest.(check bool)
+          (Printf.sprintf "bench%s --help names %s" args flag)
+          true (contains out flag))
+      flags
+  | _ -> Alcotest.failf "bench%s --help did not exit 0" args
+
+let test_bench_help_names_figures () =
+  check_bench_help ""
+    [
+      "--tables"; "--fig9"; "--fig10"; "--fig11"; "--fig12"; "--fig13";
+      "--fig14"; "--cost"; "--fig15"; "--fig16"; "--fig17"; "--robustness";
+      "--ablation";
+    ]
+
+let test_fleet_help_names_flags () =
+  check_bench_help " fleet"
+    [ "--boards"; "--cap"; "--policy"; "--scheme"; "--seed"; "--jobs" ]
+
+(* A misspelled flag is a usage error on every bench entry point, before
+   any work starts. *)
+let test_bench_misspelled_flag () =
   List.iter
-    (fun flag ->
-      Alcotest.(check bool)
-        (Printf.sprintf "fleet --help documents %s" flag)
-        true (contains out flag))
-    [ "--boards"; "--cap"; "--policy"; "--seed"; "--jobs" ]
+    (fun args ->
+      match run_exe bench_exe (args ^ " >/dev/null 2>&1") with
+      | _, Unix.WEXITED c -> Alcotest.(check int) ("bench " ^ args) 2 c
+      | _ -> Alcotest.failf "bench %s did not exit" args)
+    [
+      "--fgi9";
+      "micro --jsn x";
+      "fleet --bords 2";
+      "sweep --pionts 2";
+      "serve --sesions 2";
+      "compare --tolerence 0.2 A B";
+    ]
+
+(* `bench micro` writes a document only under --json: run where a
+   committed baseline would sit, it leaves the directory as it was. *)
+let test_micro_writes_only_under_json () =
+  let dir = Filename.temp_dir "bench-micro" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      (match run_exe ~dir bench_exe "micro --smoke gemm4" with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "bench micro --smoke gemm4 failed");
+      Alcotest.(check (list string)) "no file written" []
+        (Array.to_list (Sys.readdir dir)))
 
 (* A yukta.bench-micro/v1 document holding only what [bench compare]
    reads: the schema and each kernel's median. *)
@@ -188,8 +248,6 @@ let () =
             test_every_subcommand_in_help;
           Alcotest.test_case "subcommand count" `Quick
             test_subcommand_count;
-          Alcotest.test_case "fleet flags documented" `Quick
-            test_fleet_help_documents_flags;
         ] );
       ( "run",
         [
@@ -201,5 +259,13 @@ let () =
         [
           Alcotest.test_case "compare exit codes" `Quick
             test_bench_compare_exit_codes;
+          Alcotest.test_case "misspelled flag exits 2" `Quick
+            test_bench_misspelled_flag;
+          Alcotest.test_case "micro writes only under --json" `Quick
+            test_micro_writes_only_under_json;
+          Alcotest.test_case "--help names every figure flag" `Quick
+            test_bench_help_names_figures;
+          Alcotest.test_case "fleet --help names its flags" `Quick
+            test_fleet_help_names_flags;
         ] );
     ]

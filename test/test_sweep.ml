@@ -92,7 +92,10 @@ let test_sample () =
   check_int "requested count" 40 (List.length a);
   check_bool "ascending" true (List.sort compare a = a);
   check_int "distinct" 40 (List.length (List.sort_uniq compare a));
-  check_bool "within grid" true (List.for_all (fun id -> id >= 0 && id < n) a)
+  check_bool "within grid" true (List.for_all (fun id -> id >= 0 && id < n) a);
+  Alcotest.(check (list int))
+    "pinned draw" [ 2; 14; 29; 42; 70; 115; 120; 147; 206; 207 ]
+    (Space.sample s ~seed:7 ~count:10)
 
 let test_space_fingerprint () =
   let fp = Space.fingerprint Space.default in
