@@ -13,6 +13,12 @@
      dune exec bin/parity.exe                      -- blackscholes
      dune exec bin/parity.exe -- blackscholes mcf  -- several workloads
 
+   Between the scheme lines and the design lines, [fault] lines replay
+   two seeded fault schedules (in and out of the design guardband)
+   against coord and yukta on the first workload, and one [fleet] line
+   runs a small fleet under a contended rack cap: together they pin the
+   board's injector and power-cap arms, which the plain runs never take.
+
    test/parity.expected holds this output for blackscholes and mcf and
    `dune runtest` diffs it; after an intended change of numbers,
    regenerate it with `dune runtest` followed by `dune promote`. *)
@@ -35,6 +41,37 @@ let print_design label (d : Yukta.Design.synthesis) =
   Printf.printf "design %-22s mu_peak=%h gamma=%h states=%d abcd=%s\n%!" label
     d.Yukta.Design.mu_peak d.Yukta.Design.gamma order digest
 
+let workload app =
+  Board.Workload.scale ~ginsts:150.0 (Board.Workload.by_name app)
+
+(* The schedules start their faults within the run: the 20 s horizon
+   covers the workload's ~16-18 s clean makespan under either scheme. *)
+let print_campaigns app =
+  let schemes = List.map Yukta.Schemes.find_exn [ "coord"; "yukta" ] in
+  List.iter
+    (fun (label, profile) ->
+      let schedule = Fault.Schedule.generate ~seed:42 profile in
+      List.iter
+        (fun (o : Fault.Campaign.outcome) ->
+          let m = o.Fault.Campaign.faulted in
+          Printf.printf
+            "fault %-12s %-4s %-28s time=%.17g energy=%.17g exd=%.17g \
+             trips=%d injections=%d\n%!"
+            app label o.Fault.Campaign.scheme.Yukta.Schemes.name
+            m.Board.Xu3.execution_time m.Board.Xu3.total_energy
+            m.Board.Xu3.energy_delay m.Board.Xu3.trips
+            o.Fault.Campaign.injections)
+        (Fault.Campaign.run ~schemes ~workloads:[ workload app ] schedule))
+    [
+      ("in", Fault.Schedule.in_guardband ~horizon:20.0 ());
+      ("out", Fault.Schedule.out_of_guardband ~horizon:20.0 ());
+    ]
+
+let print_fleet () =
+  let r = Fleet.Sim.run (Fleet.Sim.config ~boards:8 ~max_time:16.0 ()) in
+  Printf.printf "fleet boards=%d exd=%.17g trips=%d\n%!" r.Fleet.Sim.cfg.boards
+    r.Fleet.Sim.exd r.Fleet.Sim.trips
+
 let () =
   let apps =
     match List.tl (Array.to_list Sys.argv) with
@@ -43,7 +80,7 @@ let () =
   in
   List.iter
     (fun app ->
-      let w = Board.Workload.scale ~ginsts:150.0 (Board.Workload.by_name app) in
+      let w = workload app in
       List.iter
         (fun (scheme : Yukta.Schemes.info) ->
           let r = Yukta.Schemes.run ~max_time:1000.0 scheme [ w ] in
@@ -55,6 +92,8 @@ let () =
             r.Yukta.Stack.completed)
         Yukta.Schemes.all)
     apps;
+  print_campaigns (List.hd apps);
+  print_fleet ();
   print_design "hw" (Yukta.Designs.hw ());
   print_design "sw" (Yukta.Designs.sw ());
   print_design "hw d2.5 w0.5 b0.5"
