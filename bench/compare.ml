@@ -110,13 +110,7 @@ let case_json c =
 let count status cases =
   List.length (List.filter (fun c -> c.status = status) cases)
 
-let pretty_time = function
-  | None -> "        -"
-  | Some s ->
-    if s < 1e-6 then Printf.sprintf "%7.1f ns" (s *. 1e9)
-    else if s < 1e-3 then Printf.sprintf "%7.2f us" (s *. 1e6)
-    else if s < 1.0 then Printf.sprintf "%7.2f ms" (s *. 1e3)
-    else Printf.sprintf "%7.3f s " s
+let pretty_time = Option.fold ~none:"-" ~some:Micro.pretty_time
 
 let main args =
   let tolerance = ref 0.25 in

@@ -393,11 +393,13 @@ let json_of_measurement m =
       ("p90_s", Obs.Json.Float m.m_p90_s);
     ]
 
+(* A duration in the unit that suits it, unpadded: each table (this
+   one and [bench compare]'s) right-aligns it in its own column. *)
 let pretty_time s =
-  if s < 1e-6 then Printf.sprintf "%8.1f ns" (s *. 1e9)
-  else if s < 1e-3 then Printf.sprintf "%8.2f us" (s *. 1e6)
-  else if s < 1.0 then Printf.sprintf "%8.2f ms" (s *. 1e3)
-  else Printf.sprintf "%8.3f s " s
+  if s < 1e-6 then Printf.sprintf "%.1f ns" (s *. 1e9)
+  else if s < 1e-3 then Printf.sprintf "%.2f us" (s *. 1e6)
+  else if s < 1.0 then Printf.sprintf "%.2f ms" (s *. 1e3)
+  else Printf.sprintf "%.3f s " s
 
 let main args =
   let filters = ref [] in

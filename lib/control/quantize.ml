@@ -13,10 +13,16 @@ let levels c =
   Array.init (count c) (fun i ->
       Float.min c.maximum (c.minimum +. (Float.of_int i *. c.step)))
 
-let project c x =
+let[@inline] project c x =
   let clamped = Float.min c.maximum (Float.max c.minimum x) in
   let k = Float.round ((clamped -. c.minimum) /. c.step) in
   Float.min c.maximum (c.minimum +. (k *. c.step))
+
+(* [project] inlines here, so the loop passes no boxed float. *)
+let project_array cs xs =
+  for i = 0 to Array.length xs - 1 do
+    xs.(i) <- project cs.(i) xs.(i)
+  done
 
 let quantization_radius c = c.step /. 2.0
 

@@ -21,6 +21,11 @@ val count : channel -> int
 val project : channel -> float -> float
 (** Clamp into range, then round to the nearest grid point. *)
 
+val project_array : channel array -> float array -> unit
+(** [project_array cs xs] replaces each [xs.(i)] by [project cs.(i)
+    xs.(i)], in place — the per-step form, which passes no float across
+    a module boundary. *)
+
 val quantization_radius : channel -> float
 (** Worst-case projection error for in-range commands: [step / 2]. *)
 

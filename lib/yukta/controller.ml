@@ -3,12 +3,23 @@ open Linalg
 (* The per-step buffers ([x]/[x_next] double buffer, [dy], [last_raw],
    [sx]/[sy] scratch, [out]) are all preallocated at [make]/[copy] time so
    a steady-state [step] allocates nothing. They are private to one [t];
-   [copy] gives every buffer a fresh allocation (domain safety). *)
+   [copy] gives every buffer a fresh allocation (domain safety).
+
+   [step] reads each signal's center and half-span from the float arrays
+   filled at [make] (with [Signal]'s own functions, so the values are
+   bit for bit those the per-signal calls would return): a per-step call
+   into [Signal] from this module would box its float result. *)
 type t = {
   core : Control.Ss.t;
   inputs : Signal.input array;
   outputs : Signal.output array;
   externals : Signal.external_signal array;
+  channels : Control.Quantize.channel array;  (* The inputs' grids. *)
+  input_center : float array;
+  input_half_span : float array;
+  output_half_span : float array;
+  external_center : float array;
+  external_half_span : float array;
   mutable x : Vec.t;
   mutable x_next : Vec.t;
   dy : Vec.t;
@@ -35,11 +46,21 @@ let make ~controller ~inputs ~outputs ~externals =
     invalid_arg "Controller.make: runtime controller must be discrete");
   let n = Control.Ss.order controller in
   let ni = Array.length inputs in
+  let channels = Array.map (fun (i : Signal.input) -> i.Signal.channel) inputs in
+  let ext_channels =
+    Array.map (fun (e : Signal.external_signal) -> e.Signal.channel) externals
+  in
   {
     core = controller;
     inputs;
     outputs;
     externals;
+    channels;
+    input_center = Array.map Signal.center channels;
+    input_half_span = Array.map Signal.half_span channels;
+    output_half_span = Array.map Signal.half_span_output outputs;
+    external_center = Array.map Signal.center ext_channels;
+    external_half_span = Array.map Signal.half_span ext_channels;
     x = Vec.create n;
     x_next = Vec.create n;
     dy = Vec.create n_meas;
@@ -54,10 +75,10 @@ let reset t =
   Array.fill t.x 0 (Vec.dim t.x) 0.0;
   t.hold <- None
 
-(* A private state copy over the shared (immutable) core and signal
-   specs. Memoized designs hand out one [t] per process; every stack
-   must copy it so concurrently running stacks never share [x] or any
-   of the step buffers. *)
+(* A private state copy over the shared (immutable) core, signal specs
+   and normalization arrays. Memoized designs hand out one [t] per
+   process; every stack must copy it so concurrently running stacks
+   never share [x] or any of the step buffers. *)
 let copy t =
   let n = Control.Ss.order t.core in
   let ni = Array.length t.inputs in
@@ -83,22 +104,23 @@ let step t ~measurements ~targets ~externals =
   (* dy = [normalized output deviations; normalized externals]. *)
   let no = Array.length t.outputs in
   for i = 0 to no - 1 do
-    t.dy.(i) <-
-      (measurements.(i) -. targets.(i)) /. Signal.half_span_output t.outputs.(i)
+    t.dy.(i) <- (measurements.(i) -. targets.(i)) /. t.output_half_span.(i)
   done;
   for i = 0 to Array.length t.externals - 1 do
-    t.dy.(no + i) <- Signal.normalize_external t.externals.(i) externals.(i)
+    t.dy.(no + i) <-
+      (externals.(i) -. t.external_center.(i)) /. t.external_half_span.(i)
   done;
   Control.Ss.step_into t.core ~x:t.x ~u:t.dy ~x_next:t.x_next ~y:t.last_raw
     ~sx:t.sx ~sy:t.sy;
   let xt = t.x in
   t.x <- t.x_next;
   t.x_next <- xt;
+  (* Denormalize the raw commands into [out], then project them onto
+     their grids in place. *)
   for i = 0 to Array.length t.inputs - 1 do
-    let inp = t.inputs.(i) in
-    let raw = Signal.denormalize_input inp t.last_raw.(i) in
-    t.out.(i) <- Control.Quantize.project inp.Signal.channel raw
+    t.out.(i) <- t.input_center.(i) +. (t.last_raw.(i) *. t.input_half_span.(i))
   done;
+  Control.Quantize.project_array t.channels t.out;
   (match t.hold with
   | Some (raw, out) ->
     Array.blit raw 0 t.last_raw 0 (Vec.dim t.last_raw);

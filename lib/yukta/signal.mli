@@ -53,6 +53,13 @@ val bound_absolute : output -> float
 
 (** {1 Normalization} *)
 
+val center : Control.Quantize.channel -> float
+(** Midpoint of a channel's range: an input's or external's zero in
+    normalized units. *)
+
+val half_span : Control.Quantize.channel -> float
+(** Half a channel's range: one normalized unit. *)
+
 val center_output : output -> float
 val half_span_output : output -> float
 

@@ -44,56 +44,52 @@ let test_dvfs_voltage_monotone () =
 (* ------------------------------------------------------------------ *)
 
 let full_load kind =
-  {
-    Power.cores_on = 4;
-    freq = Dvfs.f_max kind;
-    utilization = 1.0;
-    temperature = 70.0;
-  }
+  Power.cluster_power kind ~cores_on:4 ~freq:(Dvfs.f_max kind)
+    ~utilization:1.0 ~temperature:70.0
 
 let test_power_calibration () =
   (* Full big cluster must exceed the paper's 3.3 W limit; full little the
      0.33 W limit — otherwise the power caps would never bind. *)
   check_bool "big exceeds limit" true
-    (Power.cluster_power Dvfs.Big (full_load Dvfs.Big) > 3.3);
+    (full_load Dvfs.Big > 3.3);
   check_bool "little exceeds limit" true
-    (Power.cluster_power Dvfs.Little (full_load Dvfs.Little) > 0.33);
+    (full_load Dvfs.Little > 0.33);
   check_bool "big below 8W" true (Power.max_power Dvfs.Big < 8.0)
 
 let test_power_monotone_freq () =
   let p f =
-    Power.cluster_power Dvfs.Big
-      { Power.cores_on = 4; freq = f; utilization = 1.0; temperature = 60.0 }
+    Power.cluster_power Dvfs.Big ~cores_on:4 ~freq:f ~utilization:1.0
+      ~temperature:60.0
   in
   check_bool "increasing in f" true (p 1.0 < p 1.5 && p 1.5 < p 2.0)
 
 let test_power_monotone_cores () =
   let p n =
-    Power.cluster_power Dvfs.Big
-      { Power.cores_on = n; freq = 1.5; utilization = 1.0; temperature = 60.0 }
+    Power.cluster_power Dvfs.Big ~cores_on:n ~freq:1.5 ~utilization:1.0
+      ~temperature:60.0
   in
   check_bool "increasing in cores" true (p 1 < p 2 && p 3 < p 4)
 
 let test_power_zero_cores () =
   check_float "gated cluster draws nothing" 0.0
-    (Power.cluster_power Dvfs.Little
-       { Power.cores_on = 0; freq = 1.0; utilization = 0.5; temperature = 60.0 })
+    (Power.cluster_power Dvfs.Little ~cores_on:0 ~freq:1.0 ~utilization:0.5
+       ~temperature:60.0)
 
 let test_power_leakage_grows_with_temp () =
   let p temp =
-    Power.cluster_power Dvfs.Big
-      { Power.cores_on = 4; freq = 1.0; utilization = 0.0; temperature = temp }
+    Power.cluster_power Dvfs.Big ~cores_on:4 ~freq:1.0 ~utilization:0.0
+      ~temperature:temp
   in
   check_bool "hotter leaks more" true (p 80.0 > p 40.0)
 
 let test_power_idle_below_busy () =
   let busy =
-    Power.cluster_power Dvfs.Big
-      { Power.cores_on = 4; freq = 1.0; utilization = 1.0; temperature = 60.0 }
+    Power.cluster_power Dvfs.Big ~cores_on:4 ~freq:1.0 ~utilization:1.0
+      ~temperature:60.0
   in
   let idle =
-    Power.cluster_power Dvfs.Big
-      { Power.cores_on = 4; freq = 1.0; utilization = 0.0; temperature = 60.0 }
+    Power.cluster_power Dvfs.Big ~cores_on:4 ~freq:1.0 ~utilization:0.0
+      ~temperature:60.0
   in
   check_bool "idle cheaper" true (idle < busy);
   check_bool "idle not free" true (idle > 0.0)
@@ -189,29 +185,29 @@ let test_perf_multiplexing_penalty () =
   in
   check_bool "sharing costs a little" true (two < one && two > 0.75 *. one)
 
+let cluster_gips busy =
+  Perf.cluster_gips ~kind:Dvfs.Big ~freq:1.5 ~busy ~threads:4
+    ~mem_intensity:0.2 ~ipc_scale:1.0
+
 let test_perf_cluster_spreading () =
   (* 4 threads at 1 thread/core on 4 cores: 4 busy cores. *)
-  let gips4, busy4 =
-    Perf.cluster_throughput ~kind:Dvfs.Big ~freq:1.5 ~cores_on:4 ~threads:4
-      ~threads_per_core:1.0 ~mem_intensity:0.2 ~ipc_scale:1.0
-  in
+  let busy4 = Perf.cluster_busy ~cores_on:4 ~threads:4 ~threads_per_core:1.0 in
+  let gips4 = cluster_gips busy4 in
   check_int "all busy" 4 busy4;
   (* Packed 2-per-core: only 2 busy cores, lower aggregate. *)
-  let gips2, busy2 =
-    Perf.cluster_throughput ~kind:Dvfs.Big ~freq:1.5 ~cores_on:4 ~threads:4
-      ~threads_per_core:2.0 ~mem_intensity:0.2 ~ipc_scale:1.0
-  in
+  let busy2 = Perf.cluster_busy ~cores_on:4 ~threads:4 ~threads_per_core:2.0 in
+  let gips2 = cluster_gips busy2 in
   check_int "packed" 2 busy2;
   check_bool "packing costs throughput" true (gips2 < gips4);
   (* But packing cannot be worse than half. *)
   check_bool "bounded loss" true (gips2 > 0.4 *. gips4)
 
 let test_perf_cluster_clamps () =
-  let _, busy =
-    Perf.cluster_throughput ~kind:Dvfs.Big ~freq:1.5 ~cores_on:2 ~threads:8
-      ~threads_per_core:1.0 ~mem_intensity:0.2 ~ipc_scale:1.0
-  in
-  check_int "cannot exceed cores_on" 2 busy
+  check_int "cannot exceed cores_on" 2
+    (Perf.cluster_busy ~cores_on:2 ~threads:8 ~threads_per_core:1.0);
+  check_int "no threads, no busy core" 0
+    (Perf.cluster_busy ~cores_on:4 ~threads:0 ~threads_per_core:1.0);
+  check_float "no busy core, no throughput" 0.0 (cluster_gips 0)
 
 let test_perf_speedup_ratio () =
   let compute = Perf.speedup_big_over_little ~mem_intensity:0.0 in
@@ -269,20 +265,25 @@ let test_workload_memory_spread () =
 (* Sensors                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Feed the sensor one sample and return its held big reading. *)
+let sample_big s ~time ~power_big ~power_little =
+  Sensors.refresh s ~time ~power_big ~power_little;
+  fst (Sensors.read s)
+
 let test_sensor_holds_between_updates () =
   let s = Sensors.create () in
-  let b0, _ = Sensors.observe_power s ~time:0.0 ~power_big:2.0 ~power_little:0.2 in
+  let b0 = sample_big s ~time:0.0 ~power_big:2.0 ~power_little:0.2 in
   check_float "initial sample" 2.0 b0;
   (* 0.1 s later the sensor has not refreshed: still holds 2.0. *)
-  let b1, _ = Sensors.observe_power s ~time:0.1 ~power_big:5.0 ~power_little:0.5 in
+  let b1 = sample_big s ~time:0.1 ~power_big:5.0 ~power_little:0.5 in
   check_float "held" 2.0 b1;
   (* After the 260 ms period it picks up the new value. *)
-  let b2, _ = Sensors.observe_power s ~time:0.3 ~power_big:5.0 ~power_little:0.5 in
+  let b2 = sample_big s ~time:0.3 ~power_big:5.0 ~power_little:0.5 in
   check_float "refreshed" 5.0 b2
 
 let test_sensor_read_is_pure () =
   let s = Sensors.create () in
-  ignore (Sensors.observe_power s ~time:0.0 ~power_big:1.0 ~power_little:0.1);
+  Sensors.refresh s ~time:0.0 ~power_big:1.0 ~power_little:0.1;
   let b, l = Sensors.read s in
   check_float "read big" 1.0 b;
   check_float "read little" 0.1 l;
@@ -294,9 +295,8 @@ let test_sensor_noise_bounded () =
   let worst = ref 0.0 in
   for i = 0 to 99 do
     Sensors.reset s;
-    let b, _ =
-      Sensors.observe_power s ~time:(Float.of_int i) ~power_big:3.0
-        ~power_little:0.3
+    let b =
+      sample_big s ~time:(Float.of_int i) ~power_big:3.0 ~power_little:0.3
     in
     worst := Float.max !worst (Float.abs (b -. 3.0) /. 3.0)
   done;
@@ -501,6 +501,70 @@ let test_board_energy_accumulates () =
   check_bool "monotone" true (Xu3.energy b > e1 && e1 > 0.0)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation budget                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Work that outlasts every measurement window below. *)
+let endless name = Workload.scale ~ginsts:1e5 (Workload.by_name name)
+
+(* Minor words per 10 ms tick of [Xu3.step] over 1,000 epochs of 0.5 s,
+   after 100 warm-up epochs, with the trip count before and after. *)
+let words_per_tick ?cap jobs =
+  let b = Xu3.create jobs in
+  Xu3.set_power_cap b cap;
+  for _ = 1 to 100 do
+    Xu3.step b 0.5
+  done;
+  let t0 = Xu3.time b and trips0 = Xu3.trip_count b in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Xu3.step b 0.5
+  done;
+  let w1 = Gc.minor_words () in
+  let ticks = Float.round ((Xu3.time b -. t0) /. 0.01) in
+  check_float "ticks stepped" 50_000.0 ticks;
+  ((w1 -. w0) /. ticks, trips0, Xu3.trip_count b)
+
+let test_board_untripped_tick_allocates_nothing () =
+  let check label ?cap jobs =
+    let words, trips0, trips1 = words_per_tick ?cap jobs in
+    check_int (label ^ ": no trip") trips0 trips1;
+    check_float (label ^ ": minor words per tick") 0.0 words
+  in
+  check "blackscholes" [ endless "blackscholes" ];
+  check "three-job mix"
+    (List.map
+       (fun name -> Workload.scale ~threads:3 (endless name))
+       [ "blackscholes"; "mcf"; "gamess" ]);
+  check "capped, untripped" ~cap:5.0 [ endless "blackscholes" ]
+
+(* Flat out on both clusters, the power limiters trip and clamp. Once
+   the clamp's first tick has derived the clamped configuration, the
+   ticks it holds for reuse that configuration and the verdict. *)
+let test_board_clamped_tick_allocates_nothing () =
+  let b = Xu3.create [ endless "gamess" ] in
+  Xu3.set_config b
+    { big_cores = 4; little_cores = 4; freq_big = 2.0; freq_little = 1.4 };
+  Xu3.set_placement b { threads_big = 8; tpc_big = 2.0; tpc_little = 1.0 };
+  let guard = ref 0 in
+  while Xu3.trip_count b = 0 && !guard < 10_000 do
+    incr guard;
+    Xu3.step b 0.01
+  done;
+  check_bool "tripped" true (Xu3.trip_count b > 0);
+  Xu3.step b 0.01;
+  let trips = Xu3.trip_count b and eff = Xu3.effective_config b in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Xu3.step b 0.01
+  done;
+  let w1 = Gc.minor_words () in
+  check_int "no further trip" trips (Xu3.trip_count b);
+  check_bool "clamped" true (eff.freq_big < (Xu3.config b).freq_big);
+  check_bool "one derived config" true (Xu3.effective_config b == eff);
+  check_float "minor words per clamped tick" 0.0 ((w1 -. w0) /. 100.0)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -511,8 +575,8 @@ let prop_power_bounded =
         (float_range 30.0 95.0))
     (fun (cores, f, util, temp) ->
       let p =
-        Power.cluster_power Dvfs.Big
-          { Power.cores_on = cores; freq = f; utilization = util; temperature = temp }
+        Power.cluster_power Dvfs.Big ~cores_on:cores ~freq:f ~utilization:util
+          ~temperature:temp
       in
       p >= 0.0 && p <= 8.0)
 
@@ -747,6 +811,10 @@ let () =
             test_board_mix_jobs_both_finish;
           Alcotest.test_case "energy accumulates" `Quick
             test_board_energy_accumulates;
+          Alcotest.test_case "untripped tick allocates nothing" `Quick
+            test_board_untripped_tick_allocates_nothing;
+          Alcotest.test_case "clamped tick allocates nothing" `Quick
+            test_board_clamped_tick_allocates_nothing;
         ] );
       ("edge cases", round2_cases);
       ("properties", qcheck_cases);

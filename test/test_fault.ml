@@ -187,7 +187,8 @@ let test_epoch_validated () =
 let test_sensor_reset_replays_noise () =
   let s = Sensors.create ~noise:0.05 ~seed:11 () in
   let sample t =
-    Sensors.observe_power s ~time:t ~power_big:3.0 ~power_little:0.4
+    Sensors.refresh s ~time:t ~power_big:3.0 ~power_little:0.4;
+    Sensors.read s
   in
   let first = List.map sample [ 0.0; 0.3; 0.6; 0.9; 1.2 ] in
   Sensors.reset s;

@@ -121,6 +121,39 @@ let test_controller_dimension_checks () =
         (Controller.step c ~measurements:[| 1.0; 2.0 |] ~targets:[| 5.0 |]
            ~externals:[| 0.0 |]))
 
+(* The [bench micro] [controller_step] setup: a 6-state discrete
+   controller with the hardware layer's signal dimensions. After a
+   warm-up step, a step allocates nothing. *)
+let test_controller_step_allocates_nothing () =
+  let n = 6 in
+  let inputs = Hw_layer.inputs () in
+  let outputs = Hw_layer.outputs () in
+  let externals = Knobs.placement () in
+  let n_meas = Array.length outputs + Array.length externals in
+  let core =
+    Control.Ss.make ~domain:(Control.Ss.Discrete 0.5)
+      ~a:(Mat.scale 0.3 (Mat.random ~seed:11 n n))
+      ~b:(Mat.random ~seed:12 n n_meas)
+      ~c:(Mat.random ~seed:13 (Array.length inputs) n)
+      ~d:(Mat.random ~seed:14 (Array.length inputs) n_meas)
+      ()
+  in
+  let c = Controller.make ~controller:core ~inputs ~outputs ~externals in
+  let measurements = [| 5.0; 2.5; 0.25; 65.0 |]
+  and targets = [| 6.0; 3.0; 0.3; 77.0 |]
+  and ext = [| 6.0; 1.5; 1.0 |] in
+  let step () =
+    ignore (Controller.step c ~measurements ~targets ~externals:ext)
+  in
+  step ();
+  let steps = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to steps do
+    step ()
+  done;
+  let w1 = Gc.minor_words () in
+  check_float "minor words per step" 0.0 ((w1 -. w0) /. Float.of_int steps)
+
 let test_controller_state_and_reset () =
   (* An integrating controller accumulates; reset clears it. *)
   let core =
@@ -811,6 +844,8 @@ let () =
             test_controller_dimension_checks;
           Alcotest.test_case "state and reset" `Quick
             test_controller_state_and_reset;
+          Alcotest.test_case "step allocates nothing" `Quick
+            test_controller_step_allocates_nothing;
           Alcotest.test_case "cost (Section VI-D)" `Quick
             test_controller_cost_matches_paper_shape;
         ] );
