@@ -113,8 +113,11 @@ let cached ~label key compute =
 
 (* The cache key covers everything that determines a design: the training
    records, the layer specs whose signals it reads, and a schema version
-   to bump when the design pipeline itself changes. *)
-let schema_version = 2
+   to bump when the design pipeline itself changes — or the layout of a
+   cached value: entries are raw [Marshal] blobs, so loading one written
+   with another [Controller.t] layout is not type-safe (version 3: the
+   controller carries its normalization arrays). *)
+let schema_version = 3
 
 let spec_fingerprint (spec : Design.spec) =
   Marshal.to_string
