@@ -80,14 +80,3 @@ let solve ~a ~b ~q ~r =
     Mat.blocks [ [ a; Mat.neg g ]; [ Mat.neg q; Mat.neg (Mat.transpose a) ] ]
   in
   solve_hamiltonian h
-
-let residual ~a ~b ~q ~r x =
-  let g = Mat.mul3 b (Lu.inv r) (Mat.transpose b) in
-  let res =
-    Mat.add
-      (Mat.sub
-         (Mat.add (Mat.mul (Mat.transpose a) x) (Mat.mul x a))
-         (Mat.mul3 x g x))
-      q
-  in
-  Mat.norm_fro res /. Float.max 1.0 (Mat.norm_fro x)

@@ -26,13 +26,3 @@ val solve :
   Linalg.Mat.t
 (** Standard LQR-form CARE. [q] must be symmetric PSD and [r] symmetric PD.
     @raise No_solution as described above. *)
-
-val residual :
-  a:Linalg.Mat.t ->
-  b:Linalg.Mat.t ->
-  q:Linalg.Mat.t ->
-  r:Linalg.Mat.t ->
-  Linalg.Mat.t ->
-  float
-(** Frobenius norm of the Riccati residual for a candidate solution,
-    normalized by [max 1 |X|]. Used by tests. *)

@@ -75,12 +75,3 @@ let gain ~a ~b ~r x =
   let btx = Mat.mul (Mat.transpose b) x in
   let s = Mat.add r (Mat.mul btx b) in
   Lu.solve s (Mat.mul btx a)
-
-let residual ~a ~b ~q ~r x =
-  let k = gain ~a ~b ~r x in
-  let atxa = Mat.mul3 (Mat.transpose a) x a in
-  let correction =
-    Mat.mul (Mat.transpose (Mat.mul (Mat.mul (Mat.transpose b) x) a)) k
-  in
-  let res = Mat.sub (Mat.add (Mat.sub atxa correction) q) x in
-  Mat.norm_fro res /. Float.max 1.0 (Mat.norm_fro x)

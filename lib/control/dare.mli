@@ -19,12 +19,3 @@ val solve :
 val gain : a:Linalg.Mat.t -> b:Linalg.Mat.t -> r:Linalg.Mat.t -> Linalg.Mat.t -> Linalg.Mat.t
 (** [gain ~a ~b ~r x] is the optimal feedback gain
     [K = (R + B^T X B)^-1 B^T X A], so that [u = -K x]. *)
-
-val residual :
-  a:Linalg.Mat.t ->
-  b:Linalg.Mat.t ->
-  q:Linalg.Mat.t ->
-  r:Linalg.Mat.t ->
-  Linalg.Mat.t ->
-  float
-(** Normalized Frobenius residual of a candidate solution; used by tests. *)

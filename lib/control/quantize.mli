@@ -15,9 +15,6 @@ val make : minimum:float -> maximum:float -> step:float -> channel
 val levels : channel -> float array
 (** All representable values, ascending: [minimum, minimum+step, ...]. *)
 
-val count : channel -> int
-(** Number of representable values. *)
-
 val project : channel -> float -> float
 (** Clamp into range, then round to the nearest grid point. *)
 
@@ -26,12 +23,10 @@ val project_array : channel array -> float array -> unit
     xs.(i)], in place — the per-step form, which passes no float across
     a module boundary. *)
 
-val quantization_radius : channel -> float
-(** Worst-case projection error for in-range commands: [step / 2]. *)
-
 val relative_uncertainty : channel -> float
-(** Quantization radius normalized by the half-range: the multiplicative
-    uncertainty this input contributes to the guardband. *)
+(** The worst-case projection error of an in-range command, [step / 2],
+    normalized by the half-range: the multiplicative uncertainty this
+    input contributes to the guardband. *)
 
 val span : channel -> float
 (** [maximum - minimum]. *)

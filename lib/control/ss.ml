@@ -44,18 +44,9 @@ let dcgain sys =
       let ima = Mat.sub (Mat.identity (order sys)) sys.a in
       Mat.add sys.d (Mat.mul sys.c (Lu.solve ima sys.b))
 
-let step sys ~x ~u =
-  (match sys.domain with
-  | Discrete _ -> ()
-  | Continuous -> invalid_arg "Ss.step: continuous system");
-  let x_next = Vec.add (Mat.mul_vec sys.a x) (Mat.mul_vec sys.b u) in
-  let y = Vec.add (Mat.mul_vec sys.c x) (Mat.mul_vec sys.d u) in
-  (x_next, y)
-
-(* Allocation-free [step]: the products land in caller scratch ([sx] of
-   dimension [order], [sy] of dimension [outputs]) and are then added
-   elementwise — the same two-sum-then-add float ops as [step], so results
-   are bit-identical. [x_next] must not alias [x] ([y] is computed from the
+(* One allocation-free step: the products land in caller scratch ([sx]
+   of dimension [order], [sy] of dimension [outputs]) and are then added
+   elementwise. [x_next] must not alias [x] ([y] is computed from the
    old state after [x_next] is written). *)
 let step_into sys ~x ~u ~x_next ~y ~sx ~sy =
   (match sys.domain with
@@ -67,15 +58,6 @@ let step_into sys ~x ~u ~x_next ~y ~sx ~sy =
   Mat.mul_vec_into ~dst:y sys.c x;
   Mat.mul_vec_into ~dst:sy sys.d u;
   Vec.add_into ~dst:y y sy
-
-let simulate sys ?x0 us =
-  let x = ref (match x0 with Some v -> v | None -> Vec.create (order sys)) in
-  Array.map
-    (fun u ->
-      let x_next, y = step sys ~x:!x ~u in
-      x := x_next;
-      y)
-    us
 
 let same_domain name s1 s2 =
   match (s1.domain, s2.domain) with

@@ -57,12 +57,8 @@ val step_into :
 (** One step without allocating: writes the next state [A x + B u] into
     [x_next] and the output [C x + D u] into [y], using caller-provided
     scratch [sx] (dimension [order]) and [sy] (dimension [outputs]).
-    Bit-identical to the step {!simulate} takes. [x_next] must not alias
-    [x]. *)
-
-val simulate : t -> ?x0:Linalg.Vec.t -> Linalg.Vec.t array -> Linalg.Vec.t array
-(** Drive a discrete system with an input sequence from initial state [x0]
-    (default zero); returns the output sequence (same length). *)
+    Each is two matrix-vector products summed entry by entry. [x_next]
+    must not alias [x]. *)
 
 (** {1 Interconnection} *)
 

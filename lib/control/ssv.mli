@@ -36,17 +36,16 @@ val block_rows : structure -> int
 
 val block_cols : structure -> int
 
-val validate : structure -> Linalg.Mat.t * Linalg.Mat.t -> unit
-(** @raise Invalid_argument if the structure does not tile [M], or if
-    [M]'s two parts differ in size. *)
-
 type bound = {
   value : float;
   scales : float array;  (** One positive scale per block (upper bound). *)
 }
 
 val mu_upper : structure -> Linalg.Mat.t * Linalg.Mat.t -> bound
-(** Scaled-norm upper bound with optimized per-block D scales. *)
+(** Scaled-norm upper bound with optimized per-block D scales.
+    @raise Invalid_argument if the structure does not tile [M], or if
+    [M]'s two parts differ in size; so do {!mu_lower} and
+    {!worst_case_delta}. *)
 
 val mu_lower : ?restarts:int -> structure -> Linalg.Mat.t * Linalg.Mat.t -> float
 (** Alignment-iteration lower bound. *)

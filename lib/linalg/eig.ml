@@ -374,8 +374,3 @@ let is_positive_semidefinite ?(tol = 1e-9) a =
   let values = symmetric_values (Mat.symmetrize a) in
   let floor = -.tol *. Float.max 1.0 (Mat.max_abs a) in
   Array.for_all (fun x -> x >= floor) values
-
-let is_positive_definite ?(tol = 1e-9) a =
-  let values = symmetric_values (Mat.symmetrize a) in
-  let floor = tol *. Float.max 1.0 (Mat.max_abs a) in
-  Array.for_all (fun x -> x > floor) values

@@ -32,5 +32,3 @@ val symmetric_values : Mat.t -> Vec.t
 val is_positive_semidefinite : ?tol:float -> Mat.t -> bool
 (** Symmetric positive semidefiniteness check via Jacobi eigenvalues;
     eigenvalues above [-tol * max(1, |a|)] count as non-negative. *)
-
-val is_positive_definite : ?tol:float -> Mat.t -> bool

@@ -90,11 +90,6 @@ let solve_mat { lu; perm; _ } b =
   done;
   x
 
-let solve_vec f b =
-  if Vec.dim b <> f.lu.Mat.rows then
-    invalid_arg "Lu.solve_vec: dimension mismatch";
-  (solve_mat f (Mat.of_vec_col b)).Mat.data
-
 let inv_factored f = solve_mat f (Mat.identity f.lu.Mat.rows)
 
 let det_factored { lu; sign; _ } =
@@ -109,13 +104,3 @@ let solve a b = solve_mat (factorize a) b
 let solve_right b a = Mat.transpose (solve (Mat.transpose a) (Mat.transpose b))
 
 let inv a = inv_factored (factorize a)
-
-let det a =
-  match factorize a with
-  | f -> det_factored f
-  | exception Singular -> 0.0
-
-let cond_estimate a =
-  match inv a with
-  | ai -> Mat.norm1 a *. Mat.norm1 ai
-  | exception Singular -> infinity

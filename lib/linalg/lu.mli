@@ -16,9 +16,6 @@ type factors = {
 val factorize : Mat.t -> factors
 (** Factor a square matrix. @raise Singular on rank deficiency. *)
 
-val solve_vec : factors -> Vec.t -> Vec.t
-(** Solve [a x = b] given [factorize a]. *)
-
 val inv_factored : factors -> Mat.t
 (** [inv_factored (factorize a)] is [inv a], bit for bit, without
     factorizing [a] again. *)
@@ -35,10 +32,3 @@ val solve_right : Mat.t -> Mat.t -> Mat.t
 
 val inv : Mat.t -> Mat.t
 (** Matrix inverse. @raise Singular if singular. *)
-
-val det : Mat.t -> float
-(** Determinant; [0.] for singular matrices (does not raise). *)
-
-val cond_estimate : Mat.t -> float
-(** Cheap 1-norm condition number estimate ([norm1 a * norm1 (inv a)]);
-    [infinity] if singular. *)

@@ -289,10 +289,6 @@ let check_not_aliased name dst srcs =
     && List.exists (fun s -> s.data == dst.data) srcs
   then invalid_arg (name ^ ": dst aliases a source matrix")
 
-let copy_into ~dst a =
-  check_dst "Mat.copy_into" ~rows:a.rows ~cols:a.cols dst;
-  Array.blit a.data 0 dst.data 0 (Array.length a.data)
-
 (* Elementwise kernels tolerate [dst] aliasing a source: every entry is
    read before it is written. *)
 
@@ -319,14 +315,6 @@ let scale_into ~dst s a =
   let ad = a.data and rd = dst.data in
   for k = 0 to Array.length ad - 1 do
     Array.unsafe_set rd k (s *. Array.unsafe_get ad k)
-  done
-
-let axpy ~dst s x =
-  check_same "Mat.axpy" dst x;
-  let xd = x.data and rd = dst.data in
-  for k = 0 to Array.length rd - 1 do
-    Array.unsafe_set rd k
-      (Array.unsafe_get rd k +. (s *. Array.unsafe_get xd k))
   done
 
 let transpose_into ~dst a =
@@ -380,18 +368,6 @@ let mul_vec_into ~dst a v =
     Array.unsafe_set dst i !acc
   done
 
-let map f a = { a with data = Array.map f a.data }
-
-let pow a n =
-  if not (a.rows = a.cols) then invalid_arg "Mat.pow: non-square";
-  if n < 0 then invalid_arg "Mat.pow: negative exponent";
-  let rec go acc base n =
-    if n = 0 then acc
-    else if n land 1 = 1 then go (mul acc base) (mul base base) (n asr 1)
-    else go acc (mul base base) (n asr 1)
-  in
-  go (identity a.rows) a n
-
 let norm_fro a = Vec.norm2 a.data
 
 let norm_inf a =
@@ -405,33 +381,9 @@ let norm_inf a =
   done;
   !best
 
-let norm1 a = norm_inf (transpose a)
-
 let max_abs a = Vec.norm_inf a.data
 
-let trace a =
-  let acc = ref 0.0 in
-  for i = 0 to min a.rows a.cols - 1 do
-    acc := !acc +. get a i i
-  done;
-  !acc
-
 let is_square a = a.rows = a.cols
-
-let is_symmetric ?(tol = 1e-9) a =
-  is_square a
-  &&
-  let ok = ref true in
-  for i = 0 to a.rows - 1 do
-    for j = i + 1 to a.cols - 1 do
-      if Float.abs (get a i j -. get a j i) > tol then ok := false
-    done
-  done;
-  !ok
-
-let approx_equal ?(tol = 1e-9) a b =
-  a.rows = b.rows && a.cols = b.cols
-  && Vec.approx_equal ~tol a.data b.data
 
 let symmetrize a = scale 0.5 (add a (transpose a))
 

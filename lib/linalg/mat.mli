@@ -79,15 +79,12 @@ val mul3 : t -> t -> t -> t
     conversion to these kernels is bit-identical. Dimensions are checked
     once at entry; inner loops are unchecked.
 
-    Aliasing rules: the elementwise kernels ([copy_into], [add_into],
-    [sub_into], [scale_into], [axpy]) tolerate [dst] aliasing a source
-    (each entry is read before written). The reduction/permutation
+    Aliasing rules: the elementwise kernels ([add_into], [sub_into],
+    [scale_into]) tolerate [dst] aliasing a source (each entry is read
+    before written). The reduction/permutation
     kernels ([mul_into], [mul_vec_into], [transpose_into],
     [symmetrize_into]) raise [Invalid_argument] if [dst] shares storage
     with a source. *)
-
-val copy_into : dst:t -> t -> unit
-(** [copy_into ~dst a] overwrites [dst] with [a]. *)
 
 val add_into : dst:t -> t -> t -> unit
 (** [add_into ~dst a b]: [dst <- a + b]. [dst] may alias [a] or [b]. *)
@@ -97,9 +94,6 @@ val sub_into : dst:t -> t -> t -> unit
 
 val scale_into : dst:t -> float -> t -> unit
 (** [scale_into ~dst s a]: [dst <- s*a]. [dst] may alias [a]. *)
-
-val axpy : dst:t -> float -> t -> unit
-(** [axpy ~dst s x]: [dst <- dst + s*x]. *)
 
 val transpose_into : dst:t -> t -> unit
 (** [transpose_into ~dst a]: [dst <- a^T]. [dst] must not alias [a]. *)
@@ -116,11 +110,6 @@ val mul_vec_into : dst:Vec.t -> t -> Vec.t -> unit
 (** [mul_vec_into ~dst a v]: [dst <- a*v]. [dst] must not alias [v] (or
     the storage of [a]). *)
 
-val map : (float -> float) -> t -> t
-
-val pow : t -> int -> t
-(** Non-negative integer matrix power by repeated squaring. *)
-
 (** {1 Norms and predicates} *)
 
 val norm_fro : t -> float
@@ -128,16 +117,9 @@ val norm_fro : t -> float
 val norm_inf : t -> float
 (** Maximum absolute row sum. *)
 
-val norm1 : t -> float
-(** Maximum absolute column sum. *)
-
 val max_abs : t -> float
-val trace : t -> float
 
 val is_square : t -> bool
-val is_symmetric : ?tol:float -> t -> bool
-val approx_equal : ?tol:float -> t -> t -> bool
-
 val symmetrize : t -> t
 (** [(a + a^T)/2]; useful to remove drift in iterative Riccati solvers. *)
 

@@ -1,11 +1,9 @@
-type factors = { q : Mat.t; r : Mat.t }
-
 (* Reflector application on the flat data array: one add per element
    instead of a bounds-checked [Mat.get] with an index multiply. The
    accumulation order (row index ascending) matches the naive loops
-   these replaced, so factorizations are bit-identical. *)
+   these replaced, so factorizations are bit-identical.
 
-(* w <- H w on rows [k..] across columns [k..jmax], H = I - 2 v v^T. *)
+   w <- H w on rows [k..] across columns [k..jmax], H = I - 2 v v^T. *)
 let apply_reflector_left w ~k ~jmax (v : float array) =
   let d = w.Mat.data and cols = w.Mat.cols in
   let len = Array.length v in
@@ -23,64 +21,6 @@ let apply_reflector_left w ~k ~jmax (v : float array) =
         (Array.unsafe_get d idx -. (d2 *. Array.unsafe_get v i))
     done
   done
-
-(* q <- q H: every row of q corrected over columns [k..k+len-1]. *)
-let apply_reflector_right q ~k (v : float array) =
-  let d = q.Mat.data and cols = q.Mat.cols in
-  let len = Array.length v in
-  for i = 0 to q.Mat.rows - 1 do
-    let base = (i * cols) + k in
-    let dot = ref 0.0 in
-    for l = 0 to len - 1 do
-      dot := !dot +. (Array.unsafe_get d (base + l) *. Array.unsafe_get v l)
-    done;
-    let d2 = 2.0 *. !dot in
-    for l = 0 to len - 1 do
-      Array.unsafe_set d (base + l)
-        (Array.unsafe_get d (base + l) -. (d2 *. Array.unsafe_get v l))
-    done
-  done
-
-(* Householder QR. We accumulate the reflectors into an explicit Q because
-   the matrices in this project are small (tens of rows), where clarity
-   beats the usual packed-reflector storage. *)
-let householder_triangularize a =
-  let m = a.Mat.rows and n = a.Mat.cols in
-  let r = Mat.copy a in
-  let q = Mat.identity m in
-  for k = 0 to min (m - 1) n - 1 do
-    (* Build the reflector that zeroes column k below the diagonal. *)
-    let x = Array.init (m - k) (fun i -> Mat.get r (k + i) k) in
-    let normx = Vec.norm2 x in
-    if normx > 0.0 then begin
-      let alpha = if x.(0) >= 0.0 then -.normx else normx in
-      let v = Array.copy x in
-      v.(0) <- v.(0) -. alpha;
-      let vnorm = Vec.norm2 v in
-      if vnorm > 1e-300 then begin
-        let v = Vec.scale (1.0 /. vnorm) v in
-        apply_reflector_left r ~k ~jmax:(n - 1) v;
-        apply_reflector_right q ~k v
-      end
-    end
-  done;
-  (* Clean tiny subdiagonal residue for exact triangularity. *)
-  for i = 0 to m - 1 do
-    for j = 0 to min (i - 1) (n - 1) do
-      Mat.set r i j 0.0
-    done
-  done;
-  (q, r)
-
-let factorize_full a =
-  let q, r = householder_triangularize a in
-  { q; r }
-
-let factorize a =
-  let m = a.Mat.rows and n = a.Mat.cols in
-  if m < n then invalid_arg "Qr.factorize: requires rows >= cols";
-  let q, r = householder_triangularize a in
-  { q = Mat.sub_matrix q 0 0 m n; r = Mat.sub_matrix r 0 0 n n }
 
 (* Householder elimination on the augmented matrix [a | rhs]: reflectors are
    computed from the first [n] columns only and applied across, leaving
@@ -134,7 +74,3 @@ let solve_least_squares_mat a b =
     Mat.set_col x j (back_substitute r (Mat.col qtb j))
   done;
   x
-
-let orthonormal_columns ?(tol = 1e-8) q =
-  let gram = Mat.mul (Mat.transpose q) q in
-  Mat.approx_equal ~tol gram (Mat.identity q.Mat.cols)

@@ -1,17 +1,7 @@
-(** QR factorization by Householder reflections.
+(** Least squares by Householder QR.
 
-    For an [m]x[n] matrix with [m >= n], [factorize] produces the thin
-    factorization [a = q * r] with [q] of size [m]x[n] having orthonormal
-    columns and [r] upper triangular [n]x[n]. The full square [q] is also
-    available for orthonormal basis completion. *)
-
-type factors = { q : Mat.t; r : Mat.t }
-
-val factorize : Mat.t -> factors
-(** Thin QR of a matrix with [rows >= cols]. *)
-
-val factorize_full : Mat.t -> factors
-(** Full QR: [q] is square [m]x[m], [r] is [m]x[n]. *)
+    The reflectors that triangularize [a] are applied to the right-hand
+    side as they are built, so [Q] is never formed. *)
 
 val solve_least_squares : Mat.t -> Vec.t -> Vec.t
 (** Minimum-residual solution of an overdetermined system [a x ~ b] with
@@ -19,6 +9,3 @@ val solve_least_squares : Mat.t -> Vec.t -> Vec.t
 
 val solve_least_squares_mat : Mat.t -> Mat.t -> Mat.t
 (** Column-wise least squares with a matrix right-hand side. *)
-
-val orthonormal_columns : ?tol:float -> Mat.t -> bool
-(** Check [q^T q = I] to tolerance; used by tests and assertions. *)

@@ -21,17 +21,11 @@ let basis n i =
 let check_same_dim name a b =
   if dim a <> dim b then invalid_arg (name ^ ": dimension mismatch")
 
-let add a b =
-  check_same_dim "Vec.add" a b;
-  Array.mapi (fun i x -> x +. b.(i)) a
-
 let sub a b =
   check_same_dim "Vec.sub" a b;
   Array.mapi (fun i x -> x -. b.(i)) a
 
 let scale s a = Array.map (fun x -> s *. x) a
-
-let neg a = scale (-1.0) a
 
 let check_dst name dst a =
   if dim dst <> dim a then invalid_arg (name ^ ": dst dimension mismatch")
@@ -69,31 +63,8 @@ let norm2 a =
 
 let norm_inf a = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 a
 
-let norm1 a = Array.fold_left (fun m x -> m +. Float.abs x) 0.0 a
-
-let axpy alpha x y =
-  check_same_dim "Vec.axpy" x y;
-  Array.mapi (fun i xi -> (alpha *. xi) +. y.(i)) x
-
 let map = Array.map
-
-let max_abs_index a =
-  if dim a = 0 then invalid_arg "Vec.max_abs_index: empty vector";
-  let best = ref 0 in
-  for i = 1 to dim a - 1 do
-    if Float.abs a.(i) > Float.abs a.(!best) then best := i
-  done;
-  !best
 
 let concat = Array.append
 
 let slice v pos len = Array.sub v pos len
-
-let approx_equal ?(tol = 1e-9) a b =
-  dim a = dim b
-  &&
-  let ok = ref true in
-  for i = 0 to dim a - 1 do
-    if Float.abs (a.(i) -. b.(i)) > tol then ok := false
-  done;
-  !ok

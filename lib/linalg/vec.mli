@@ -25,16 +25,12 @@ val ones : int -> t
 val basis : int -> int -> t
 (** [basis n i] is the [i]-th canonical basis vector of dimension [n]. *)
 
-val add : t -> t -> t
-
 val sub : t -> t -> t
 
 val add_into : dst:t -> t -> t -> unit
 (** [add_into ~dst a b]: [dst <- a + b]. [dst] may alias [a] or [b]. *)
 
 val scale : float -> t -> t
-
-val neg : t -> t
 
 val dot : t -> t -> float
 
@@ -43,20 +39,9 @@ val norm2 : t -> float
 
 val norm_inf : t -> float
 
-val norm1 : t -> float
-
-val axpy : float -> t -> t -> t
-(** [axpy a x y] is [a*x + y]. *)
-
 val map : (float -> float) -> t -> t
-
-val max_abs_index : t -> int
-(** Index of the entry with largest absolute value. *)
 
 val concat : t -> t -> t
 
 val slice : t -> int -> int -> t
 (** [slice v pos len] is the sub-vector of [len] entries starting at [pos]. *)
-
-val approx_equal : ?tol:float -> t -> t -> bool
-(** Entry-wise comparison with absolute tolerance [tol] (default [1e-9]). *)

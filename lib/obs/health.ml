@@ -103,8 +103,6 @@ let note_trips t n = t.trip_count <- t.trip_count + n
 
 let epochs t = t.epochs
 
-let sim_s t = t.sim
-
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
 (* ------------------------------------------------------------------ *)

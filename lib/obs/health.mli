@@ -68,8 +68,6 @@ val note_trips : t -> int -> unit
 
 val epochs : t -> int
 
-val sim_s : t -> float
-
 val merge_into : into:t -> t -> unit
 (** Fold [src] into [into]; [src] is untouched. An [into] with no
     layers and no channels (fresh from {!create}) adopts [src]'s

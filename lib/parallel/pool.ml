@@ -49,8 +49,6 @@ let create ~jobs =
     List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let jobs t = t.jobs
-
 let shutdown t =
   Mutex.lock t.mutex;
   t.closed <- true;

@@ -41,9 +41,6 @@ val create : jobs:int -> t
 
     @raise Invalid_argument if [jobs < 1]. *)
 
-val jobs : t -> int
-(** The parallelism the pool was created with. *)
-
 val map_reduce :
   t ->
   map:('a -> 'b) ->

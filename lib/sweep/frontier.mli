@@ -29,10 +29,6 @@ type entry = {
   macs : int;    (** Multiply-accumulates per invocation, all layers. *)
 }
 
-val dominates : entry -> entry -> bool
-(** [dominates a b] — [a] is at least as good as [b] on all three
-    objectives and strictly better on at least one. *)
-
 type t
 (** A mutable online frontier. Not domain-safe: insert from one domain
     (the reduce phase runs in the calling domain only). *)

@@ -104,17 +104,6 @@ let predict_one_step model ~u ~y =
     (fun t yt -> if t < h then Vec.copy yt else predict_at model ~u ~y t)
     y
 
-let simulate model ~u ~y0 =
-  let h = horizon model.na model.nb in
-  if Array.length y0 < h then invalid_arg "Arx.simulate: y0 shorter than lag";
-  let len = Array.length u in
-  let out = Array.make len (Vec.create model.ny) in
-  for t = 0 to len - 1 do
-    if t < h then out.(t) <- Vec.copy y0.(t)
-    else out.(t) <- predict_at model ~u ~y:out t
-  done;
-  out
-
 (* Block observer canonical form. With p = max(na, nb-1) block rows:
    y = x_1 + B0 u
    x_i' = A_i y + x_{i+1} + B_i u   (x_{p+1} = 0)
@@ -136,7 +125,3 @@ let to_ss model ~period =
   done;
   let c = Mat.hcat (Mat.identity ny) (Mat.create ny (n - ny)) in
   Control.Ss.make ~domain:(Control.Ss.Discrete period) ~a ~b ~c ~d:b0 ()
-
-let stable model =
-  let ss = to_ss model ~period:1.0 in
-  Control.Ss.is_stable ss

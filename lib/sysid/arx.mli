@@ -42,12 +42,5 @@ val predict_one_step : model -> u:Linalg.Vec.t array -> y:Linalg.Vec.t array -> 
 (** One-step-ahead predictions over a record (first [max na (nb-1)]
     samples are echoed as-is since they lack history). *)
 
-val simulate : model -> u:Linalg.Vec.t array -> y0:Linalg.Vec.t array -> Linalg.Vec.t array
-(** Free-run simulation: past outputs are the model's own predictions.
-    [y0] seeds the first [na] outputs. *)
-
 val to_ss : model -> period:float -> Control.Ss.t
 (** Block observer canonical realization with [na * ny] states. *)
-
-val stable : model -> bool
-(** Schur stability of the free-run dynamics. *)

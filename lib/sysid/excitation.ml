@@ -1,7 +1,5 @@
 type t = { seed : int; hold : int }
 
-let default = { seed = 1; hold = 3 }
-
 let multilevel_state st { hold; _ } ~levels ~length =
   if Array.length levels = 0 then invalid_arg "Excitation: no levels";
   if hold <= 0 then invalid_arg "Excitation: hold must be positive";
@@ -14,8 +12,6 @@ let multilevel_state st { hold; _ } ~levels ~length =
 let multilevel t ~levels ~length =
   let st = Random.State.make [| t.seed; Array.length levels; length |] in
   multilevel_state st t ~levels ~length
-
-let prbs t ~low ~high ~length = multilevel t ~levels:[| low; high |] ~length
 
 let channels t ~levels ~length =
   let n = Array.length levels in

@@ -13,15 +13,8 @@ type t = {
                    frequencies. *)
 }
 
-val default : t
-(** Seed 7, hold 4 — the training-run excitation the default
-    [Yukta.Designs] records are generated with. *)
-
 val multilevel : t -> levels:float array -> length:int -> Linalg.Vec.t
 (** Random piecewise-constant sequence over the given levels. *)
-
-val prbs : t -> low:float -> high:float -> length:int -> Linalg.Vec.t
-(** Two-level pseudo-random binary sequence. *)
 
 val channels :
   t -> levels:float array array -> length:int -> Linalg.Vec.t array

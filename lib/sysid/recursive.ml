@@ -24,7 +24,6 @@ type t = {
   ys : Vec.t array;
   us : Vec.t array;
   mutable seen : int; (* Observations absorbed (history pushes). *)
-  mutable updates : int; (* RLS updates performed. *)
   (* Scratch, reused across updates. *)
   phi : Vec.t;
   pphi : Vec.t;
@@ -55,14 +54,11 @@ let create ?(lambda = 1.0) ?(delta = 1e-6) ~na ~nb ~ny ~nu () =
     ys = Array.init na (fun _ -> Vec.create ny);
     us = Array.init (max 0 (nb - 1)) (fun _ -> Vec.create nu);
     seen = 0;
-    updates = 0;
     phi = Vec.create c;
     pphi = Vec.create c;
     gain = Vec.create c;
     err = Vec.create ny;
   }
-
-let samples t = t.updates
 
 let warm t = t.seen >= max t.na (t.nb - 1)
 
@@ -138,7 +134,6 @@ let observe t ~(u : Vec.t) ~(y : Vec.t) =
           Mat.set t.p cc r s
         done
       done;
-      t.updates <- t.updates + 1;
       let sq = ref 0.0 in
       for ch = 0 to t.ny - 1 do
         sq := !sq +. (t.err.(ch) *. t.err.(ch))

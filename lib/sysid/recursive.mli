@@ -38,13 +38,6 @@ val model : t -> Arx.model
 (** The current estimate, unpacked into {!Arx.model} coefficient
     matrices (zeros before any update — the ridge prior). *)
 
-val samples : t -> int
-(** RLS updates absorbed so far (excludes warm-up samples). *)
-
-val warm : t -> bool
-(** Whether the regressor history is full, i.e. the next {!observe}
-    will update. *)
-
 val warm_start : ?delta:float -> t -> Arx.model -> unit
 (** Install a prior estimate (e.g. the offline batch fit) as the
     starting parameters, with the covariance set to [delta^-1 I]

@@ -9,10 +9,6 @@ val fit_percent : actual:Linalg.Vec.t array -> predicted:Linalg.Vec.t array -> L
 (** Per-channel normalized fit [100 * (1 - |y - yhat| / |y - mean y|)];
     100 is perfect, 0 no better than the mean, negative worse. *)
 
-val autocorrelation : Linalg.Vec.t -> int -> Linalg.Vec.t
-(** Normalized autocorrelation of a scalar series at lags [1..n]
-    (lag-0 value is 1 by construction and omitted). *)
-
 val whiteness : Linalg.Vec.t -> float
 (** Fraction of the first 10 autocorrelation values within
     the 95% confidence band [+-1.96/sqrt N]; near 1 means white. *)

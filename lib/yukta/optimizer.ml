@@ -74,8 +74,6 @@ let make ~outputs ~roles =
 
 let targets t = Vec.copy t.current
 
-let best_objective t = t.best
-
 let clamp t i v = Float.min t.caps.(i) (Float.max t.floors.(i) v)
 
 (* One hill-climb move on the limited outputs (up = toward the caps). *)

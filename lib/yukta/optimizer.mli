@@ -35,7 +35,4 @@ val update : t -> objective:float -> measurements:Linalg.Vec.t -> Linalg.Vec.t
     cap (starting at the cap); Maximize outputs lead the measured value by
     one deviation bound. *)
 
-val best_objective : t -> float
-(** Best objective seen so far ([infinity] before the first update). *)
-
 val reset : t -> unit

@@ -39,12 +39,7 @@ let half_span_output o = (o.hi -. o.lo) /. 2.0
 let normalize_input (i : input) x =
   (x -. center i.channel) /. half_span i.channel
 
-let denormalize_input (i : input) x =
-  center i.channel +. (x *. half_span i.channel)
-
 let normalize_output o x = (x -. center_output o) /. half_span_output o
-
-let denormalize_output o x = center_output o +. (x *. half_span_output o)
 
 let normalize_external e x = (x -. center e.channel) /. half_span e.channel
 

@@ -64,10 +64,7 @@ val center_output : output -> float
 val half_span_output : output -> float
 
 val normalize_input : input -> float -> float
-val denormalize_input : input -> float -> float
 val normalize_output : output -> float -> float
-val denormalize_output : output -> float -> float
-
 val normalize_external : external_signal -> float -> float
 
 val normalized_bound : output -> float

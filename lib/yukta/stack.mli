@@ -109,11 +109,6 @@ val complete_event : stepper -> unit
 (** Emit the [runtime.run_complete] summary event (when observing);
     {!run} calls this once its loop exits. *)
 
-val result_of_stepper : stepper -> trace:trace_point list -> result
-(** Package the stepper's final state as a {!result}. [trace] is the
-    caller-collected per-epoch list, newest first (as {!run} builds
-    it); pass [[]] when not collecting. *)
-
 val run :
   ?max_time:float ->
   ?collect_trace:bool ->

@@ -11,7 +11,7 @@ let check_float_loose = Alcotest.(check (float 1e-6))
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let mat = Alcotest.testable Mat.pp (Mat.approx_equal ~tol:1e-7)
+let mat = Alcotest.testable Mat.pp (Approx.mat ~tol:1e-7)
 
 let m1x1 x = Mat.of_lists [ [ x ] ]
 
@@ -55,7 +55,7 @@ let test_ss_simulate_step () =
   (* Discrete integrator x' = x + u, y = x: step input accumulates. *)
   let sys = first_order ~domain:(Ss.Discrete 1.0) 1.0 1.0 1.0 0.0 in
   let us = Array.make 5 (Vec.of_list [ 1.0 ]) in
-  let ys = Ss.simulate sys us in
+  let ys = Simulate.ss sys us in
   check_float "first output is x0" 0.0 ys.(0).(0);
   check_float "accumulates" 4.0 ys.(4).(0)
 
@@ -144,7 +144,7 @@ let test_care_residual_random () =
   let q = Mat.add (Mat.symmetrize (Mat.random ~seed:34 4 4)) (Mat.scalar 4 5.0) in
   let r = Mat.identity 2 in
   let x = Care.solve ~a ~b ~q ~r in
-  check_bool "residual small" true (Care.residual ~a ~b ~q ~r x < 1e-7);
+  check_bool "residual small" true (Residual.care ~a ~b ~q ~r x < 1e-7);
   check_bool "psd" true (Eig.is_positive_semidefinite ~tol:1e-6 x);
   (* Closed loop A - G X must be Hurwitz. *)
   let g = Mat.mul b (Mat.transpose b) in
@@ -177,7 +177,7 @@ let test_dare_residual_random () =
   let q = Mat.add (Mat.symmetrize (Mat.random ~seed:37 4 4)) (Mat.scalar 4 5.0) in
   let r = Mat.identity 2 in
   let x = Dare.solve ~a ~b ~q ~r in
-  check_bool "residual small" true (Dare.residual ~a ~b ~q ~r x < 1e-8);
+  check_bool "residual small" true (Residual.dare ~a ~b ~q ~r x < 1e-8);
   check_bool "psd" true (Eig.is_positive_semidefinite ~tol:1e-6 x);
   let k = Dare.gain ~a ~b ~r x in
   check_bool "stabilizing" true (Eig.is_stable_discrete (Mat.sub a (Mat.mul b k)))
@@ -342,7 +342,7 @@ let test_mu_validate () =
   let m = (Mat.identity 3, Mat.create 3 3) in
   Alcotest.check_raises "tiling"
     (Invalid_argument "Ssv: structure does not tile the matrix") (fun () ->
-      Ssv.validate [ Ssv.Full (2, 2) ] m)
+      ignore (Ssv.mu_upper [ Ssv.Full (2, 2) ] m))
 
 let test_mu_sweep_runs () =
   let sys =
@@ -393,8 +393,8 @@ let test_dk_scale_plant_roundtrip () =
 let freq_channel = Quantize.make ~minimum:0.2 ~maximum:2.0 ~step:0.1
 
 let test_quantize_levels () =
-  check_int "count" 19 (Quantize.count freq_channel);
   let l = Quantize.levels freq_channel in
+  check_int "count" 19 (Array.length l);
   check_float "first" 0.2 l.(0);
   check_float "last" 2.0 l.(18)
 
@@ -405,7 +405,6 @@ let test_quantize_project () =
   check_float "clamp high" 2.0 (Quantize.project freq_channel 99.0)
 
 let test_quantize_radius () =
-  check_float "radius" 0.05 (Quantize.quantization_radius freq_channel);
   check_float "span" 1.8 (Quantize.span freq_channel);
   check_float_loose "relative" (0.05 /. 0.9)
     (Quantize.relative_uncertainty freq_channel)
@@ -429,7 +428,7 @@ let prop_quantize_error_bounded =
     QCheck.(float_range 0.2 2.0)
     (fun x ->
       Float.abs (Quantize.project freq_channel x -. x)
-      <= (Quantize.quantization_radius freq_channel) +. 1e-12)
+      <= (freq_channel.Quantize.step /. 2.0) +. 1e-12)
 
 let prop_dare_stabilizing =
   let gen =

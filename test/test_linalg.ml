@@ -8,7 +8,17 @@ let check_float_loose = Alcotest.(check (float 1e-6))
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let mat = Alcotest.testable Mat.pp (Mat.approx_equal ~tol:1e-8)
+let mat = Alcotest.testable Mat.pp (Approx.mat ~tol:1e-8)
+
+let trace a =
+  let acc = ref 0.0 in
+  for i = 0 to min a.Mat.rows a.Mat.cols - 1 do
+    acc := !acc +. Mat.get a i i
+  done;
+  !acc
+
+let orthonormal_columns ?(tol = 1e-8) q =
+  Approx.mat ~tol (Mat.mul (Mat.transpose q) q) (Mat.identity q.Mat.cols)
 
 (* ------------------------------------------------------------------ *)
 (* Vec                                                                 *)
@@ -19,20 +29,14 @@ let test_vec_basic () =
   check_int "dim" 3 (Vec.dim v);
   check_float "dot" 14.0 (Vec.dot v v);
   check_float "norm2" (sqrt 14.0) (Vec.norm2 v);
-  check_float "norm1" 6.0 (Vec.norm1 v);
-  check_float "norm_inf" 3.0 (Vec.norm_inf v);
-  check_int "max_abs_index" 2 (Vec.max_abs_index v)
+  check_float "norm_inf" 3.0 (Vec.norm_inf v)
 
 let test_vec_arith () =
   let a = Vec.of_list [ 1.0; 2.0 ] and b = Vec.of_list [ 3.0; -1.0 ] in
-  check_bool "add" true
-    (Vec.approx_equal (Vec.add a b) (Vec.of_list [ 4.0; 1.0 ]));
   check_bool "sub" true
-    (Vec.approx_equal (Vec.sub a b) (Vec.of_list [ -2.0; 3.0 ]));
-  check_bool "axpy" true
-    (Vec.approx_equal (Vec.axpy 2.0 a b) (Vec.of_list [ 5.0; 3.0 ]));
+    (Approx.vec (Vec.sub a b) (Vec.of_list [ -2.0; 3.0 ]));
   check_bool "scale" true
-    (Vec.approx_equal (Vec.scale (-1.0) a) (Vec.neg a))
+    (Approx.vec (Vec.scale (-1.0) a) (Vec.of_list [ -1.0; -2.0 ]))
 
 let test_vec_basis () =
   let e1 = Vec.basis 3 1 in
@@ -50,9 +54,9 @@ let test_vec_norm2_overflow () =
 let test_vec_slice_concat () =
   let v = Vec.of_list [ 1.0; 2.0; 3.0; 4.0 ] in
   let a = Vec.slice v 1 2 in
-  check_bool "slice" true (Vec.approx_equal a (Vec.of_list [ 2.0; 3.0 ]));
+  check_bool "slice" true (Approx.vec a (Vec.of_list [ 2.0; 3.0 ]));
   check_bool "concat" true
-    (Vec.approx_equal
+    (Approx.vec
        (Vec.concat (Vec.slice v 0 2) (Vec.slice v 2 2))
        v)
 
@@ -109,27 +113,20 @@ let test_mat_hcat_vcat () =
 
 let test_mat_trace_norms () =
   let a = Mat.of_lists [ [ 1.0; -2.0 ]; [ 3.0; 4.0 ] ] in
-  check_float "trace" 5.0 (Mat.trace a);
   check_float "norm_inf" 7.0 (Mat.norm_inf a);
-  check_float "norm1" 6.0 (Mat.norm1 a);
   check_float "max_abs" 4.0 (Mat.max_abs a);
   check_float "fro" (sqrt 30.0) (Mat.norm_fro a)
 
-let test_mat_pow () =
-  let a = Mat.of_lists [ [ 1.0; 1.0 ]; [ 0.0; 1.0 ] ] in
-  let a5 = Mat.pow a 5 in
-  check_float "shear power" 5.0 (Mat.get a5 0 1);
-  Alcotest.check mat "pow 0" (Mat.identity 2) (Mat.pow a 0)
-
 let test_mat_symmetrize () =
   let a = Mat.random ~seed:8 5 5 in
-  check_bool "symmetric" true (Mat.is_symmetric (Mat.symmetrize a))
+  let s = Mat.symmetrize a in
+  Alcotest.check mat "symmetric" s (Mat.transpose s)
 
 let test_mat_mul_vec () =
   let a = Mat.of_lists [ [ 1.0; 2.0 ]; [ 3.0; 4.0 ] ] in
   let v = Vec.of_list [ 1.0; 1.0 ] in
   check_bool "a*v" true
-    (Vec.approx_equal (Mat.mul_vec a v) (Vec.of_list [ 3.0; 7.0 ]))
+    (Approx.vec (Mat.mul_vec a v) (Vec.of_list [ 3.0; 7.0 ]))
 
 let test_mat_dim_mismatch () =
   let a = Mat.create 2 3 and b = Mat.create 2 3 in
@@ -144,8 +141,8 @@ let test_mat_dim_mismatch () =
 let test_lu_solve_known () =
   let a = Mat.of_lists [ [ 4.0; 3.0 ]; [ 6.0; 3.0 ] ] in
   let b = Vec.of_list [ 10.0; 12.0 ] in
-  let x = Lu.solve_vec (Lu.factorize a) b in
-  check_bool "solution" true (Vec.approx_equal x (Vec.of_list [ 1.0; 2.0 ]))
+  let x = (Lu.solve a (Mat.of_vec_col b)).Mat.data in
+  check_bool "solution" true (Approx.vec x (Vec.of_list [ 1.0; 2.0 ]))
 
 let test_lu_inverse () =
   let a = Mat.random ~seed:9 6 6 in
@@ -154,13 +151,14 @@ let test_lu_inverse () =
 
 let test_lu_det () =
   let a = Mat.of_lists [ [ 2.0; 0.0 ]; [ 0.0; 3.0 ] ] in
-  check_float "diag det" 6.0 (Lu.det a);
+  check_float "diag det" 6.0 (Lu.det_factored (Lu.factorize a));
   let perm = Mat.of_lists [ [ 0.0; 1.0 ]; [ 1.0; 0.0 ] ] in
-  check_float "swap det" (-1.0) (Lu.det perm)
+  check_float "swap det" (-1.0) (Lu.det_factored (Lu.factorize perm))
 
 let test_lu_singular () =
   let a = Mat.of_lists [ [ 1.0; 2.0 ]; [ 2.0; 4.0 ] ] in
-  check_float "singular det" 0.0 (Lu.det a);
+  Alcotest.check_raises "factorize raises" Lu.Singular (fun () ->
+      ignore (Lu.factorize a));
   Alcotest.check_raises "raises" Lu.Singular (fun () -> ignore (Lu.inv a))
 
 let test_lu_solve_right () =
@@ -169,38 +167,9 @@ let test_lu_solve_right () =
   let x = Lu.solve_right b a in
   Alcotest.check mat "x*a = b" b (Mat.mul x a)
 
-let test_lu_cond () =
-  check_bool "well conditioned" true (Lu.cond_estimate (Mat.identity 3) < 1.5);
-  check_bool "singular -> inf" true
-    (Lu.cond_estimate (Mat.of_lists [ [ 1.0; 1.0 ]; [ 1.0; 1.0 ] ]) = infinity)
-
 (* ------------------------------------------------------------------ *)
 (* QR                                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let test_qr_reconstruct () =
-  let a = Mat.random ~seed:12 6 4 in
-  let { Qr.q; r } = Qr.factorize a in
-  Alcotest.check mat "a = qr" a (Mat.mul q r);
-  check_bool "q orthonormal" true (Qr.orthonormal_columns q)
-
-let test_qr_full () =
-  let a = Mat.random ~seed:13 5 3 in
-  let { Qr.q; r } = Qr.factorize_full a in
-  check_int "square q" 5 q.Mat.cols;
-  Alcotest.check mat "a = qr" a (Mat.mul q r);
-  check_bool "q orthonormal" true (Qr.orthonormal_columns q)
-
-let test_qr_r_triangular () =
-  let a = Mat.random ~seed:14 5 5 in
-  let { Qr.r; _ } = Qr.factorize a in
-  let ok = ref true in
-  for i = 1 to 4 do
-    for j = 0 to i - 1 do
-      if Mat.get r i j <> 0.0 then ok := false
-    done
-  done;
-  check_bool "strictly triangular" true !ok
 
 let test_qr_least_squares () =
   (* Fit y = 2x + 1 exactly: residual zero. *)
@@ -269,7 +238,7 @@ let test_eig_trace_sum () =
   let es = Eig.eigenvalues a in
   let sum_re = Array.fold_left (fun acc (z : Complex.t) -> acc +. z.re) 0.0 es in
   let sum_im = Array.fold_left (fun acc (z : Complex.t) -> acc +. z.im) 0.0 es in
-  check_float_loose "sum = trace" (Mat.trace a) sum_re;
+  check_float_loose "sum = trace" (trace a) sum_re;
   check_float_loose "imaginary parts cancel" 0.0 sum_im
 
 let test_eig_stability_predicates () =
@@ -293,7 +262,7 @@ let test_eig_hessenberg_preserves_spectrum () =
     done
   done;
   check_bool "structure" true !ok;
-  check_float_loose "same trace" (Mat.trace a) (Mat.trace h)
+  check_float_loose "same trace" (trace a) (trace h)
 
 let test_eig_symmetric () =
   let a = Mat.of_lists [ [ 2.0; 1.0 ]; [ 1.0; 2.0 ] ] in
@@ -302,13 +271,10 @@ let test_eig_symmetric () =
   check_float_loose "lambda max" 3.0 values.(1)
 
 let test_eig_psd () =
-  let a = Mat.of_lists [ [ 2.0; 1.0 ]; [ 1.0; 2.0 ] ] in
-  check_bool "pd" true (Eig.is_positive_definite a);
   let b = Mat.of_lists [ [ 1.0; 2.0 ]; [ 2.0; 1.0 ] ] in
   check_bool "indefinite" false (Eig.is_positive_semidefinite b);
   let c = Mat.of_lists [ [ 1.0; 1.0 ]; [ 1.0; 1.0 ] ] in
-  check_bool "psd boundary" true (Eig.is_positive_semidefinite c);
-  check_bool "not pd" false (Eig.is_positive_definite c)
+  check_bool "psd boundary" true (Eig.is_positive_semidefinite c)
 
 (* ------------------------------------------------------------------ *)
 (* SVD                                                                 *)
@@ -319,8 +285,8 @@ let test_svd_reconstruct () =
   let u, s, v = Svd.decompose a in
   let recon = Mat.mul3 u (Mat.diag s) (Mat.transpose v) in
   Alcotest.check mat "u s v^T" a recon;
-  check_bool "u orthonormal" true (Qr.orthonormal_columns u);
-  check_bool "v orthonormal" true (Qr.orthonormal_columns v)
+  check_bool "u orthonormal" true (orthonormal_columns u);
+  check_bool "v orthonormal" true (orthonormal_columns v)
 
 let test_svd_wide () =
   let a = Mat.random ~seed:19 3 6 in
@@ -373,7 +339,7 @@ let test_cmat_real_roundtrip () =
   let m = Mat.random ~seed:22 3 4 in
   Alcotest.check mat "of_real/real_part" m (Cmat.real_part (Cmat.of_real m));
   check_bool "imag zero" true
-    (Mat.approx_equal (Cmat.imag_part (Cmat.of_real m)) (Mat.create 3 4));
+    (Approx.mat (Cmat.imag_part (Cmat.of_real m)) (Mat.create 3 4));
   let im = Mat.random ~seed:25 3 4 in
   let re', im' = Cmat.to_pair (Cmat.of_pair (m, im)) in
   Alcotest.check mat "of_pair/to_pair re" m re';
@@ -397,7 +363,9 @@ let mat_exact =
       && a.Mat.data = b.Mat.data)
 
 (* Destination prefilled with garbage: the kernels must overwrite fully. *)
-let garbage m n = Mat.map (fun x -> (x *. 17.0) +. 3.0) (Mat.random ~seed:99 m n)
+let garbage m n =
+  let r = Mat.random ~seed:99 m n in
+  { r with Mat.data = Array.map (fun x -> (x *. 17.0) +. 3.0) r.Mat.data }
 
 let elementwise_shapes = [ (3, 3); (2, 5); (5, 2); (1, 1); (0, 0); (0, 3) ]
 
@@ -408,17 +376,12 @@ let test_inplace_elementwise_matches_pure () =
       let a = Mat.random ~seed m n in
       let b = Mat.random ~seed:(seed + 1) m n in
       let dst = garbage m n in
-      Mat.copy_into ~dst a;
-      Alcotest.check mat_exact "copy_into" a dst;
       Mat.add_into ~dst a b;
       Alcotest.check mat_exact "add_into" (Mat.add a b) dst;
       Mat.sub_into ~dst a b;
       Alcotest.check mat_exact "sub_into" (Mat.sub a b) dst;
       Mat.scale_into ~dst 1.7 a;
-      Alcotest.check mat_exact "scale_into" (Mat.scale 1.7 a) dst;
-      Mat.copy_into ~dst a;
-      Mat.axpy ~dst 0.3 b;
-      Alcotest.check mat_exact "axpy" (Mat.add a (Mat.scale 0.3 b)) dst)
+      Alcotest.check mat_exact "scale_into" (Mat.scale 1.7 a) dst)
     elementwise_shapes
 
 let test_inplace_mul_matches_pure () =
@@ -550,8 +513,40 @@ let francis_matches_ref ?(tol = 1e-6) a =
   && max_pair_distance reference computed
      <= tol *. Float.max 1.0 (Mat.norm_inf a)
 
+(* The Q of a Householder QR of a random square matrix: each reflector
+   H = I - 2 v v^T that zeroes a column of [r] is accumulated as q <- q H. *)
 let random_orthogonal ~seed n =
-  let { Qr.q; _ } = Qr.factorize (Mat.random ~seed n n) in
+  let r = Mat.random ~seed n n and q = Mat.identity n in
+  let reflect get set ~len v =
+    let dot = ref 0.0 in
+    for l = 0 to len - 1 do
+      dot := !dot +. (get l *. v.(l))
+    done;
+    let d2 = 2.0 *. !dot in
+    for l = 0 to len - 1 do
+      set l (get l -. (d2 *. v.(l)))
+    done
+  in
+  for k = 0 to n - 2 do
+    let x = Array.init (n - k) (fun i -> Mat.get r (k + i) k) in
+    let normx = Vec.norm2 x in
+    if normx > 0.0 then begin
+      let v = Array.copy x in
+      v.(0) <- v.(0) -. (if x.(0) >= 0.0 then -.normx else normx);
+      let vnorm = Vec.norm2 v in
+      if vnorm > 1e-300 then begin
+        let v = Vec.scale (1.0 /. vnorm) v in
+        for j = k to n - 1 do
+          reflect (fun l -> Mat.get r (k + l) j)
+            (fun l x -> Mat.set r (k + l) j x) ~len:(n - k) v
+        done;
+        for i = 0 to n - 1 do
+          reflect (fun l -> Mat.get q i (k + l))
+            (fun l x -> Mat.set q i (k + l) x) ~len:(n - k) v
+        done
+      end
+    end
+  done;
   q
 
 let test_eig_francis_repeated () =
@@ -577,7 +572,7 @@ let test_eig_francis_repeated () =
   check_int "multiplicity of 5" 2
     (Array.length (Array.of_list (List.filter (near 5.0) (Array.to_list es))));
   let sum = Array.fold_left (fun acc (z : Complex.t) -> acc +. z.re) 0.0 es in
-  check_float_loose "trace" (Mat.trace a) sum
+  check_float_loose "trace" (trace a) sum
 
 let test_eig_francis_interior_deflation () =
   (* Exactly block-triangular Hessenberg input: the zero at (4,3) splits
@@ -703,32 +698,26 @@ let prop_francis_complex_embedding =
 let prop_transpose_product =
   QCheck.Test.make ~name:"(ab)^T = b^T a^T" ~count:100 arb_mat_pair
     (fun (a, b) ->
-      Mat.approx_equal ~tol:1e-8
+      Approx.mat ~tol:1e-8
         (Mat.transpose (Mat.mul a b))
         (Mat.mul (Mat.transpose b) (Mat.transpose a)))
 
 let prop_add_commutative =
   QCheck.Test.make ~name:"a+b = b+a" ~count:100 arb_mat_pair (fun (a, b) ->
-      Mat.approx_equal (Mat.add a b) (Mat.add b a))
+      Approx.mat (Mat.add a b) (Mat.add b a))
 
 let prop_trace_similarity =
   QCheck.Test.make ~name:"trace(ab) = trace(ba)" ~count:100 arb_mat_pair
     (fun (a, b) ->
-      Float.abs (Mat.trace (Mat.mul a b) -. Mat.trace (Mat.mul b a)) < 1e-7)
+      Float.abs (trace (Mat.mul a b) -. trace (Mat.mul b a)) < 1e-7)
 
 let prop_lu_solve =
   QCheck.Test.make ~name:"lu solve residual" ~count:100 arb_mat3 (fun a ->
       (* Shift to ensure invertibility. *)
       let a = Mat.add a (Mat.scalar 3 20.0) in
       let b = Vec.of_list [ 1.0; -2.0; 0.5 ] in
-      let x = Lu.solve_vec (Lu.factorize a) b in
+      let x = (Lu.solve a (Mat.of_vec_col b)).Mat.data in
       Vec.norm_inf (Vec.sub (Mat.mul_vec a x) b) < 1e-7)
-
-let prop_qr_orthonormal =
-  QCheck.Test.make ~name:"qr q orthonormal" ~count:60 arb_mat3 (fun a ->
-      let { Qr.q; r } = Qr.factorize a in
-      Qr.orthonormal_columns ~tol:1e-7 q
-      && Mat.approx_equal ~tol:1e-7 (Mat.mul q r) a)
 
 let prop_svd_norm_bounds =
   QCheck.Test.make ~name:"fro >= 2-norm >= fro/sqrt(n)" ~count:60 arb_mat3
@@ -877,7 +866,6 @@ let prop_lu_factored_bits =
       && outcome (fun () -> bits (Lu.inv a)) = ref_inv
       && outcome (fun () -> bits (Lu.solve a b))
          = outcome (fun () -> bits (Lu_ref.solve a b))
-      && det_bits (Lu.det a) = det_bits (Lu_ref.det a)
       &&
       match f with
       | Ok f -> det_bits (Lu.det_factored f) = det_bits (Lu_ref.det a)
@@ -890,7 +878,6 @@ let qcheck_cases =
       prop_add_commutative;
       prop_trace_similarity;
       prop_lu_solve;
-      prop_qr_orthonormal;
       prop_svd_norm_bounds;
       prop_spectral_radius_bounded;
       prop_symmetric_eig_bounds;
@@ -910,22 +897,16 @@ let test_empty_matrix_ops () =
   check_int "rows" 0 e.Mat.rows;
   let p = Mat.mul e e in
   check_int "product empty" 0 p.Mat.rows;
-  check_float "trace" 0.0 (Mat.trace e);
   check_float "fro" 0.0 (Mat.norm_fro e)
 
 let test_one_by_one () =
   let a = Mat.of_lists [ [ 4.0 ] ] in
-  check_float "det" 4.0 (Lu.det a);
+  check_float "det" 4.0 (Lu.det_factored (Lu.factorize a));
   check_float "inv" 0.25 (Mat.get (Lu.inv a) 0 0);
   let s = Svd.singular_values a in
   check_float "sv" 4.0 s.(0);
   let es = Eig.eigenvalues a in
   check_float "eig" 4.0 es.(0).Complex.re
-
-let test_mat_pow_negative_rejected () =
-  Alcotest.check_raises "negative power"
-    (Invalid_argument "Mat.pow: negative exponent") (fun () ->
-      ignore (Mat.pow (Mat.identity 2) (-1)))
 
 let test_lu_ill_conditioned_solve () =
   (* Hilbert-like 4x4: ill conditioned but solvable; residual must stay
@@ -933,10 +914,9 @@ let test_lu_ill_conditioned_solve () =
   let a = Mat.init 4 4 (fun i j -> 1.0 /. Float.of_int (i + j + 1)) in
   let x_true = Vec.of_list [ 1.0; -1.0; 2.0; 0.5 ] in
   let b = Mat.mul_vec a x_true in
-  let x = Lu.solve_vec (Lu.factorize a) b in
+  let x = (Lu.solve a (Mat.of_vec_col b)).Mat.data in
   let resid = Vec.norm_inf (Vec.sub (Mat.mul_vec a x) b) in
-  check_bool "residual tiny" true (resid < 1e-10);
-  check_bool "condition detected" true (Lu.cond_estimate a > 1e3)
+  check_bool "residual tiny" true (resid < 1e-10)
 
 let test_eig_repeated_eigenvalues () =
   (* Jordan-ish block: repeated eigenvalue 2. *)
@@ -963,7 +943,6 @@ let round2_cases =
   [
     Alcotest.test_case "empty matrices" `Quick test_empty_matrix_ops;
     Alcotest.test_case "1x1" `Quick test_one_by_one;
-    Alcotest.test_case "pow negative" `Quick test_mat_pow_negative_rejected;
     Alcotest.test_case "ill conditioned" `Quick test_lu_ill_conditioned_solve;
     Alcotest.test_case "repeated eigenvalues" `Quick
       test_eig_repeated_eigenvalues;
@@ -991,7 +970,6 @@ let () =
           Alcotest.test_case "block roundtrip" `Quick test_mat_block_roundtrip;
           Alcotest.test_case "hcat/vcat" `Quick test_mat_hcat_vcat;
           Alcotest.test_case "trace and norms" `Quick test_mat_trace_norms;
-          Alcotest.test_case "pow" `Quick test_mat_pow;
           Alcotest.test_case "symmetrize" `Quick test_mat_symmetrize;
           Alcotest.test_case "mul_vec" `Quick test_mat_mul_vec;
           Alcotest.test_case "dim mismatch" `Quick test_mat_dim_mismatch;
@@ -1003,13 +981,9 @@ let () =
           Alcotest.test_case "det" `Quick test_lu_det;
           Alcotest.test_case "singular" `Quick test_lu_singular;
           Alcotest.test_case "solve_right" `Quick test_lu_solve_right;
-          Alcotest.test_case "cond estimate" `Quick test_lu_cond;
         ] );
       ( "qr",
         [
-          Alcotest.test_case "reconstruct" `Quick test_qr_reconstruct;
-          Alcotest.test_case "full" `Quick test_qr_full;
-          Alcotest.test_case "r triangular" `Quick test_qr_r_triangular;
           Alcotest.test_case "least squares exact" `Quick test_qr_least_squares;
           Alcotest.test_case "ls residual orthogonal" `Quick
             test_qr_least_squares_residual_orthogonal;
