@@ -22,7 +22,7 @@ let () =
       ~y:records.Training.hw_y
   in
   Printf.printf "fitting Box-Jenkins (ARX(4,4) + AR noise refinement)...\n%!";
-  let bj = Sysid.Boxjenkins.fit ~na:4 ~nb:4 ~u:u_norm ~y:y_norm () in
+  let bj = Sysid.Boxjenkins.fit ~na:4 ~nb:4 ~u:u_norm ~y:y_norm in
   Printf.printf "  GLS iterations: %d, noise AR coefficients: [%s]\n"
     bj.Sysid.Boxjenkins.iterations
     (String.concat "; "

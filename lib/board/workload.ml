@@ -124,10 +124,11 @@ let half name =
   let w = by_name name in
   scale ~threads:4 ~ginsts:(total_ginsts w /. 2.0) w
 
-let synthetic ?(seed = 1) ?(phases = 3) ?(ginsts = 600.0) () =
-  if phases < 1 then invalid_arg "Workload.synthetic: need at least one phase";
-  (* Threads per phase are drawn from 1..8; the bound is also part of
-     the RNG seed, so changing it changes every draw. *)
+let synthetic ?(seed = 1) ?(ginsts = 600.0) () =
+  (* Three phases, threads per phase drawn from 1..8; the phase count
+     and the bound are also part of the RNG seed, so changing either
+     changes every draw. *)
+  let phases = 3 in
   let st = Random.State.make [| seed; phases; 8 |] in
   let weights = Array.init phases (fun _ -> 0.2 +. Random.State.float st 1.0) in
   let total_w = Array.fold_left ( +. ) 0.0 weights in

@@ -58,16 +58,12 @@ val training : t list
 val by_name : string -> t
 (** Look up any workload above by name. @raise Not_found otherwise. *)
 
-val synthetic :
-  ?seed:int ->
-  ?phases:int ->
-  ?ginsts:float ->
-  unit ->
-  t
-(** Random phase-structured workload: per-phase thread counts, memory
+val synthetic : ?seed:int -> ?ginsts:float -> unit -> t
+(** Random three-phase workload: per-phase thread counts, memory
     intensities, ILP factors and sync fractions drawn from the ranges the
-    real suite spans. Deterministic for a given [seed]. Used by the
-    robustness property tests and by workload-sweep experiments. *)
+    real suite spans. Deterministic for a given [seed]. The fleet
+    simulator draws one per board; the robustness property tests draw
+    them too. *)
 
 val mixes : (string * t list) list
 (** The Figure 14 heterogeneous workloads: blmc, stga, blst, mcga — each a

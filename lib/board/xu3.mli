@@ -169,7 +169,9 @@ end
     controller sampling faster sees held values. Temperature is available
     on demand from the on-chip TMU, and instruction counts come from the
     per-core PMU via the perf API (we model them as exact over a window).
-    Optional multiplicative noise models sensor error. *)
+    Multiplicative noise on the power readings is a seam for the sensor
+    tests: [Xu3.create] never sets it, so every program reads exact
+    (held) powers. *)
 module Sensors : sig
   type t
 
@@ -326,9 +328,12 @@ val create :
   Workload.t list ->
   t
 (** Board at ambient, jobs loaded, default config (2+2 cores at mid
-    frequency, threads split evenly). [sensor_period] overrides the power
-    sensor's 260 ms refresh (sensitivity studies); [injector] attaches
-    fault-injection hooks (default: none — zero overhead). *)
+    frequency, threads split evenly). [seed] (default 17) seeds the
+    power sensor's noise RNG; the board sets no sensor noise, so that
+    RNG is never drawn from and every seed gives the same run.
+    [sensor_period] overrides the power sensor's 260 ms refresh
+    (sensitivity studies); [injector] attaches fault-injection hooks
+    (default: none — zero overhead). *)
 
 val set_config : t -> config -> unit
 (** Request a hardware configuration; values are clamped/quantized to the

@@ -133,7 +133,7 @@ let central_controller_continuous plant gamma =
       let riccati h =
         match Care.solve_hamiltonian h with
         | exception (Care.No_solution _ | Lu.Singular) -> None
-        | x -> if Eig.is_positive_semidefinite ~tol:1e-6 x then Some x else None
+        | x -> if Eig.is_positive_semidefinite x then Some x else None
       in
       (* Y is formed and solved only once X has passed. *)
       match riccati hx with

@@ -47,8 +47,8 @@ val mu_upper : structure -> Linalg.Mat.t * Linalg.Mat.t -> bound
     [M]'s two parts differ in size; so do {!mu_lower} and
     {!worst_case_delta}. *)
 
-val mu_lower : ?restarts:int -> structure -> Linalg.Mat.t * Linalg.Mat.t -> float
-(** Alignment-iteration lower bound. *)
+val mu_lower : structure -> Linalg.Mat.t * Linalg.Mat.t -> float
+(** Alignment-iteration lower bound, the best of four seeded starts. *)
 
 val worst_case_delta :
   structure ->

@@ -63,7 +63,7 @@ let time_to_recover ~schedule ~completed (trace : Yukta.Stack.trace_point array)
           trace;
         !found)
 
-let run ?max_time ?epoch ?(pool = Parallel.Pool.create ~jobs:1) ~schemes
+let run ?max_time ?(pool = Parallel.Pool.create ~jobs:1) ~schemes
     ~workloads schedule =
   (* One cell per scheme; the clean and faulted runs stay paired inside
      the cell, so parallel fan-out never splits a comparison. The
@@ -72,12 +72,10 @@ let run ?max_time ?epoch ?(pool = Parallel.Pool.create ~jobs:1) ~schemes
   List.iter (fun s -> ignore (Yukta.Schemes.stack s)) schemes;
   Parallel.Pool.map pool
     (fun scheme ->
-      let clean_r =
-        Yukta.Schemes.run ?max_time ?epoch scheme workloads
-      in
+      let clean_r = Yukta.Schemes.run ?max_time scheme workloads in
       let injector = Injector.make schedule in
       let faulted_r =
-        Yukta.Schemes.run ?max_time ?epoch ~collect_trace:true
+        Yukta.Schemes.run ?max_time ~collect_trace:true
           ~injector:(Injector.hooks injector) scheme workloads
       in
       let clean = clean_r.Yukta.Stack.metrics in

@@ -27,7 +27,6 @@ type outcome = {
 
 val run :
   ?max_time:float ->
-  ?epoch:float ->
   ?pool:Parallel.Pool.t ->
   schemes:Yukta.Schemes.info list ->
   workloads:Board.Workload.t list ->

@@ -43,18 +43,15 @@ type t = {
   mutable trim : float;         (* Feedback budget multiplier. *)
 }
 
-let make ?gain ~policy ~boards ~cap () =
+let make ~policy ~boards ~cap () =
   if boards < 1 then invalid_arg "Rack.make: boards must be >= 1";
   if not (cap > 0.0) then invalid_arg "Rack.make: cap must be positive";
   let fair = cap /. float_of_int boards in
   let floor = Float.min default_floor fair in
   let gain =
-    match gain with
-    | Some g -> g
-    | None -> (
-        match policy with
-        | Feedback -> Yukta.Designs.rack_gain ()
-        | Even_split | Proportional -> 0.0)
+    match policy with
+    | Feedback -> Yukta.Designs.rack_gain ()
+    | Even_split | Proportional -> 0.0
   in
   {
     policy;

@@ -41,18 +41,11 @@ val board_ceiling : float
 
 type t
 
-val make :
-  ?gain:float ->
-  policy:policy ->
-  boards:int ->
-  cap:float ->
-  unit ->
-  t
+val make : policy:policy -> boards:int -> cap:float -> unit -> t
 (** A rack controller for [boards] boards sharing [cap] watts. No board
-    is allocated less than 0.45 W (clamped to the fair share). [gain]
-    overrides the feedback trim gain (default: the
-    cached {!Yukta.Designs.rack_gain}, only consulted for the feedback
-    policy). Initial apportionment is the even split.
+    is allocated less than 0.45 W (clamped to the fair share). The
+    feedback policy trims with the cached {!Yukta.Designs.rack_gain}.
+    Initial apportionment is the even split.
     @raise Invalid_argument on [boards < 1] or a non-positive [cap]. *)
 
 val caps : t -> float array

@@ -20,21 +20,18 @@ type config = {
 }
 
 let config ?(cap_per_board = 1.6) ?(policy = Rack.Feedback) ?(scheme = "coord")
-    ?(seed = 42) ?(epoch = Stack.default_epoch) ?(rack_epoch = 2.0)
-    ?(max_time = 240.0) ?(ginsts = 60.0) ~boards () =
+    ?(seed = 42) ?(max_time = 240.0) ?(ginsts = 60.0) ~boards () =
   if boards < 1 then invalid_arg "Sim.config: boards must be >= 1";
   if not (cap_per_board > 0.0) then
     invalid_arg "Sim.config: cap_per_board must be positive";
-  if not (epoch > 0.0 && rack_epoch >= epoch) then
-    invalid_arg "Sim.config: need 0 < epoch <= rack_epoch";
   {
     boards;
     cap = cap_per_board *. float_of_int boards;
     policy;
     scheme;
     seed;
-    epoch;
-    rack_epoch;
+    epoch = Stack.default_epoch;
+    rack_epoch = 2.0;
     max_time;
     ginsts;
   }

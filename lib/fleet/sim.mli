@@ -31,8 +31,6 @@ val config :
   ?policy:Rack.policy ->
   ?scheme:string ->
   ?seed:int ->
-  ?epoch:float ->
-  ?rack_epoch:float ->
   ?max_time:float ->
   ?ginsts:float ->
   boards:int ->
@@ -41,10 +39,10 @@ val config :
 (** Defaults: 1.6 W/board shared budget (contended — the uncapped
     per-board budget is {!Yukta.Hw_layer.board_power_budget} = 3.63 W),
     feedback policy, the ["coord"] scheme (no synthesis needed), seed
-    42, 0.5 s epochs, 2 s rack epochs, 240 s horizon, 60 Ginsts of
-    synthetic (per-board heterogeneous) work.
-    @raise Invalid_argument on [boards < 1], a non-positive budget, or
-    [epoch]/[rack_epoch] that don't satisfy [0 < epoch <= rack_epoch]. *)
+    42, 240 s horizon, 60 Ginsts of synthetic (per-board heterogeneous)
+    work. Every config steps boards in {!Yukta.Stack.default_epoch}
+    (0.5 s) epochs under a 2 s rack epoch.
+    @raise Invalid_argument on [boards < 1] or a non-positive budget. *)
 
 type result = {
   cfg : config;

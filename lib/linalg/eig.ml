@@ -309,9 +309,13 @@ let spectral_radius a =
 let spectral_abscissa a =
   Array.fold_left (fun acc z -> Float.max acc z.re) neg_infinity (eigenvalues a)
 
-let is_stable_discrete ?(margin = 1e-9) a = spectral_radius a < 1.0 -. margin
+(* Stability margin: an eigenvalue within 1e-9 of the boundary counts
+   as unstable. *)
+let margin = 1e-9
 
-let is_stable_continuous ?(margin = 1e-9) a = spectral_abscissa a < -.margin
+let is_stable_discrete a = spectral_radius a < 1.0 -. margin
+
+let is_stable_continuous a = spectral_abscissa a < -.margin
 
 (* Cyclic Jacobi for symmetric matrices: rotate away the off-diagonal
    entries until convergence. Quadratically convergent and unconditionally
@@ -370,7 +374,7 @@ let symmetric_values a =
   Array.sort Float.compare values;
   values
 
-let is_positive_semidefinite ?(tol = 1e-9) a =
+let is_positive_semidefinite a =
   let values = symmetric_values (Mat.symmetrize a) in
-  let floor = -.tol *. Float.max 1.0 (Mat.max_abs a) in
+  let floor = -1e-6 *. Float.max 1.0 (Mat.max_abs a) in
   Array.for_all (fun x -> x >= floor) values

@@ -18,17 +18,17 @@ val eigenvalues : Mat.t -> Complex.t array
 val spectral_radius : Mat.t -> float
 (** Largest eigenvalue magnitude. *)
 
-val is_stable_discrete : ?margin:float -> Mat.t -> bool
-(** All eigenvalues strictly inside the unit circle (radius [1. - margin],
-    default margin [1e-9]). *)
+val is_stable_discrete : Mat.t -> bool
+(** All eigenvalues strictly inside the circle of radius [1 - 1e-9]. *)
 
-val is_stable_continuous : ?margin:float -> Mat.t -> bool
-(** All eigenvalues with real part below [-margin]. *)
+val is_stable_continuous : Mat.t -> bool
+(** All eigenvalues with real part below [-1e-9]. *)
 
 val symmetric_values : Mat.t -> Vec.t
 (** Eigenvalues of a symmetric matrix, ascending. Only the lower
     triangle of [a] is read. *)
 
-val is_positive_semidefinite : ?tol:float -> Mat.t -> bool
+val is_positive_semidefinite : Mat.t -> bool
 (** Symmetric positive semidefiniteness check via Jacobi eigenvalues;
-    eigenvalues above [-tol * max(1, |a|)] count as non-negative. *)
+    eigenvalues at or above [-1e-6 * max(1, |a|)] count as non-negative
+    (the tolerance [Control.Hinf]'s Riccati checks need). *)

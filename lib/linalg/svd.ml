@@ -147,12 +147,12 @@ let sorted_norms wt =
   Array.sort (fun i j -> Float.compare s.(j) s.(i)) order;
   (s, order)
 
-let rec decompose ?max_sweeps a =
+let rec decompose a =
   let m = a.Mat.rows and n = a.Mat.cols in
   if m >= n then begin
     let wt = Mat.transpose a in
     let v = Mat.identity n in
-    let (_ : sweep_outcome) = jacobi_sweeps ?max_sweeps ~v wt in
+    let (_ : sweep_outcome) = jacobi_sweeps ~v wt in
     let s, order = sorted_norms wt in
     let sorted_s = Array.map (fun i -> s.(i)) order in
     let u = Mat.create m n in
@@ -172,7 +172,7 @@ let rec decompose ?max_sweeps a =
   end
   else begin
     (* SVD of the transpose, swapping the roles of u and v. *)
-    let u, s, v = decompose ?max_sweeps (Mat.transpose a) in
+    let u, s, v = decompose (Mat.transpose a) in
     (v, s, u)
   end
 
@@ -325,16 +325,11 @@ let norm2_complex (re, im) =
   done;
   norm2_planar ~m ~n wre wim
 
-let default_rank_tol a max_sv =
-  let m = Float.of_int (max a.Mat.rows a.Mat.cols) in
-  epsilon_float *. m *. max_sv
-
-let rank ?tol a =
+let rank a =
   let s = singular_values a in
   if Vec.dim s = 0 then 0
   else begin
-    let cutoff =
-      match tol with Some t -> t | None -> default_rank_tol a s.(0)
-    in
+    let m = Float.of_int (max a.Mat.rows a.Mat.cols) in
+    let cutoff = epsilon_float *. m *. s.(0) in
     Array.fold_left (fun acc x -> if x > cutoff then acc + 1 else acc) 0 s
   end

@@ -7,16 +7,17 @@
     is simple, robust, and computes small singular values to high relative
     accuracy — which matters for the rank decisions in controller synthesis. *)
 
-val decompose : ?max_sweeps:int -> Mat.t -> Mat.t * Vec.t * Mat.t
-(** [max_sweeps] (default 60) caps the Jacobi sweep count. A run that
-    hits the cap before column orthogonality is no longer silent: it
-    bumps the [svd.unconverged] counter and emits an [svd.unconverged]
-    debug record when the {!Obs.Collector} is enabled, then returns the
-    best iterate. The parameter exists for diagnostics and tests; the
-    default converges for any conditioning encountered in practice. *)
+val decompose : Mat.t -> Mat.t * Vec.t * Mat.t
+(** At most 60 Jacobi sweeps run. A run that hits the cap before column
+    orthogonality is not silent: it bumps the [svd.unconverged] counter
+    and emits an [svd.unconverged] debug record when the
+    {!Obs.Collector} is enabled, then returns the best iterate. Sixty
+    sweeps converge for any conditioning encountered in practice. *)
 
 val singular_values : ?max_sweeps:int -> Mat.t -> Vec.t
-(** Singular values only, descending. [max_sweeps] as in {!decompose}. *)
+(** Singular values only, descending. [max_sweeps] (default 60, as in
+    {!decompose}) caps the sweep count; it is a seam, so a test can
+    force the unconverged report. *)
 
 val norm2 : Mat.t -> float
 (** Spectral norm (largest singular value). Zero matrix yields [0.]. *)
@@ -37,6 +38,6 @@ val norm2_planar : m:int -> n:int -> float array -> float array -> float
     Both planes are overwritten. A caller that lays a matrix out as
     {!norm2_complex} does gets its bits without the copy. *)
 
-val rank : ?tol:float -> Mat.t -> int
-(** Numerical rank: singular values above [tol * max_sv * max(m,n)]
-    (default machine-epsilon based, as in LAPACK). *)
+val rank : Mat.t -> int
+(** Numerical rank: singular values above [epsilon_float * max_sv *
+    max(m,n)], as in LAPACK. *)

@@ -38,11 +38,11 @@ let incr ?(by = 1) c = locked (fun () -> c.count <- c.count + by)
 
 let count c = c.count
 
-let default_buckets =
+let buckets =
   (* 1 us .. 1000 s, four bounds per decade. *)
   Array.init 37 (fun i -> 1e-6 *. (10.0 ** (Float.of_int i /. 4.0)))
 
-let histogram ?(buckets = default_buckets) name =
+let histogram name =
   locked (fun () ->
       match Hashtbl.find_opt histograms name with
       | Some h -> h

@@ -28,13 +28,10 @@ val count : counter -> int
 
 type histogram
 
-val histogram : ?buckets:float array -> string -> histogram
-(** Get or create. [buckets] are strictly increasing upper bounds
-    (default: log-spaced from 1 microsecond to 1000 seconds, suitable for
-    timing spans); values above the last bound land in an overflow
-    bucket. The bucket layout of
-    an existing histogram is kept (the parameter only applies on
-    creation). *)
+val histogram : string -> histogram
+(** Get or create. The bucket bounds are log-spaced, four per decade
+    from 1 microsecond to 1000 seconds, suited to timing spans; values
+    above the last bound land in an overflow bucket. *)
 
 val observe : histogram -> float -> unit
 

@@ -33,8 +33,6 @@ module Welford = struct
 
   let max_v t = t.max_v
 
-  let copy t = { t with n = t.n }
-
   (* Chan et al. pairwise update: exact in the counts, stable in the
      moments. An empty side is an identity. *)
   let merge_into ~into src =
@@ -115,8 +113,6 @@ module Hist = struct
 
   let count t = t.n
 
-  let buckets t = Array.copy t.bounds
-
   let counts t = Array.copy t.slots
 
   let percentile t ~lo ~hi q =
@@ -149,8 +145,6 @@ module Hist = struct
   let clear t =
     Array.fill t.slots 0 (Array.length t.slots) 0;
     t.n <- 0
-
-  let copy t = { t with slots = Array.copy t.slots }
 
   let merge_into ~into src =
     if into.bounds <> src.bounds then

@@ -38,8 +38,6 @@ module Welford : sig
 
   val max_v : t -> float
 
-  val copy : t -> t
-
   val merge_into : into:t -> t -> unit
   (** [merge_into ~into src] folds [src] into [into]; [src] is left
       untouched. Merging split streams agrees with the single-stream
@@ -72,11 +70,8 @@ module Hist : sig
   val count : t -> int
   (** Total observations. *)
 
-  val buckets : t -> float array
-  (** The upper bounds (a copy). *)
-
   val counts : t -> int array
-  (** Per-bucket counts, length [buckets + 1] (last is overflow); a
+  (** Per-bucket counts, one more than the bounds (last is overflow); a
       copy. *)
 
   val percentile : t -> lo:float -> hi:float -> float -> float
@@ -89,8 +84,6 @@ module Hist : sig
 
   val clear : t -> unit
   (** Zero every count; the bucket layout stays. *)
-
-  val copy : t -> t
 
   val merge_into : into:t -> t -> unit
   (** Exact: adds per-bucket counts.

@@ -112,13 +112,13 @@ let create ~layer () =
      from-scratch fit but easily corrects a drifted gain. The dynamics
      block is pinned immediately (zero covariance) — only the input
      gains ever adapt. *)
-  Sysid.Recursive.warm_start ~delta:1.0 est (Lazy.force prior);
-  Sysid.Recursive.reset_covariance ~delta:1.0 ~only_inputs:true est;
+  Sysid.Recursive.warm_start est (Lazy.force prior);
+  Sysid.Recursive.reset_covariance ~delta:1.0 est;
   {
     layer;
     spec;
     est;
-    detector = Sysid.Recursive.Drift.create ~alpha:0.1 ~warmup:30 ~ratio:2.5 ();
+    detector = Sysid.Recursive.Drift.create ();
     status = Idle;
     swaps = 0;
     attempts = 0;
@@ -315,7 +315,7 @@ let observe t ~epoch board o =
          correction across the dynamics coefficients (closed-loop data
          is nearly rank one) and wreck the model's frequency response,
          and the re-design with it. *)
-      Sysid.Recursive.reset_covariance ~delta:1e-2 ~only_inputs:true t.est;
+      Sysid.Recursive.reset_covariance ~delta:1e-2 t.est;
       t.attempts <- 0;
       t.status <- Relearning relearn_epochs
     end);

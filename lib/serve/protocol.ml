@@ -1,7 +1,9 @@
 (* The serving wire protocol: newline-delimited JSON over a stream
    socket. One request per line in, one or more response lines out.
    Parsing is total — every malformed line maps to an [Error] the
-   session answers with a non-fatal error record, never an exception. *)
+   session answers with a non-fatal error record, never an exception.
+   A field that is present must have its type and range, or the error
+   names it; only an absent field takes its default. *)
 
 module Json = Obs.Json
 
@@ -19,7 +21,6 @@ type request =
   | Configure of {
       scheme : string;
       app : string;
-      epoch : float option;
       adapt : bool;
       drift : drift option;
     }
@@ -30,59 +31,107 @@ type request =
 
 let drift_kinds = [ "power_gain"; "thermal_gain"; "perf_gain" ]
 
-let mem key json = Json.member key json
+let ( let* ) = Result.bind
 
-let str_field key json = Option.bind (mem key json) Json.to_string_opt
+(* What a field must be: the check that converts an accepted JSON value,
+   and the phrase an error names it by. *)
+type 'a kind = { conv : Json.t -> 'a option; expect : string }
 
-let float_field key json = Option.bind (mem key json) Json.to_float_opt
+let string = { conv = Json.to_string_opt; expect = "a string" }
 
-let int_field key json = Option.bind (mem key json) Json.to_int_opt
+let boolean =
+  { conv = (function Json.Bool b -> Some b | _ -> None); expect = "a boolean" }
 
-let bool_field key json =
-  match mem key json with Some (Json.Bool b) -> Some b | _ -> None
+let satisfying expect read ok =
+  let conv v = Option.bind (read v) (fun x -> if ok x then Some x else None) in
+  { conv; expect }
 
-let parse_drift json =
-  match mem "drift" json with
-  | None | Some Json.Null -> Ok None
-  | Some d -> (
-    let kind = Option.value (str_field "kind" d) ~default:"power_gain" in
-    if not (List.mem kind drift_kinds) then
-      Error
-        (Printf.sprintf "drift.kind must be one of %s"
-           (String.concat ", " drift_kinds))
-    else
-      match (float_field "start" d, float_field "severity" d) with
-      | Some start, Some severity ->
-        let duration =
-          Option.value (float_field "duration" d) ~default:Float.infinity
-        in
-        if start < 0.0 || duration <= 0.0 then
-          Error "drift.start must be >= 0 and drift.duration > 0"
-        else Ok (Some { start; duration; severity; kind })
-      | _ -> Error "drift needs numeric start and severity")
+let number expect ok = satisfying expect Json.to_float_opt ok
+
+(* Field [name] of request [req]: [None] when absent, its value when [k]
+   accepts it, and otherwise an error naming the field. *)
+let field req name k json =
+  match Json.member name json with
+  | None -> Ok None
+  | Some v -> (
+    match k.conv v with
+    | Some _ as x -> Ok x
+    | None -> Error (Printf.sprintf "%s.%s must be %s" req name k.expect))
+
+let required req name k json =
+  let* v = field req name k json in
+  Option.to_result v ~none:(Printf.sprintf "%s needs a %S" req name)
+
+let optional req name k ~default json =
+  Result.map (Option.value ~default) (field req name k json)
+
+(* Drift severity is accepted in (0, 10], ten guardbands; the fault
+   profiles use 0.75 and 2.5. Measured by draining a yukta session on
+   blackscholes with the drift starting at 5 s: at severities 10 and 100
+   every frame stays finite for all three kinds, while a power_gain
+   drift of 1e5 turns 5970 of 6000 frames' powers and temperature into
+   null (non-finite), and an infinite one (1e400 parses as infinity)
+   every frame from the drift's start. *)
+let severity_kind =
+  number "a number in (0, 10]" (fun x -> x > 0.0 && x <= 10.0)
+
+let parse_drift d =
+  let* start =
+    required "drift" "start"
+      (number "a finite number >= 0" (fun x -> x >= 0.0 && Float.is_finite x))
+      d
+  in
+  let* severity = required "drift" "severity" severity_kind d in
+  let* duration =
+    optional "drift" "duration"
+      (number "a number > 0" (fun x -> x > 0.0))
+      ~default:Float.infinity d
+  in
+  let* kind =
+    optional "drift" "kind"
+      (satisfying
+         ("one of " ^ String.concat ", " drift_kinds)
+         Json.to_string_opt
+         (fun k -> List.mem k drift_kinds))
+      ~default:"power_gain" d
+  in
+  Ok { start; duration; severity; kind }
 
 let request_of_json json =
-  match str_field "type" json with
+  match Json.member "type" json with
   | None -> Error "missing \"type\""
-  | Some "hello" -> Ok (Hello { client = str_field "client" json })
-  | Some "configure" -> (
-    match str_field "scheme" json with
-    | None -> Error "configure needs a \"scheme\""
-    | Some scheme -> (
-      let app = Option.value (str_field "app" json) ~default:"blackscholes" in
-      let adapt = Option.value (bool_field "adapt" json) ~default:false in
-      match parse_drift json with
-      | Error e -> Error e
-      | Ok drift ->
-        Ok (Configure { scheme; app; epoch = float_field "epoch" json; adapt; drift })
-      ))
-  | Some "step" ->
-    let count = Option.value (int_field "count" json) ~default:1 in
-    if count < 1 then Error "step.count must be >= 1" else Ok (Step { count })
-  | Some "health" -> Ok Health
-  | Some "drain" -> Ok Drain
-  | Some "close" -> Ok Close
-  | Some other -> Error (Printf.sprintf "unknown request type %S" other)
+  | Some (Json.String "hello") ->
+    let* client = field "hello" "client" string json in
+    Ok (Hello { client })
+  | Some (Json.String "configure") ->
+    let* scheme = required "configure" "scheme" string json in
+    let* app = optional "configure" "app" string ~default:"blackscholes" json in
+    let* adapt = optional "configure" "adapt" boolean ~default:false json in
+    let* drift =
+      field "configure" "drift"
+        { conv = (function Json.Obj _ as d -> Some d | _ -> None);
+          expect = "an object" }
+        json
+    in
+    let* drift =
+      match drift with
+      | None -> Ok None
+      | Some d -> Result.map Option.some (parse_drift d)
+    in
+    Ok (Configure { scheme; app; adapt; drift })
+  | Some (Json.String "step") ->
+    let* count =
+      optional "step" "count"
+        (satisfying "an integer >= 1" Json.to_int_opt (fun n -> n >= 1))
+        ~default:1 json
+    in
+    Ok (Step { count })
+  | Some (Json.String "health") -> Ok Health
+  | Some (Json.String "drain") -> Ok Drain
+  | Some (Json.String "close") -> Ok Close
+  | Some (Json.String other) ->
+    Error (Printf.sprintf "unknown request type %S" other)
+  | Some _ -> Error "\"type\" must be a string"
 
 let request_of_line line =
   match Json.of_string line with

@@ -4,9 +4,11 @@
     input becomes an [Error] string the session answers with a
     non-fatal [error] record, never an exception. *)
 
-(** An injected plant drift, scheduled at configure time (simulated
-    seconds; severity as a fraction of the certified guardband, kind
-    one of [power_gain]/[thermal_gain]/[perf_gain]). *)
+(** An injected plant drift, scheduled at configure time: [start]
+    (finite, [>= 0]) and [duration] ([> 0], default forever) in
+    simulated seconds; [severity] a fraction of the certified
+    guardband in [(0, 10]]; [kind] one of
+    [power_gain]/[thermal_gain]/[perf_gain] (default [power_gain]). *)
 type drift = {
   start : float;
   duration : float;
@@ -19,18 +21,20 @@ type request =
   | Configure of {
       scheme : string;  (** Registry key ({!Yukta.Schemes.find}). *)
       app : string;     (** Workload or mix name (default blackscholes). *)
-      epoch : float option;  (** Stepping period override, seconds. *)
-      adapt : bool;     (** Online ID + re-synthesis on drift. *)
+      adapt : bool;     (** Online ID + re-synthesis on drift (default
+                            off). *)
       drift : drift option;
     }
-  | Step of { count : int }
+  | Step of { count : int }  (** Epochs to step, [>= 1] (default 1). *)
   | Health
   | Drain
   | Close
 
 val request_of_line : string -> (request, string) result
 (** Parse one request line; [Error] describes what was malformed (bad
-    JSON, unknown type, missing field) and never raises. *)
+    JSON, unknown type, missing field, or a present field of the wrong
+    type or range, named as [request.field]) and never raises. Only an
+    absent field takes its default. *)
 
 (** {1 Response encoders} — each returns one encoded line (no
     trailing newline). *)

@@ -22,8 +22,6 @@ type state = Fresh | Configured of run | Closed
 
 type t = {
   id : int;
-  max_queue : int;
-  retry_after_ms : int;
   queue : string Queue.t;
   mutable carry : int; (* Leftover epochs of a budget-split [step]. *)
   mutable draining : bool; (* A [drain] is streaming to completion. *)
@@ -33,17 +31,14 @@ type t = {
   mutable past_swaps : int; (* Swaps of already-finished runs. *)
 }
 
-let default_queue = 64
+(* Inbound queue bound, and the retry hint a [busy] reply carries. *)
+let max_queue = 64
 
-let default_retry_after_ms = 50
+let retry_after_ms = 50
 
-let create ?(max_queue = default_queue)
-    ?(retry_after_ms = default_retry_after_ms) ~id () =
-  if max_queue < 1 then invalid_arg "Session.create: max_queue must be >= 1";
+let create ~id () =
   {
     id;
-    max_queue;
-    retry_after_ms;
     queue = Queue.create ();
     carry = 0;
     draining = false;
@@ -71,8 +66,8 @@ let swaps t =
 let enqueue t line =
   if t.state = Closed then
     `Rejected (Protocol.error ~fatal:true "session closed")
-  else if Queue.length t.queue >= t.max_queue then
-    `Rejected (Protocol.busy ~retry_after_ms:t.retry_after_ms)
+  else if Queue.length t.queue >= max_queue then
+    `Rejected (Protocol.busy ~retry_after_ms)
   else begin
     Queue.push line t.queue;
     `Accepted
@@ -109,7 +104,7 @@ let note_completion r =
     Yukta.Stack.complete_event r.stepper
   end
 
-let do_configure t ~scheme ~app ~epoch ~adapt ~drift =
+let do_configure t ~scheme ~app ~adapt ~drift =
   let refuse message =
     t.errors <- t.errors + 1;
     [ Protocol.error message ]
@@ -120,7 +115,7 @@ let do_configure t ~scheme ~app ~epoch ~adapt ~drift =
   | Some info, Some workloads ->
     let injector = Option.map injector_of_drift drift in
     let stack = Yukta.Schemes.stack info in
-    let stepper = Yukta.Stack.stepper ?epoch ?injector stack workloads in
+    let stepper = Yukta.Stack.stepper ?injector stack workloads in
     let engine =
       if adapt then Adapt.for_stack (Yukta.Stack.stack stepper) else None
     in
@@ -258,8 +253,8 @@ let step_epochs t r ~count ~budget =
 let handle t request ~budget =
   match request with
   | Protocol.Hello _ -> ([ Protocol.welcome () ], 0)
-  | Protocol.Configure { scheme; app; epoch; adapt; drift } ->
-    (do_configure t ~scheme ~app ~epoch ~adapt ~drift, 0)
+  | Protocol.Configure { scheme; app; adapt; drift } ->
+    (do_configure t ~scheme ~app ~adapt ~drift, 0)
   | Protocol.Step { count } ->
     let cost = ref 0 in
     let lines =

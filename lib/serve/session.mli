@@ -9,9 +9,9 @@
     The split between {!enqueue} and {!process} is what lets one
     single-threaded server loop host many sessions fairly:
 
-    - {!enqueue} applies {e backpressure}: past [max_queue] buffered
-      request lines it rejects with a [busy] response carrying
-      [retry_after_ms] instead of buffering without bound;
+    - {!enqueue} applies {e backpressure}: past 64 buffered request
+      lines it rejects with a [busy] response carrying
+      [retry_after_ms = 50] instead of buffering without bound;
     - {!process} drains the queue under an {e epoch budget}; a [step]
       larger than the remaining budget is split, its remainder carried
       to the next call, so a greedy session cannot starve others. A
@@ -27,10 +27,8 @@
 
 type t
 
-val create : ?max_queue:int -> ?retry_after_ms:int -> id:int -> unit -> t
-(** [max_queue] (default 64) bounds the inbound queue; [retry_after_ms]
-    (default 50) is the hint carried by backpressure rejections.
-    @raise Invalid_argument when [max_queue < 1]. *)
+val create : id:int -> unit -> t
+(** A fresh, unconfigured session. *)
 
 val enqueue : t -> string -> [ `Accepted | `Rejected of string ]
 (** Buffer one request line. [`Rejected line] carries the response to

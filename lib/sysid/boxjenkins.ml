@@ -45,7 +45,9 @@ let fit_noise_ar order res =
 let prefilter_of_noise noise =
   Vec.concat (Vec.of_list [ 1.0 ]) (Vec.map (fun c -> -.c) noise)
 
-let fit ?(noise_order = 2) ~na ~nb ~u ~y () =
+let noise_order = 2
+
+let fit ~na ~nb ~u ~y =
   let plant = ref (Arx.fit ~na ~nb ~u ~y) in
   let noise = ref (Vec.create noise_order) in
   let iterations = ref 0 in

@@ -23,14 +23,8 @@ type t = {
 }
 
 val fit :
-  ?noise_order:int ->
-  na:int ->
-  nb:int ->
-  u:Linalg.Vec.t array ->
-  y:Linalg.Vec.t array ->
-  unit ->
-  t
-(** [noise_order] defaults to 2; at most 4 GLS iterations run. *)
+  na:int -> nb:int -> u:Linalg.Vec.t array -> y:Linalg.Vec.t array -> t
+(** The noise model is AR(2); at most 4 GLS iterations run. *)
 
 val residuals : Arx.model -> u:Linalg.Vec.t array -> y:Linalg.Vec.t array -> Linalg.Vec.t array
 (** One-step-ahead prediction residuals (zero for the warm-up samples). *)

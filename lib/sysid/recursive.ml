@@ -17,7 +17,6 @@ type t = {
   ny : int;
   nu : int;
   lambda : float;
-  delta : float;
   theta : Mat.t; (* cols x ny, batch layout. *)
   mutable p : Mat.t; (* cols x cols inverse-Gram estimate. *)
   (* History, newest first: ys.(0) = y(t-1), us.(0) = u(t-1). *)
@@ -33,14 +32,16 @@ type t = {
 
 let cols t = (t.na * t.ny) + (t.nb * t.nu)
 
-let create ?(lambda = 1.0) ?(delta = 1e-6) ~na ~nb ~ny ~nu () =
+(* The ridge prior: P0 = delta^-1 I, [Arx.fit]'s regularizer. *)
+let delta = 1e-6
+
+let create ?(lambda = 1.0) ~na ~nb ~ny ~nu () =
   if na < 0 || nb < 1 then
     invalid_arg "Recursive.create: need na >= 0, nb >= 1";
   if ny < 1 || nu < 1 then
     invalid_arg "Recursive.create: need ny >= 1, nu >= 1";
   if lambda <= 0.0 || lambda > 1.0 then
     invalid_arg "Recursive.create: forgetting factor must be in (0, 1]";
-  if delta <= 0.0 then invalid_arg "Recursive.create: delta must be positive";
   let c = (na * ny) + (nb * nu) in
   {
     na;
@@ -48,7 +49,6 @@ let create ?(lambda = 1.0) ?(delta = 1e-6) ~na ~nb ~ny ~nu () =
     ny;
     nu;
     lambda;
-    delta;
     theta = Mat.create c ny;
     p = Mat.scalar c (1.0 /. delta);
     ys = Array.init na (fun _ -> Vec.create ny);
@@ -146,7 +146,7 @@ let observe t ~(u : Vec.t) ~(y : Vec.t) =
   t.seen <- t.seen + 1;
   result
 
-let warm_start ?delta t (m : Arx.model) =
+let warm_start t (m : Arx.model) =
   if m.Arx.na <> t.na || m.Arx.nb <> t.nb || m.Arx.ny <> t.ny
      || m.Arx.nu <> t.nu
   then invalid_arg "Recursive.warm_start: model shape mismatch";
@@ -167,33 +167,26 @@ let warm_start ?delta t (m : Arx.model) =
       done
     done
   done;
-  let d = Option.value delta ~default:t.delta in
-  if d <= 0.0 then invalid_arg "Recursive.warm_start: delta must be positive";
-  t.p <- Mat.scalar (cols t) (1.0 /. d)
+  t.p <- Mat.identity (cols t)
 
-let reset_covariance ?delta ?(only_inputs = false) t =
-  let d = Option.value delta ~default:t.delta in
-  if d <= 0.0 then
+(* Re-inflate only the input-coefficient (B) block. The output-history
+   (A) rows get exactly zero covariance, so the RLS gain has zero
+   entries there and the dynamics stay pinned: all the update energy
+   lands in the input gains. This is the structured reset for gain-type
+   plant drifts — closed-loop data carries too little excitation to
+   re-learn dynamics, but a pinned-dynamics gain correction is well
+   posed. Zeros are preserved by the covariance update (P phi has zero
+   A entries), so the pin survives subsequent samples. *)
+let reset_covariance ?(delta = delta) t =
+  if delta <= 0.0 then
     invalid_arg "Recursive.reset_covariance: delta must be positive";
-  if not only_inputs then t.p <- Mat.scalar (cols t) (1.0 /. d)
-  else begin
-    (* Re-inflate only the input-coefficient (B) block. The
-       output-history (A) rows get exactly zero covariance, so the
-       RLS gain has zero entries there and the dynamics stay pinned:
-       all the update energy lands in the input gains. This is the
-       structured reset for gain-type plant drifts — closed-loop data
-       carries too little excitation to re-learn dynamics, but a
-       pinned-dynamics gain correction is well posed. Zeros are
-       preserved by the covariance update (P phi has zero A entries),
-       so the pin survives subsequent samples. *)
-    let c = cols t in
-    let base = t.na * t.ny in
-    let p = Mat.create c c in
-    for k = base to c - 1 do
-      Mat.set p k k (1.0 /. d)
-    done;
-    t.p <- p
-  end
+  let c = cols t in
+  let base = t.na * t.ny in
+  let p = Mat.create c c in
+  for k = base to c - 1 do
+    Mat.set p k k (1.0 /. delta)
+  done;
+  t.p <- p
 
 (* Unpack theta into coefficient matrices exactly as [Arx.fit_on] does,
    so a converged recursive model and a batch model are comparable
@@ -220,10 +213,6 @@ module Drift = struct
      that baseline. No absolute threshold — a session on a clean plant
      never trips regardless of the scheme's native residual scale. *)
   type detector = {
-    alpha : float;
-    warmup : int;
-    ratio : float;
-    floor : float;
     mutable n : int;
     mutable sum : float; (* Baseline accumulator during warmup. *)
     mutable base : float; (* Calibrated baseline (NaN until set). *)
@@ -231,23 +220,18 @@ module Drift = struct
     mutable is_tripped : bool;
   }
 
-  let create ?(alpha = 0.05) ?(warmup = 40) ?(ratio = 3.0) ?(floor = 1e-9) ()
-      =
-    if alpha <= 0.0 || alpha > 1.0 then
-      invalid_arg "Drift.create: alpha must be in (0, 1]";
-    if warmup < 1 then invalid_arg "Drift.create: warmup must be >= 1";
-    if ratio <= 1.0 then invalid_arg "Drift.create: ratio must exceed 1";
-    {
-      alpha;
-      warmup;
-      ratio;
-      floor;
-      n = 0;
-      sum = 0.0;
-      base = Float.nan;
-      avg = 0.0;
-      is_tripped = false;
-    }
+  (* EWMA coefficient, calibration length, trip multiple, and the
+     minimum baseline that guards exactly-zero residuals. *)
+  let alpha = 0.1
+
+  let warmup = 30
+
+  let ratio = 2.5
+
+  let floor = 1e-9
+
+  let create () =
+    { n = 0; sum = 0.0; base = Float.nan; avg = 0.0; is_tripped = false }
 
   let reset d =
     d.n <- 0;
@@ -258,16 +242,16 @@ module Drift = struct
 
   let observe d err =
     d.avg <-
-      (if d.n = 0 then err else ((1.0 -. d.alpha) *. d.avg) +. (d.alpha *. err));
+      (if d.n = 0 then err else ((1.0 -. alpha) *. d.avg) +. (alpha *. err));
     d.n <- d.n + 1;
-    if d.n <= d.warmup then begin
+    if d.n <= warmup then begin
       d.sum <- d.sum +. err;
-      if d.n = d.warmup then
-        d.base <- Float.max d.floor (d.sum /. float_of_int d.warmup);
+      if d.n = warmup then
+        d.base <- Float.max floor (d.sum /. float_of_int warmup);
       false
     end
     else begin
-      let trip = (not d.is_tripped) && d.avg > d.ratio *. d.base in
+      let trip = (not d.is_tripped) && d.avg > ratio *. d.base in
       if trip then d.is_tripped <- true;
       trip
     end
@@ -278,5 +262,5 @@ module Drift = struct
 
   let baseline d = d.base
 
-  let calibrated d = d.n >= d.warmup
+  let calibrated d = d.n >= warmup
 end

@@ -2,13 +2,14 @@
 
     The same model and regressor layout as {!Arx}, updated one sample at
     a time by recursive least squares so a long-lived serving session
-    can track the plant without re-fitting over the full record. With
-    forgetting factor [1.0] and the default [delta] the estimate after a
-    record equals the batch ridge fit [Arx.fit] computes over that
-    record (same regularizer, different factorization) — the property
-    the test suite pins. Forgetting [< 1] discounts history with
-    half-life [ln 2 / ln (1/lambda)] samples, which is what lets the
-    estimate follow a drifting plant.
+    can track the plant without re-fitting over the full record. The
+    covariance starts at [delta^-1 I] with the ridge prior [delta =
+    1e-6], {!Arx.fit}'s regularizer, so with forgetting factor [1.0] the
+    estimate after a record equals the batch ridge fit [Arx.fit]
+    computes over that record (same regularizer, different
+    factorization) — the property the test suite pins. Forgetting [< 1]
+    discounts history with half-life [ln 2 / ln (1/lambda)] samples,
+    which is what lets the estimate follow a drifting plant.
 
     {!Drift} turns the per-sample prediction errors into a drift
     verdict: it calibrates a baseline residual level on the session's
@@ -18,13 +19,10 @@
 
 type t
 
-val create :
-  ?lambda:float -> ?delta:float -> na:int -> nb:int -> ny:int -> nu:int ->
-  unit -> t
-(** [lambda] (default [1.0]) is the forgetting factor in [(0, 1]];
-    [delta] (default [1e-6]) the ridge prior: the covariance starts at
-    [delta^-1 I], matching {!Arx.fit}'s regularizer so forgetting [1.0]
-    reproduces the batch fit.
+val create : ?lambda:float -> na:int -> nb:int -> ny:int -> nu:int -> unit -> t
+(** [lambda] (default [1.0]) is the forgetting factor in [(0, 1]]. The
+    default is a seam: forgetting [1.0] is the batch-fit reference the
+    tests check, and programs forget at [0.999].
     @raise Invalid_argument on out-of-range parameters. *)
 
 val observe : t -> u:Linalg.Vec.t -> y:Linalg.Vec.t -> float option
@@ -38,42 +36,34 @@ val model : t -> Arx.model
 (** The current estimate, unpacked into {!Arx.model} coefficient
     matrices (zeros before any update — the ridge prior). *)
 
-val warm_start : ?delta:float -> t -> Arx.model -> unit
+val warm_start : t -> Arx.model -> unit
 (** Install a prior estimate (e.g. the offline batch fit) as the
-    starting parameters, with the covariance set to [delta^-1 I]
-    (default: the creation [delta]). A warm-started estimator predicts
-    with the prior from the first sample and only needs to learn the
-    {e deviation} from it — which is what makes closed-loop adaptation
-    workable: steady operation carries too little excitation to
-    identify a full model from scratch, but plenty to correct a gain.
-    @raise Invalid_argument on a shape mismatch or [delta <= 0]. *)
+    starting parameters, with the covariance set to [I]. A warm-started
+    estimator predicts with the prior from the first sample and only
+    needs to learn the {e deviation} from it — which is what makes
+    closed-loop adaptation workable: steady operation carries too little
+    excitation to identify a full model from scratch, but plenty to
+    correct a gain.
+    @raise Invalid_argument on a shape mismatch. *)
 
-val reset_covariance : ?delta:float -> ?only_inputs:bool -> t -> unit
-(** Re-inflate the covariance to [delta^-1 I] (default: the creation
-    [delta]) while keeping the parameter estimate — standard practice
-    after a detected plant change to let the estimate move fast again.
-
-    With [only_inputs] (default [false]) only the input-coefficient
-    (B) block is re-inflated and the output-history (A) block is
-    zeroed, pinning the dynamics at the current estimate: the
-    structured reset for gain-type drifts, where closed-loop data
-    cannot support re-learning dynamics but easily corrects input
-    gains. The pin is permanent until a later full reset re-inflates
-    the A block.
+val reset_covariance : ?delta:float -> t -> unit
+(** Re-inflate the input-coefficient (B) block of the covariance to
+    [delta^-1 I] (default: the ridge prior [1e-6]) and zero the
+    output-history (A) block, keeping the parameter estimate. This
+    pins the dynamics at the current estimate: the structured reset
+    for gain-type drifts, where closed-loop data cannot support
+    re-learning dynamics but easily corrects input gains. The pin is
+    permanent; a later {!warm_start} lifts it.
     @raise Invalid_argument when [delta <= 0]. *)
 
 (** Prediction-error drift detector. *)
 module Drift : sig
   type detector
 
-  val create :
-    ?alpha:float -> ?warmup:int -> ?ratio:float -> ?floor:float -> unit ->
-    detector
-  (** [alpha] (default [0.05]) is the residual EWMA coefficient;
-      [warmup] (default [40]) how many residuals calibrate the baseline;
-      [ratio] (default [3.0]) the trip multiple; [floor] (default
-      [1e-9]) the minimum baseline, guarding exactly-zero residuals.
-      @raise Invalid_argument on out-of-range parameters. *)
+  val create : unit -> detector
+  (** The residual EWMA coefficient is [0.1]; the first [30] residuals
+      calibrate the baseline; the detector trips at [2.5] times it. The
+      baseline is at least [1e-9], guarding exactly-zero residuals. *)
 
   val observe : detector -> float -> bool
   (** Feed one residual; [true] exactly when this sample trips the

@@ -56,9 +56,7 @@ let identify ?(order = 4) spec ~u ~y =
   validate_spec spec;
   let t0 = if Obs.Collector.enabled () then Obs.Collector.now () else 0.0 in
   let u_norm, y_norm = normalize_records spec ~u ~y in
-  let bj =
-    Sysid.Boxjenkins.fit ~na:order ~nb:order ~u:u_norm ~y:y_norm ()
-  in
+  let bj = Sysid.Boxjenkins.fit ~na:order ~nb:order ~u:u_norm ~y:y_norm in
   let model =
     stabilize (Sysid.Arx.to_ss bj.Sysid.Boxjenkins.plant ~period:spec.period)
   in

@@ -366,7 +366,5 @@ let stack info =
       (Printf.sprintf "Schemes.stack: %S is not a registered scheme"
          info.key)
 
-let run ?max_time ?collect_trace ?sensor_period ?epoch ?injector info
-    workloads =
-  Stack.run ?max_time ?collect_trace ?sensor_period ?epoch ?injector
-    (stack info) workloads
+let run ?max_time ?collect_trace ?injector info workloads =
+  Stack.run ?max_time ?collect_trace ?injector (stack info) workloads

@@ -38,13 +38,12 @@ val stack : info -> Stack.t
 val run :
   ?max_time:float ->
   ?collect_trace:bool ->
-  ?sensor_period:float ->
-  ?epoch:float ->
   ?injector:Board.Xu3.injector ->
   info ->
   Board.Workload.t list ->
   Stack.result
-(** [Stack.run] on a fresh {!stack} (same optional arguments). *)
+(** [Stack.run] on a fresh {!stack} at the default epoch and sensor
+    period (same other optional arguments). *)
 
 (** {1 Layer and stack builders}
 

@@ -8,7 +8,7 @@ let perf_big_range = (0.0, 12.0)
 
 let delta_sc_range = (-10.0, 10.0)
 
-let inputs ?(weight = 2.0) () = Knobs.inputs ~weight (Knobs.placement ())
+let inputs () = Knobs.inputs ~weight:2.0 (Knobs.placement ())
 
 let outputs ?(bound = 0.20) () =
   let lo_l, hi_l = perf_little_range in
@@ -23,13 +23,13 @@ let outputs ?(bound = 0.20) () =
       ~bound_fraction:bound ();
   |]
 
-let spec ?(uncertainty = 0.50) ?(input_weight = 2.0) ?(bound = 0.20) () =
+let spec ?(bound = 0.20) () =
   {
     Design.layer = "software";
-    inputs = inputs ~weight:input_weight ();
+    inputs = inputs ();
     outputs = outputs ~bound ();
     externals = Knobs.config ();
-    uncertainty;
+    uncertainty = 0.50;
     period;
   }
 

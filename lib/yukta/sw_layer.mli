@@ -10,14 +10,17 @@
     Goal: minimize E x D, relying on the hardware controller for the
     power/temperature caps. *)
 
-val inputs : ?weight:float -> unit -> Signal.input array
-(** The three Table III inputs, {!Knobs.placement} ([weight] defaults to
-    the paper's 2). *)
+val inputs : unit -> Signal.input array
+(** The three Table III inputs, {!Knobs.placement}, at the paper's
+    weight 2. *)
 
 val outputs : ?bound:float -> unit -> Signal.output array
 
-val spec :
-  ?uncertainty:float -> ?input_weight:float -> ?bound:float -> unit -> Design.spec
+val spec : ?bound:float -> unit -> Design.spec
+(** The Table III spec at output bound [bound] (default +-20%). The
+    guardband (+-50%) and the input weight (2) are the paper's; the
+    sweep and the Figs. 15-17 studies turn only the hardware layer's
+    (see {!Hw_layer.spec}). *)
 
 val make_optimizer : unit -> Optimizer.t
 (** The optimizer over the default-bound {!outputs}: performance outputs

@@ -245,9 +245,9 @@ let mu_lower_search s m restarts =
   done;
   (!best_delta, !best)
 
-let mu_lower ?(restarts = 4) s m =
+let mu_lower s m =
   validate s m;
-  snd (mu_lower_search s m restarts)
+  snd (mu_lower_search s m 4)
 
 let worst_case_delta s m =
   validate s m;

@@ -159,13 +159,12 @@ let test_campaign_degradation () =
 
 let test_epoch_configurable () =
   let workloads = small_workload () in
-  let fast = Schemes.run ~epoch:0.25 (coord ()) workloads in
+  let run ?epoch () = Stack.run ?epoch (Schemes.stack (coord ())) workloads in
+  let fast = run ~epoch:0.25 () in
   check_bool "quarter-second epoch completes" true fast.Stack.completed;
-  let default = Schemes.run (coord ()) workloads in
+  let default = run () in
   check_bool "explicit default matches implicit" true
-    ((Schemes.run ~epoch:Stack.default_epoch (coord ()) workloads)
-       .Stack.metrics
-       .Xu3.energy_delay
+    ((run ~epoch:Stack.default_epoch ()).Stack.metrics.Xu3.energy_delay
     = default.Stack.metrics.Xu3.energy_delay)
 
 let test_epoch_validated () =
@@ -174,11 +173,11 @@ let test_epoch_validated () =
     | exception Invalid_argument _ -> true
     | _ -> false
   in
-  check_bool "zero epoch rejected" true
-    (raises (fun () -> Schemes.run ~epoch:0.0 (coord ()) (small_workload ())));
-  check_bool "negative epoch rejected" true
-    (raises (fun () ->
-         Schemes.run ~epoch:(-0.5) (coord ()) (small_workload ())))
+  let run epoch () =
+    Stack.run ~epoch (Schemes.stack (coord ())) (small_workload ())
+  in
+  check_bool "zero epoch rejected" true (raises (run 0.0));
+  check_bool "negative epoch rejected" true (raises (run (-0.5)))
 
 (* ------------------------------------------------------------------ *)
 (* Sensor RNG reset                                                    *)

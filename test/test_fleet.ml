@@ -85,7 +85,7 @@ let test_rack_waterfill_ceiling () =
 
 let test_rack_feedback_trim () =
   let r =
-    Fleet.Rack.make ~gain:0.2 ~policy:Fleet.Rack.Feedback ~boards:2 ~cap:6.0 ()
+    Fleet.Rack.make ~policy:Fleet.Rack.Feedback ~boards:2 ~cap:6.0 ()
   in
   check_bool "trim starts neutral" true (near (Fleet.Rack.trim r) 1.0);
   (* Sustained underdraw: measured total well below the budget, so the
@@ -261,10 +261,7 @@ let test_sim_config_validation () =
     (raises_invalid (fun () -> Fleet.Sim.config ~boards:0 ()));
   check_bool "negative budget rejected" true
     (raises_invalid (fun () ->
-         Fleet.Sim.config ~cap_per_board:(-1.0) ~boards:2 ()));
-  check_bool "epoch above rack epoch rejected" true
-    (raises_invalid (fun () ->
-         Fleet.Sim.config ~epoch:3.0 ~rack_epoch:2.0 ~boards:2 ()))
+         Fleet.Sim.config ~cap_per_board:(-1.0) ~boards:2 ()))
 
 let () =
   Alcotest.run "fleet"

@@ -1,6 +1,7 @@
 (* Tests for the serving subsystem: the transport-free session state
-   machine (purity, backpressure, budget split, drain, crash isolation)
-   and the select-loop server (disconnect isolation, idle sweep). *)
+   machine (purity, backpressure, budget split, drain, crash isolation),
+   the request parser (field errors, totality) and the select-loop
+   server (disconnect isolation, idle sweep). *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -18,6 +19,9 @@ let jint key line =
   | Some v -> v
   | None -> Alcotest.failf "response without int %S: %s" key line
 
+let jstring key line =
+  Option.bind (Json.member key (Json.of_string line)) Json.to_string_opt
+
 let jbool key line =
   match Json.member key (Json.of_string line) with
   | Some (Json.Bool b) -> b
@@ -33,8 +37,7 @@ let enqueue_ok t line =
   | `Accepted -> ()
   | `Rejected r -> Alcotest.failf "unexpected rejection: %s" r
 
-let fresh_session ?max_queue ?retry_after_ms () =
-  Serve.Session.create ?max_queue ?retry_after_ms ~id:1 ()
+let fresh_session () = Serve.Session.create ~id:1 ()
 
 let configured_session () =
   let t = fresh_session () in
@@ -174,14 +177,17 @@ let test_session_unknown_app () =
   check_int "error counted" 1 (Serve.Session.errors t)
 
 let test_session_backpressure () =
-  let t = fresh_session ~max_queue:2 ~retry_after_ms:7 () in
+  (* The queue holds 64 lines; the 65th is answered busy. *)
+  let t = fresh_session () in
   enqueue_ok t configure_line;
-  enqueue_ok t {|{"type":"step","count":1}|};
+  for _ = 2 to 64 do
+    enqueue_ok t {|{"type":"step","count":1}|}
+  done;
   (match Serve.Session.enqueue t {|{"type":"step","count":1}|} with
   | `Accepted -> Alcotest.fail "queue should be full"
   | `Rejected line ->
     check_string "busy" "busy" (jtype line);
-    check_int "retry hint" 7 (jint "retry_after_ms" line));
+    check_int "retry hint" 50 (jint "retry_after_ms" line));
   (* Processing the queue makes room again. *)
   ignore (Serve.Session.process t);
   enqueue_ok t {|{"type":"step","count":1}|}
@@ -198,6 +204,171 @@ let test_session_closed_rejects () =
   | `Rejected line ->
     check_string "fatal error" "error" (jtype line);
     check_bool "fatal" true (jbool "fatal" line)
+
+(* ------------------------------------------------------------------ *)
+(* Request fields: a present field of the wrong type or range is an     *)
+(* error naming it; only an absent field takes its default              *)
+(* ------------------------------------------------------------------ *)
+
+let parse_error line =
+  match Serve.Protocol.request_of_line line with
+  | Error e -> e
+  | Ok _ -> Alcotest.failf "accepted: %s" line
+
+let test_protocol_field_errors () =
+  let drift body =
+    Printf.sprintf {|{"type":"configure","scheme":"coord","drift":{"start":5,%s}}|} body
+  in
+  let severity = "drift.severity must be a number in (0, 10]" in
+  List.iter
+    (fun (line, expect) -> check_string line expect (parse_error line))
+    [
+      (drift {|"severity":-1|}, severity);
+      (drift {|"severity":0|}, severity);
+      (drift {|"severity":1e5|}, severity);
+      (drift {|"severity":1e400|}, severity);
+      (drift {|"severity":"1"|}, severity);
+      (drift {|"severity":1,"kind":7|},
+       "drift.kind must be one of power_gain, thermal_gain, perf_gain");
+      (drift {|"severity":1,"duration":0|}, "drift.duration must be a number > 0");
+      ( {|{"type":"configure","scheme":"coord","drift":{"start":-1,"severity":1}}|},
+        "drift.start must be a finite number >= 0" );
+      ({|{"type":"configure","scheme":"coord","drift":{"start":1}}|},
+       {|drift needs a "severity"|});
+      ({|{"type":"configure","scheme":"coord","drift":true}|},
+       "configure.drift must be an object");
+      ({|{"type":"configure","scheme":"coord","app":5}|}, "configure.app must be a string");
+      ({|{"type":"configure","scheme":"coord","adapt":"yes"}|},
+       "configure.adapt must be a boolean");
+      ({|{"type":"configure","scheme":null}|}, "configure.scheme must be a string");
+      ({|{"type":"configure"}|}, {|configure needs a "scheme"|});
+      ({|{"type":"step","count":2.5}|}, "step.count must be an integer >= 1");
+      ({|{"type":"step","count":"7"}|}, "step.count must be an integer >= 1");
+      ({|{"type":"step","count":1e3}|}, "step.count must be an integer >= 1");
+      ({|{"type":"step","count":0}|}, "step.count must be an integer >= 1");
+      ({|{"type":"hello","client":1}|}, "hello.client must be a string");
+      ({|{"type":7}|}, {|"type" must be a string|});
+    ];
+  (* Absent fields take their defaults; ten guardbands is accepted. *)
+  (match
+     Serve.Protocol.request_of_line
+       {|{"type":"configure","scheme":"coord","drift":{"start":5,"severity":10}}|}
+   with
+  | Ok (Serve.Protocol.Configure { app; adapt; drift = Some d; _ }) ->
+    check_string "default app" "blackscholes" app;
+    check_bool "default adapt" false adapt;
+    check_string "default kind" "power_gain" d.Serve.Protocol.kind;
+    check_bool "default duration" true (d.Serve.Protocol.duration = Float.infinity)
+  | _ -> Alcotest.fail "expected a configure with a drift");
+  match Serve.Protocol.request_of_line {|{"type":"step"}|} with
+  | Ok (Serve.Protocol.Step { count }) -> check_int "default count" 1 count
+  | _ -> Alcotest.fail "expected a step"
+
+(* A session answers a bad field with a non-fatal error naming it, not
+   an internal error, and keeps serving. *)
+let test_session_field_error_names_field () =
+  let t = fresh_session () in
+  enqueue_ok t
+    {|{"type":"configure","scheme":"coord","drift":{"start":5,"severity":-1}}|};
+  enqueue_ok t configure_line;
+  match Serve.Session.process t with
+  | [ e; c ] ->
+    check_string "error" "error" (jtype e);
+    check_bool "names the field" true
+      (jstring "message" e = Some "drift.severity must be a number in (0, 10]");
+    check_bool "non-fatal" false (jbool "fatal" e);
+    check_string "then configured" "configured" (jtype c)
+  | other -> Alcotest.failf "expected 2 lines, got %d" (List.length other)
+
+(* The protocol is total: a line of any type, with every known field
+   absent or drawn from every JSON kind, parses without raising, and a
+   fresh session fed it (then one step, once configured) answers no
+   internal error. [epoch], a configure field no more, is drawn too: it
+   must be ignored. Schemes are the heuristic ones, so no synthesis
+   runs. *)
+let prop_protocol_total =
+  let open QCheck.Gen in
+  let text s = Printf.sprintf "%S" s in
+  (* Mostly present, and mostly a value the field accepts, so configured
+     runs get stepped; otherwise absent or any JSON kind. *)
+  let value valid =
+    frequency
+      [
+        (60, valid);
+        (1, return {|"x"|});
+        (1, map string_of_int (int_range 1 5));
+        (1, return "0");
+        (1, map (fun n -> string_of_int (-n)) (int_range 1 5));
+        (1, return "1e300");
+        (1, return "1e400");
+        (1, map string_of_bool bool);
+        (1, return "null");
+        (1, return {|[1,"a"]|});
+        (1, return {|{"x":1}|});
+      ]
+  in
+  let obj fields =
+    map
+      (fun kvs ->
+        "{"
+        ^ String.concat ","
+            (List.filter_map (Option.map (fun (k, v) -> Printf.sprintf "%S:%s" k v)) kvs)
+        ^ "}")
+      (flatten_l
+         (List.map (fun (k, v) -> opt ~ratio:0.8 (map (fun v -> (k, v)) v)) fields))
+  in
+  let number = map string_of_int (int_range 1 9) in
+  let drift =
+    obj
+      [
+        ("start", value number);
+        ("severity", value number);
+        ("duration", value number);
+        ("kind", value (map text (oneofl [ "power_gain"; "thermal_gain"; "perf_gain" ])));
+      ]
+  in
+  let line =
+    obj
+      [
+        ( "type",
+          value
+            (map text
+               (frequencyl
+                  [
+                    (1, "hello"); (6, "configure"); (1, "step"); (1, "health");
+                    (1, "drain"); (1, "close"); (1, "junk");
+                  ])) );
+        ("client", value (return {|"t"|}));
+        ("scheme", value (map text (oneofl [ "coord"; "decoupled" ])));
+        ("app", value (map text (oneofl [ "blackscholes"; "mcf"; "blmc"; "nope" ])));
+        ("adapt", value (map string_of_bool bool));
+        ("epoch", value (return "0.25"));
+        ("drift", value drift);
+        ("count", value number);
+      ]
+  in
+  let internal l =
+    jtype l = "error"
+    && Option.fold ~none:false
+         ~some:(String.starts_with ~prefix:"internal error")
+         (jstring "message" l)
+  in
+  QCheck.Test.make ~name:"protocol total" ~count:10000
+    (QCheck.make ~print:Fun.id line)
+    (fun line ->
+      (match Serve.Protocol.request_of_line line with Ok _ | Error _ -> ());
+      let t = fresh_session () in
+      enqueue_ok t line;
+      let first = Serve.Session.process t in
+      let rest =
+        if List.exists (fun l -> jtype l = "configured") first then begin
+          enqueue_ok t {|{"type":"step","count":1}|};
+          Serve.Session.process t
+        end
+        else []
+      in
+      Serve.Session.finish t;
+      not (List.exists internal (first @ rest)))
 
 (* ------------------------------------------------------------------ *)
 (* Epoch budget: split, carry, drain                                   *)
@@ -395,6 +566,13 @@ let () =
           Alcotest.test_case "budget carry" `Quick test_session_budget_carry;
           Alcotest.test_case "drain streams" `Quick
             test_session_drain_streams_under_budget;
+        ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "field errors" `Quick test_protocol_field_errors;
+          Alcotest.test_case "session names the field" `Quick
+            test_session_field_error_names_field;
+          QCheck_alcotest.to_alcotest prop_protocol_total;
         ] );
       ( "server",
         [

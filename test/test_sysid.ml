@@ -204,20 +204,21 @@ let equation_error_data ~rho () =
 
 let test_bj_detects_noise_color () =
   let u, y = equation_error_data ~rho:0.7 () in
-  let bj = Boxjenkins.fit ~noise_order:1 ~na:2 ~nb:2 ~u ~y () in
-  (* The AR(1) coefficient of the noise should be recovered approximately. *)
+  let bj = Boxjenkins.fit ~na:2 ~nb:2 ~u ~y in
+  (* The AR(1) coefficient of the noise should be recovered approximately
+     as the first coefficient of the AR(2) noise model. *)
   check_bool "noise coefficient near 0.7" true
     (Float.abs (bj.Boxjenkins.noise.(0) -. 0.7) < 0.25)
 
 let test_bj_iterates () =
   let u, y = equation_error_data ~rho:0.7 () in
-  let bj = Boxjenkins.fit ~na:2 ~nb:2 ~u ~y () in
+  let bj = Boxjenkins.fit ~na:2 ~nb:2 ~u ~y in
   check_bool "performed iterations" true (bj.Boxjenkins.iterations >= 1);
   check_bool "plant stable" true (stable bj.Boxjenkins.plant)
 
 let test_bj_white_noise_near_zero () =
   let u, y = equation_error_data ~rho:0.0 () in
-  let bj = Boxjenkins.fit ~noise_order:2 ~na:2 ~nb:2 ~u ~y () in
+  let bj = Boxjenkins.fit ~na:2 ~nb:2 ~u ~y in
   check_bool "noise model small for white residuals" true
     (Vec.norm_inf bj.Boxjenkins.noise < 0.3)
 
@@ -358,7 +359,7 @@ let test_rls_error_shrinks () =
   check_bool "late << early" true (mean (n - 50) n < 0.01 *. mean 0 50)
 
 let test_drift_detector () =
-  let d = Recursive.Drift.create ~warmup:20 ~ratio:3.0 () in
+  let d = Recursive.Drift.create () in
   (* Clean phase: residuals around 0.1 — calibrates, never trips. *)
   for i = 0 to 99 do
     let e = 0.1 +. (0.01 *. sin (float_of_int i)) in
@@ -423,7 +424,7 @@ let test_rls_structured_reset () =
   let y = Simulate.arx drifted ~u ~y0 in
   let est = Recursive.create ~na:2 ~nb:2 ~ny:2 ~nu:2 () in
   Recursive.warm_start est true_model;
-  Recursive.reset_covariance ~only_inputs:true est;
+  Recursive.reset_covariance est;
   rls_feed est ~u ~y;
   let m = Recursive.model est in
   check_bool "A pinned at prior" true
@@ -548,10 +549,10 @@ let test_validate_mismatched_lengths () =
            ~predicted:[||]))
 
 let test_bj_prefilter_shape () =
-  (* The Box-Jenkins prefilter is 1 - c1 q^-1 - ...: length nc+1. *)
+  (* The noise model is AR(2): two coefficients c1, c2. *)
   let u, y = equation_error_data ~rho:0.5 () in
-  let bj = Boxjenkins.fit ~noise_order:3 ~na:2 ~nb:2 ~u ~y () in
-  check_int "noise order" 3 (Vec.dim bj.Boxjenkins.noise)
+  let bj = Boxjenkins.fit ~na:2 ~nb:2 ~u ~y in
+  check_int "noise order" 2 (Vec.dim bj.Boxjenkins.noise)
 
 let round2_cases =
   [

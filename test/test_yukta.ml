@@ -845,7 +845,7 @@ let prop_schemes_complete_on_random_workloads =
     QCheck.(int_range 1 1000)
     (fun seed ->
       let w =
-        Board.Workload.synthetic ~seed ~phases:(1 + (seed mod 3)) ~ginsts:60.0 ()
+        Board.Workload.synthetic ~seed ~ginsts:60.0 ()
       in
       List.for_all
         (fun key ->
