@@ -1,8 +1,11 @@
 (* The streaming fleet driver: persistent per-board state stepped in
-   rack epochs, fanned out over the domain pool, folded back into
-   mergeable accumulators in board order. No per-board result list is
-   ever materialized — a 1024-board run holds the boards themselves
-   plus O(window) in-flight samples. *)
+   rack epochs. Each rack epoch splits the still-running boards into
+   contiguous ranges, one per in-flight slot of the domain pool, so a
+   rack epoch is one wave of tasks. A task steps its range in board
+   order and writes each board's outcome into per-board arrays shared
+   with the caller, which folds each range in board order into mergeable
+   accumulators. No per-board result is ever allocated, and results and
+   events are byte-identical at any job count. *)
 
 open Board
 open Yukta
@@ -51,19 +54,8 @@ type result = {
 
 (* Persistent per-board state; owned by exactly one task per rack epoch. *)
 type board_state = {
-  index : int;
   board : Xu3.t;
   stack : Stack.t;
-}
-
-(* What one board reports back from one rack epoch — the only value that
-   crosses domains, folded into accumulators immediately. *)
-type sample = {
-  s_index : int;
-  s_epochs : int;
-  s_power : float;          (* Average watts over the stepped span. *)
-  s_progress : float;
-  s_finished : bool;
 }
 
 let make_board cfg info i =
@@ -79,29 +71,7 @@ let make_board cfg info i =
   in
   let stack = Schemes.stack info in
   Stack.reset stack;
-  { index = i; board; stack }
-
-let step_board cfg ~epochs ~cap st =
-  Xu3.set_power_cap st.board (Some cap);
-  let t0 = Xu3.time st.board in
-  let e0 = Xu3.energy st.board in
-  let stepped = ref 0 in
-  for _ = 1 to epochs do
-    if not (Xu3.finished st.board) then begin
-      let o = Xu3.run_epoch st.board cfg.epoch in
-      Stack.step ~cap st.stack st.board o;
-      incr stepped
-    end
-  done;
-  let dt = Xu3.time st.board -. t0 in
-  {
-    s_index = st.index;
-    s_epochs = !stepped;
-    s_power =
-      (if dt > 0.0 then (Xu3.energy st.board -. e0) /. dt else 0.0);
-    s_progress = Xu3.progress st.board;
-    s_finished = Xu3.finished st.board;
-  }
+  { board; stack }
 
 let run ?(pool = Parallel.Pool.create ~jobs:1) cfg =
   let info = Schemes.find_exn cfg.scheme in
@@ -110,53 +80,79 @@ let run ?(pool = Parallel.Pool.create ~jobs:1) cfg =
      scheme's memoized designs exactly once (the single-force rule). *)
   let states = Array.init n (make_board cfg info) in
   let rack = Rack.make ~policy:cfg.policy ~boards:n ~cap:cfg.cap () in
+  (* Board i's outcome of the latest rack epoch, written by the one task
+     that stepped it and read by the caller when that task's range
+     folds. [power] and [progress] are also the rack's measurements. *)
+  let stepped = Array.make n 0 in
   let power = Array.make n 0.0 in
   let progress = Array.make n 0.0 in
+  let finished = Array.make n false in
   let active = Array.make n true in
+  (* The still-running boards in index order: running.(0 .. live - 1). *)
+  let running = Array.init n Fun.id in
+  let live = ref n in
   let pw = Obs.Stats.Welford.create () in
   let board_epochs = ref 0 in
   let rack_epochs = ref 0 in
-  let remaining = ref n in
   let violation = ref 0.0 in
   let epoch_power = ref 0.0 in
   let epochs_per_rack =
     max 1 (int_of_float (Float.round (cfg.rack_epoch /. cfg.epoch)))
   in
-  let fold_sample s =
-    let i = s.s_index in
-    power.(i) <- s.s_power;
-    progress.(i) <- s.s_progress;
-    board_epochs := !board_epochs + s.s_epochs;
-    if s.s_epochs > 0 then begin
-      Obs.Stats.Welford.add pw s.s_power;
-      epoch_power := !epoch_power +. s.s_power
+  let step_board ~cap i =
+    let b = states.(i).board in
+    Xu3.set_power_cap b (Some cap);
+    let t0 = Xu3.time b in
+    let e0 = Xu3.energy b in
+    let k = ref 0 in
+    while !k < epochs_per_rack && not (Xu3.finished b) do
+      let o = Xu3.run_epoch b cfg.epoch in
+      Stack.step ~cap states.(i).stack b o;
+      incr k
+    done;
+    let dt = Xu3.time b -. t0 in
+    stepped.(i) <- !k;
+    power.(i) <- (if dt > 0.0 then (Xu3.energy b -. e0) /. dt else 0.0);
+    progress.(i) <- Xu3.progress b;
+    finished.(i) <- Xu3.finished b
+  in
+  let fold_board i =
+    board_epochs := !board_epochs + stepped.(i);
+    if stepped.(i) > 0 then begin
+      Obs.Stats.Welford.add pw power.(i);
+      epoch_power := !epoch_power +. power.(i)
     end;
-    if s.s_finished && active.(i) then begin
-      active.(i) <- false;
-      decr remaining
-    end
+    if finished.(i) then active.(i) <- false
+  in
+  let each (lo, hi) f =
+    for j = lo to hi - 1 do
+      f running.(j)
+    done
   in
   while
-    !remaining > 0
+    !live > 0
     && (float_of_int !rack_epochs *. cfg.rack_epoch)
        < cfg.max_time -. 1e-9
   do
     let caps = Rack.caps rack in
-    (* Only still-running boards are stepped; the item list shrinks as
-       the fleet drains, but in index order, so the fold stays
-       deterministic. *)
-    let items =
-      Array.fold_right
-        (fun st acc -> if active.(st.index) then st :: acc else acc)
-        states []
-    in
+    let m = !live in
+    let k = min m (Parallel.Pool.window pool) in
     epoch_power := 0.0;
     Parallel.Pool.map_reduce pool
-      ~map:(fun st ->
-        step_board cfg ~epochs:epochs_per_rack ~cap:caps.(st.index) st)
+      ~map:(fun r ->
+        each r (fun i -> step_board ~cap:caps.(i) i);
+        r)
       ~init:()
-      ~reduce:(fun () s -> fold_sample s)
-      items;
+      ~reduce:(fun () r -> each r fold_board)
+      (List.init k (fun r -> (r * m / k, (r + 1) * m / k)));
+    (* Drop the boards that finished, keeping index order. *)
+    live := 0;
+    for j = 0 to m - 1 do
+      if active.(running.(j)) then begin
+        running.(!live) <- running.(j);
+        incr live
+      end
+    done;
     if !epoch_power > cfg.cap then violation := !violation +. cfg.rack_epoch;
     Rack.step rack ~power ~progress ~active;
     incr rack_epochs
@@ -174,7 +170,7 @@ let run ?(pool = Parallel.Pool.create ~jobs:1) cfg =
     cfg;
     rack_epochs = !rack_epochs;
     board_epochs = !board_epochs;
-    completed = n - !remaining;
+    completed = n - !live;
     makespan;
     energy;
     exd = energy *. makespan;

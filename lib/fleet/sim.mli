@@ -3,13 +3,14 @@
     {!Rack} each rack epoch.
 
     The driver keeps persistent per-board state (board + stack) across
-    rack epochs. Each rack epoch it fans the still-running boards out
-    over a {!Parallel.Pool} — every board steps
-    [rack_epoch / epoch] control epochs under its current cap — and
-    folds the per-board samples (average power, progress, finished)
-    into mergeable accumulators {e in board order} via the pool's
-    streaming [map_reduce]: no per-board result list is ever
-    materialized, and the folded aggregates and collector events are
+    rack epochs. Each rack epoch it splits the still-running boards
+    into {!Parallel.Pool.window} contiguous ranges and hands them to
+    the pool's streaming [map_reduce] — every board steps
+    [rack_epoch / epoch] control epochs under its current cap and
+    writes its epochs, average power, progress and finished flag into
+    per-board arrays — then folds each range into
+    mergeable accumulators {e in board order}: no per-board result is
+    ever allocated, and the folded aggregates and collector events are
     byte-identical at any job count. Per-board RNG seeds derive from
     the fleet seed via {!Seed}, so results are also independent of
     board count and ordering. *)

@@ -70,6 +70,11 @@ val map_reduce :
     A raising [reduce] likewise settles outstanding tasks before
     propagating. The pool remains usable afterwards. *)
 
+val window : t -> int
+(** [window pool] is [4 * jobs]: how many {!map_reduce} results are in
+    flight at once. Work split into this many contiguous ranges is one
+    wave of tasks per batch. *)
+
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] applies [f] to every element of [xs] on the pool's
     domains and returns the results in input order. Implemented as a

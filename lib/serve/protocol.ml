@@ -2,8 +2,9 @@
    socket. One request per line in, one or more response lines out.
    Parsing is total — every malformed line maps to an [Error] the
    session answers with a non-fatal error record, never an exception.
-   A field that is present must have its type and range, or the error
-   names it; only an absent field takes its default. *)
+   A field that is present must be one the request knows and have its
+   type and range, or the error names it; only an absent field takes
+   its default. *)
 
 module Json = Obs.Json
 
@@ -58,6 +59,16 @@ let field req name k json =
     | Some _ as x -> Ok x
     | None -> Error (Printf.sprintf "%s.%s must be %s" req name k.expect))
 
+(* Every field of [json] must be one of [known]: a retired or misspelt
+   field is an error naming it, not a silent default. *)
+let only req known json =
+  match json with
+  | Json.Obj kvs -> (
+    match List.find_opt (fun (k, _) -> not (List.mem k known)) kvs with
+    | Some (k, _) -> Error (Printf.sprintf "%s has no field %S" req k)
+    | None -> Ok ())
+  | _ -> Ok ()
+
 let required req name k json =
   let* v = field req name k json in
   Option.to_result v ~none:(Printf.sprintf "%s needs a %S" req name)
@@ -76,6 +87,7 @@ let severity_kind =
   number "a number in (0, 10]" (fun x -> x > 0.0 && x <= 10.0)
 
 let parse_drift d =
+  let* () = only "drift" [ "start"; "severity"; "duration"; "kind" ] d in
   let* start =
     required "drift" "start"
       (number "a finite number >= 0" (fun x -> x >= 0.0 && Float.is_finite x))
@@ -101,9 +113,13 @@ let request_of_json json =
   match Json.member "type" json with
   | None -> Error "missing \"type\""
   | Some (Json.String "hello") ->
+    let* () = only "hello" [ "type"; "client" ] json in
     let* client = field "hello" "client" string json in
     Ok (Hello { client })
   | Some (Json.String "configure") ->
+    let* () =
+      only "configure" [ "type"; "scheme"; "app"; "adapt"; "drift" ] json
+    in
     let* scheme = required "configure" "scheme" string json in
     let* app = optional "configure" "app" string ~default:"blackscholes" json in
     let* adapt = optional "configure" "adapt" boolean ~default:false json in
@@ -120,15 +136,22 @@ let request_of_json json =
     in
     Ok (Configure { scheme; app; adapt; drift })
   | Some (Json.String "step") ->
+    let* () = only "step" [ "type"; "count" ] json in
     let* count =
       optional "step" "count"
         (satisfying "an integer >= 1" Json.to_int_opt (fun n -> n >= 1))
         ~default:1 json
     in
     Ok (Step { count })
-  | Some (Json.String "health") -> Ok Health
-  | Some (Json.String "drain") -> Ok Drain
-  | Some (Json.String "close") -> Ok Close
+  | Some (Json.String "health") ->
+    let* () = only "health" [ "type" ] json in
+    Ok Health
+  | Some (Json.String "drain") ->
+    let* () = only "drain" [ "type" ] json in
+    Ok Drain
+  | Some (Json.String "close") ->
+    let* () = only "close" [ "type" ] json in
+    Ok Close
   | Some (Json.String other) ->
     Error (Printf.sprintf "unknown request type %S" other)
   | Some _ -> Error "\"type\" must be a string"

@@ -32,9 +32,10 @@ type request =
 
 val request_of_line : string -> (request, string) result
 (** Parse one request line; [Error] describes what was malformed (bad
-    JSON, unknown type, missing field, or a present field of the wrong
-    type or range, named as [request.field]) and never raises. Only an
-    absent field takes its default. *)
+    JSON, unknown type, a field the request does not have, missing
+    field, or a present field of the wrong type or range, named as
+    [request.field]) and never raises. Only an absent field takes its
+    default. *)
 
 (** {1 Response encoders} — each returns one encoded line (no
     trailing newline). *)

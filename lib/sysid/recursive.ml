@@ -177,7 +177,7 @@ let warm_start t (m : Arx.model) =
    re-learn dynamics, but a pinned-dynamics gain correction is well
    posed. Zeros are preserved by the covariance update (P phi has zero
    A entries), so the pin survives subsequent samples. *)
-let reset_covariance ?(delta = delta) t =
+let reset_covariance ~delta t =
   if delta <= 0.0 then
     invalid_arg "Recursive.reset_covariance: delta must be positive";
   let c = cols t in

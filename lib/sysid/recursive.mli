@@ -46,14 +46,14 @@ val warm_start : t -> Arx.model -> unit
     correct a gain.
     @raise Invalid_argument on a shape mismatch. *)
 
-val reset_covariance : ?delta:float -> t -> unit
+val reset_covariance : delta:float -> t -> unit
 (** Re-inflate the input-coefficient (B) block of the covariance to
-    [delta^-1 I] (default: the ridge prior [1e-6]) and zero the
-    output-history (A) block, keeping the parameter estimate. This
-    pins the dynamics at the current estimate: the structured reset
-    for gain-type drifts, where closed-loop data cannot support
-    re-learning dynamics but easily corrects input gains. The pin is
-    permanent; a later {!warm_start} lifts it.
+    [delta^-1 I] and zero the output-history (A) block, keeping the
+    parameter estimate. This pins the dynamics at the current
+    estimate: the structured reset for gain-type drifts, where
+    closed-loop data cannot support re-learning dynamics but easily
+    corrects input gains. The pin is permanent; a later {!warm_start}
+    lifts it.
     @raise Invalid_argument when [delta <= 0]. *)
 
 (** Prediction-error drift detector. *)

@@ -1,7 +1,8 @@
 (* Tests for the fleet layer: per-board seed derivation, rack
    apportionment (all three policies), the cap surface's no-cap parity
    contract, and the streaming fleet driver's serial/parallel
-   byte-identity, of its results and of its event stream. *)
+   byte-identity, of its results and of its event stream, at any split
+   of the running boards into ranges. *)
 
 open Board
 open Yukta
@@ -225,23 +226,60 @@ let test_sim_serial_parallel_byte_identical () =
   Alcotest.(check string) "-j4 equals serial" serial j4;
   Alcotest.(check string) "-j1 equals serial" serial j1
 
+(* Spans carry wall-clock durations; every other line is deterministic. *)
+let non_span =
+  List.filter (fun l -> not (String.starts_with ~prefix:{|{"type":"span"|} l))
+
 let test_sim_events_identical () =
-  (* The pool replays each board's captured events in board order, so
-     the trace stream matches the one-job run line for line (spans carry
-     wall-clock durations and are dropped). *)
+  (* The pool replays each board range's captured events in board order,
+     so the trace stream matches the one-job run line for line. *)
   let events jobs =
     Obs.Collector.with_collection (fun () ->
         Parallel.Pool.with_pool ~jobs (fun pool ->
             ignore (Fleet.Sim.run ~pool (small_cfg ())));
         Obs.Collector.drain ())
-    |> List.filter (fun l ->
-           not (String.starts_with ~prefix:{|{"type":"span"|} l))
+    |> non_span
   in
   let j1 = events 1 in
   let j4 = events 4 in
   check_bool "board events emitted" true (List.length j1 > 8);
   check_int "same line count" (List.length j1) (List.length j4);
   check_bool "-j4 event lines equal -j1" true (j1 = j4)
+
+(* The fan-out splits the running boards into [Pool.window] contiguous
+   ranges, so the partition moves with the job count and shrinks as
+   boards finish; the fold must not. Up to 48 boards at 1-4 jobs puts
+   several boards in a range. Over 20-40 Ginsts the boards finish in
+   different rack epochs, and a horizon of 4-15 rack epochs cuts some
+   fleets before their last board does. *)
+let prop_ranges_fold_like_serial =
+  let policies =
+    [ Fleet.Rack.Even_split; Fleet.Rack.Proportional; Fleet.Rack.Feedback ]
+  in
+  let gen =
+    QCheck.Gen.(
+      tup6 (int_range 1 48) (int_range 1 4) (int_bound 100_000)
+        (oneofl policies) (int_range 20 40) (int_range 4 15))
+  in
+  let print (boards, jobs, seed, policy, ginsts, racks) =
+    Printf.sprintf "boards=%d jobs=%d seed=%d policy=%s ginsts=%d racks=%d"
+      boards jobs seed (Fleet.Rack.policy_name policy) ginsts racks
+  in
+  QCheck.Test.make ~name:"board ranges fold like the serial run" ~count:25
+    (QCheck.make ~print gen)
+    (fun (boards, jobs, seed, policy, ginsts, racks) ->
+      let cfg =
+        Fleet.Sim.config ~policy ~seed ~ginsts:(float_of_int ginsts)
+          ~max_time:(2.0 *. float_of_int racks) ~boards ()
+      in
+      let observe run =
+        Obs.Collector.with_collection (fun () ->
+            let doc = Obs.Json.to_string (Fleet.Sim.json (run ())) in
+            (doc, non_span (Obs.Collector.drain ())))
+      in
+      observe (fun () -> Fleet.Sim.run cfg)
+      = Parallel.Pool.with_pool ~jobs (fun pool ->
+            observe (fun () -> Fleet.Sim.run ~pool cfg)))
 
 let test_feedback_beats_even_split () =
   (* The rack-layer headline at the bench-default scale: under a
@@ -300,6 +338,7 @@ let () =
             test_sim_serial_parallel_byte_identical;
           Alcotest.test_case "-j1/-j4 event lines identical" `Quick
             test_sim_events_identical;
+          QCheck_alcotest.to_alcotest prop_ranges_fold_like_serial;
           Alcotest.test_case "feedback beats even split" `Quick
             test_feedback_beats_even_split;
           Alcotest.test_case "config validation" `Quick

@@ -206,8 +206,9 @@ let test_session_closed_rejects () =
     check_bool "fatal" true (jbool "fatal" line)
 
 (* ------------------------------------------------------------------ *)
-(* Request fields: a present field of the wrong type or range is an     *)
-(* error naming it; only an absent field takes its default              *)
+(* Request fields: a field the request does not have, or a present     *)
+(* field of the wrong type or range, is an error naming it; only an    *)
+(* absent field takes its default                                      *)
 (* ------------------------------------------------------------------ *)
 
 let parse_error line =
@@ -248,6 +249,19 @@ let test_protocol_field_errors () =
       ({|{"type":"step","count":0}|}, "step.count must be an integer >= 1");
       ({|{"type":"hello","client":1}|}, "hello.client must be a string");
       ({|{"type":7}|}, {|"type" must be a string|});
+      (* A field the request does not have: retired, misspelt, or
+         another request's. *)
+      ({|{"type":"configure","scheme":"coord","epoch":0.25}|},
+       {|configure has no field "epoch"|});
+      ({|{"type":"configure","scheme":"coord","adpat":true}|},
+       {|configure has no field "adpat"|});
+      ({|{"type":"configure","epoch":0.25}|}, {|configure has no field "epoch"|});
+      (drift {|"severity":1,"sevrity":2|}, {|drift has no field "sevrity"|});
+      ({|{"type":"hello","client":"t","count":1}|}, {|hello has no field "count"|});
+      ({|{"type":"step","count":1,"scheme":"coord"}|}, {|step has no field "scheme"|});
+      ({|{"type":"health","verbose":true}|}, {|health has no field "verbose"|});
+      ({|{"type":"drain","count":1}|}, {|drain has no field "count"|});
+      ({|{"type":"close","reason":"done"}|}, {|close has no field "reason"|});
     ];
   (* Absent fields take their defaults; ten guardbands is accepted. *)
   (match
@@ -264,27 +278,35 @@ let test_protocol_field_errors () =
   | Ok (Serve.Protocol.Step { count }) -> check_int "default count" 1 count
   | _ -> Alcotest.fail "expected a step"
 
-(* A session answers a bad field with a non-fatal error naming it, not
-   an internal error, and keeps serving. *)
+(* A session answers a bad or unknown field with a non-fatal error
+   naming it, not an internal error or a configure with defaults, and
+   keeps serving. *)
 let test_session_field_error_names_field () =
   let t = fresh_session () in
   enqueue_ok t
     {|{"type":"configure","scheme":"coord","drift":{"start":5,"severity":-1}}|};
+  enqueue_ok t {|{"type":"configure","scheme":"coord","epoch":0.25}|};
   enqueue_ok t configure_line;
   match Serve.Session.process t with
-  | [ e; c ] ->
+  | [ e; u; c ] ->
     check_string "error" "error" (jtype e);
     check_bool "names the field" true
       (jstring "message" e = Some "drift.severity must be a number in (0, 10]");
     check_bool "non-fatal" false (jbool "fatal" e);
+    check_string "unknown field: error" "error" (jtype u);
+    check_bool "names the unknown field" true
+      (jstring "message" u = Some {|configure has no field "epoch"|});
+    check_bool "unknown field non-fatal" false (jbool "fatal" u);
     check_string "then configured" "configured" (jtype c)
-  | other -> Alcotest.failf "expected 2 lines, got %d" (List.length other)
+  | other -> Alcotest.failf "expected 3 lines, got %d" (List.length other)
 
-(* The protocol is total: a line of any type, with every known field
-   absent or drawn from every JSON kind, parses without raising, and a
-   fresh session fed it (then one step, once configured) answers no
-   internal error. [epoch], a configure field no more, is drawn too: it
-   must be ignored. Schemes are the heuristic ones, so no synthesis
+(* The protocol is total: a line of any type, with each of that type's
+   fields absent or drawn from every JSON kind, parses without raising,
+   and a fresh session fed it (then one step, once configured) answers
+   no internal error. Now and then a line also carries a field its type
+   does not have (the retired configure [epoch], a misspelt [adpat], or
+   another type's field): it must be refused with an error, never taken
+   with defaults. Schemes are the heuristic ones, so no synthesis
    runs. *)
 let prop_protocol_total =
   let open QCheck.Gen in
@@ -307,16 +329,15 @@ let prop_protocol_total =
         (1, return {|{"x":1}|});
       ]
   in
-  let obj fields =
-    map
-      (fun kvs ->
-        "{"
-        ^ String.concat ","
-            (List.filter_map (Option.map (fun (k, v) -> Printf.sprintf "%S:%s" k v)) kvs)
-        ^ "}")
+  let render kvs =
+    "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) kvs) ^ "}"
+  in
+  let present fields =
+    map (List.filter_map Fun.id)
       (flatten_l
          (List.map (fun (k, v) -> opt ~ratio:0.8 (map (fun v -> (k, v)) v)) fields))
   in
+  let obj fields = map render (present fields) in
   let number = map string_of_int (int_range 1 9) in
   let drift =
     obj
@@ -327,25 +348,46 @@ let prop_protocol_total =
         ("kind", value (map text (oneofl [ "power_gain"; "thermal_gain"; "perf_gain" ])));
       ]
   in
-  let line =
-    obj
+  let fields = function
+    | "hello" -> [ ("client", value (return {|"t"|})) ]
+    | "configure" ->
       [
-        ( "type",
-          value
-            (map text
-               (frequencyl
-                  [
-                    (1, "hello"); (6, "configure"); (1, "step"); (1, "health");
-                    (1, "drain"); (1, "close"); (1, "junk");
-                  ])) );
-        ("client", value (return {|"t"|}));
         ("scheme", value (map text (oneofl [ "coord"; "decoupled" ])));
         ("app", value (map text (oneofl [ "blackscholes"; "mcf"; "blmc"; "nope" ])));
         ("adapt", value (map string_of_bool bool));
-        ("epoch", value (return "0.25"));
         ("drift", value drift);
-        ("count", value number);
       ]
+    | "step" -> [ ("count", value number) ]
+    | _ -> []
+  in
+  let foreign =
+    [
+      ("epoch", "0.25"); ("adpat", "true"); ("client", {|"t"|});
+      ("scheme", {|"coord"|}); ("app", {|"mcf"|}); ("adapt", "false");
+      ("drift", {|{"start":1,"severity":1}|}); ("count", "1");
+    ]
+  in
+  let line =
+    let* ty =
+      frequencyl
+        [
+          (1, "hello"); (6, "configure"); (1, "step"); (1, "health");
+          (1, "drain"); (1, "close"); (1, "junk");
+        ]
+    in
+    let own = fields ty in
+    let* extra =
+      frequency
+        [
+          (9, return None);
+          ( 1,
+            map Option.some
+              (oneofl
+                 (List.filter (fun (k, _) -> not (List.mem_assoc k own)) foreign)) );
+        ]
+    in
+    let+ kvs = present (("type", value (return (text ty))) :: own) in
+    (render (kvs @ Option.to_list extra), extra <> None)
   in
   let internal l =
     jtype l = "error"
@@ -354,8 +396,8 @@ let prop_protocol_total =
          (jstring "message" l)
   in
   QCheck.Test.make ~name:"protocol total" ~count:10000
-    (QCheck.make ~print:Fun.id line)
-    (fun line ->
+    (QCheck.make ~print:fst line)
+    (fun (line, foreign) ->
       (match Serve.Protocol.request_of_line line with Ok _ | Error _ -> ());
       let t = fresh_session () in
       enqueue_ok t line;
@@ -368,7 +410,8 @@ let prop_protocol_total =
         else []
       in
       Serve.Session.finish t;
-      not (List.exists internal (first @ rest)))
+      (not (List.exists internal (first @ rest)))
+      && ((not foreign) || List.for_all (fun l -> jtype l = "error") first))
 
 (* ------------------------------------------------------------------ *)
 (* Epoch budget: split, carry, drain                                   *)

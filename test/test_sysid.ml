@@ -383,7 +383,7 @@ let test_rls_reset_covariance () =
   let est = Recursive.create ~lambda:0.9 ~na:2 ~nb:2 ~ny:2 ~nu:2 () in
   rls_feed est ~u ~y;
   let before = Recursive.model est in
-  Recursive.reset_covariance est;
+  Recursive.reset_covariance ~delta:1.0 est;
   (* Resetting covariance keeps the estimate itself. *)
   check_bool "estimate kept" true (models_close before (Recursive.model est))
 
@@ -424,7 +424,7 @@ let test_rls_structured_reset () =
   let y = Simulate.arx drifted ~u ~y0 in
   let est = Recursive.create ~na:2 ~nb:2 ~ny:2 ~nu:2 () in
   Recursive.warm_start est true_model;
-  Recursive.reset_covariance est;
+  Recursive.reset_covariance ~delta:1e-2 est;
   rls_feed est ~u ~y;
   let m = Recursive.model est in
   check_bool "A pinned at prior" true
