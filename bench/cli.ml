@@ -87,14 +87,18 @@ let parse ?(anon = bad "unexpected argument %S") cmd usage specs args =
     prerr_string text;
     exit 2
 
-(* Writes [doc] to the [--json] path, when one was given. *)
+(* Writes [doc] to the [--json] path, when one was given; an unwritable
+   path is an IO error. *)
 let write_json doc =
   Option.iter
     (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Obs.Json.to_string ~pretty:true doc);
-          output_char oc '\n');
-      Printf.printf "\nwrote %s\n%!" path)
+      match
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Obs.Json.to_string ~pretty:true doc);
+            output_char oc '\n')
+      with
+      | exception Sys_error msg -> fail "%s" msg
+      | () -> Printf.printf "\nwrote %s\n%!" path)
     !json
 
 (* The document at [path]; an unreadable or malformed file is an input

@@ -57,6 +57,37 @@ let app_conv =
   let print fmt (name, _) = Format.pp_print_string fmt name in
   Arg.conv (parse, print)
 
+(* A count, size or budget: an integer >= 1. A value outside the range
+   is a usage error naming the flag, like a malformed one. *)
+let count_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* A duration in seconds: a finite number > 0 (NaN and infinity are
+   refused). *)
+let seconds_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected a finite number > 0, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* A TCP port, 0 (a free one) to 65535: a larger number would bind its
+   remainder modulo 65536. *)
+let port_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some p when p >= 0 && p <= 65535 -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "expected a port 0-65535, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let app_arg =
   let doc = "Workload: a PARSEC/SPEC name (see `apps`) or a mix (blmc, ...)." in
   Arg.(
@@ -118,7 +149,7 @@ let jobs_arg =
      serial). Results print in scheme order either way, byte-identical \
      to the serial run; with a single -s the flag has no effect."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt count_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let schemes_arg =
   let doc =
@@ -141,7 +172,8 @@ let recorder_arg =
      trips and fault injections dump the preceding event window (into \
      the --jsonl trace when given), and the dump count is reported."
   in
-  Arg.(value & opt (some int) None & info [ "recorder" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (some count_conv) None & info [ "recorder" ] ~docv:"N" ~doc)
 
 let run_cmd =
   let print_result ~banner ~health ((scheme : Schemes.info), (r : Stack.result))
@@ -159,18 +191,11 @@ let run_cmd =
   in
   let run (schemes : Schemes.info list) (app, workloads) jsonl jobs health
       recorder =
-    if jobs < 1 then begin
-      prerr_endline "yukta_cli run: -j expects an integer >= 1";
-      exit 2
-    end;
-    (match recorder with
-    | None -> ()
-    | Some n when n >= 1 ->
-      Obs.Recorder.clear ();
-      Obs.Recorder.enable ~capacity:n ()
-    | Some _ ->
-      prerr_endline "yukta_cli run: --recorder expects an integer >= 1";
-      exit 2);
+    Option.iter
+      (fun n ->
+        Obs.Recorder.clear ();
+        Obs.Recorder.enable ~capacity:n ())
+      recorder;
     let schemes =
       match schemes with [] -> [ Schemes.find_exn "yukta" ] | l -> l
     in
@@ -191,7 +216,12 @@ let run_cmd =
     in
     (match jsonl with
     | None -> go ()
-    | Some file -> Obs.Collector.with_collection ~file go);
+    | Some file -> (
+      match Obs.Collector.with_collection ~file go with
+      | () -> ()
+      | exception Sys_error msg ->
+        prerr_endline ("yukta_cli run: " ^ msg);
+        exit 1));
     if recorder <> None then begin
       Printf.printf "recorder dumps: %d\n" (Obs.Recorder.dump_count ());
       Obs.Recorder.disable ()
@@ -296,27 +326,25 @@ let trace_cmd =
   in
   let poll_arg =
     let doc = "Polling interval for --follow, seconds." in
-    Arg.(value & opt float 0.2 & info [ "poll" ] ~docv:"S" ~doc)
+    Arg.(value & opt seconds_conv 0.2 & info [ "poll" ] ~docv:"S" ~doc)
   in
   let idle_exit_arg =
     let doc =
       "With --follow, exit once the file has been quiet for $(docv) \
        seconds (default: follow forever)."
     in
-    Arg.(value & opt (some float) None & info [ "idle-exit" ] ~docv:"S" ~doc)
+    Arg.(
+      value
+      & opt (some seconds_conv) None
+      & info [ "idle-exit" ] ~docv:"S" ~doc)
   in
   let run file counters follow poll idle_exit =
-    if follow then begin
-      if poll <= 0.0 then begin
-        prerr_endline "yukta_cli trace: --poll expects a positive interval";
-        exit 2
-      end;
+    if follow then
       match follow_file file ~poll ~idle_exit with
       | () -> ()
       | exception Unix.Unix_error (e, _, _) ->
         Printf.eprintf "%s: %s\n" file (Unix.error_message e);
         exit 1
-    end
     else
       match Obs.Trace.read_file file with
       | entries ->
@@ -365,11 +393,11 @@ let faults_cmd =
   in
   let horizon_arg =
     let doc = "Campaign horizon in simulated seconds." in
-    Arg.(value & opt float 120.0 & info [ "horizon" ] ~docv:"S" ~doc)
+    Arg.(value & opt seconds_conv 120.0 & info [ "horizon" ] ~docv:"S" ~doc)
   in
   let count_arg =
     let doc = "Number of faults drawn." in
-    Arg.(value & opt int 6 & info [ "count" ] ~docv:"N" ~doc)
+    Arg.(value & opt count_conv 6 & info [ "count" ] ~docv:"N" ~doc)
   in
   let run_arg =
     let doc =
@@ -484,7 +512,8 @@ let serve_cmd =
   in
   let port_arg =
     let doc = "Serve on loopback TCP port $(docv) (0 picks a free port)." in
-    Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
+    Arg.(
+      value & opt (some port_conv) None & info [ "port" ] ~docv:"PORT" ~doc)
   in
   let once_arg =
     let doc =
@@ -495,14 +524,15 @@ let serve_cmd =
   in
   let idle_arg =
     let doc = "Disconnect silent clients after $(docv) seconds." in
-    Arg.(value & opt float 30.0 & info [ "idle-timeout" ] ~docv:"S" ~doc)
+    Arg.(
+      value & opt seconds_conv 30.0 & info [ "idle-timeout" ] ~docv:"S" ~doc)
   in
   let budget_arg =
     let doc =
       "Per-session epoch budget per loop iteration (fairness between \
        concurrent sessions)."
     in
-    Arg.(value & opt int 256 & info [ "step-budget" ] ~docv:"N" ~doc)
+    Arg.(value & opt count_conv 256 & info [ "step-budget" ] ~docv:"N" ~doc)
   in
   let run socket port once idle budget =
     let address =
@@ -521,9 +551,6 @@ let serve_cmd =
         Printf.eprintf "yukta_cli serve: bind failed: %s\n"
           (Unix.error_message e);
         exit 1
-      | exception Invalid_argument msg ->
-        prerr_endline ("yukta_cli serve: " ^ msg);
-        exit 2
     in
     (match Serve.Server.address server with
     | Unix.ADDR_UNIX path -> Printf.printf "serving on unix socket %s\n%!" path

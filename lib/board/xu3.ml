@@ -19,10 +19,6 @@ module Dvfs = struct
 
   let f_step = 0.1
 
-  let levels c =
-    let n = 1 + int_of_float (Float.round ((f_max c -. f_min c) /. f_step)) in
-    Array.init n (fun i -> f_min c +. (Float.of_int i *. f_step))
-
   let channel c =
     Control.Quantize.make ~minimum:(f_min c) ~maximum:(f_max c) ~step:f_step
 
@@ -88,17 +84,6 @@ module Perf = struct
         ~threads_on_core:actual_tpc
       *. Float.of_int busy
     end
-
-  let speedup_big_over_little ~mem_intensity =
-    let big =
-      core_throughput ~kind:Dvfs.Big ~freq:(Dvfs.f_max Dvfs.Big)
-        ~mem_intensity ~ipc_scale:1.0 ~threads_on_core:1.0
-    in
-    let little =
-      core_throughput ~kind:Dvfs.Little ~freq:(Dvfs.f_max Dvfs.Little)
-        ~mem_intensity ~ipc_scale:1.0 ~threads_on_core:1.0
-    in
-    big /. little
 end
 
 module Power = struct
@@ -138,10 +123,6 @@ module Power = struct
       in
       dynamic +. leakage +. uncore kind
     end
-
-  let max_power kind =
-    cluster_power kind ~cores_on:Dvfs.core_count ~freq:(Dvfs.f_max kind)
-      ~utilization:1.0 ~temperature:85.0
 end
 
 module Thermal = struct
@@ -194,20 +175,6 @@ module Thermal = struct
     t.package <- blend t.a_pkg t.package target_pkg
 
   let[@inline] temperature t = ambient +. t.hotspot +. t.package
-
-  let steady_state ~power_big ~power_little =
-    ambient
-    +. (r_hot *. weighted power_big power_little)
-    +. (r_pkg *. (power_big +. power_little))
-
-  let copy t =
-    {
-      hotspot = t.hotspot;
-      package = t.package;
-      last_dt = t.last_dt;
-      a_hot = t.a_hot;
-      a_pkg = t.a_pkg;
-    }
 end
 
 module Sensors = struct
@@ -223,8 +190,7 @@ module Sensors = struct
   type t = {
     noise : float;
     period : float;
-    seed : int;
-    mutable rng : Random.State.t;
+    rng : Random.State.t;
     mutable initialized : bool;
     held : held;
   }
@@ -236,7 +202,6 @@ module Sensors = struct
     {
       noise;
       period;
-      seed;
       rng = Random.State.make [| seed |];
       initialized = false;
       held = { last_update = 0.0; big = 0.0; little = 0.0 };
@@ -272,13 +237,6 @@ module Sensors = struct
          flight recorder when only the recorder is on. *)
       if Obs.Collector.observing () then refresh_event t
     end
-
-  let reset t =
-    t.rng <- Random.State.make [| t.seed |];
-    t.held.last_update <- 0.0;
-    t.held.big <- 0.0;
-    t.held.little <- 0.0;
-    t.initialized <- false
 
   let read t = (t.held.big, t.held.little)
 end
@@ -453,10 +411,6 @@ module Emergency = struct
       else if little then little_caps
       else no_caps
     end
-
-  let tripped t =
-    t.f.thermal_cooldown > 0.0 || t.f.power_cooldown_big > 0.0
-    || t.f.power_cooldown_little > 0.0 || t.f.cap_cooldown > 0.0
 
   let trip_count t = t.trips
 end

@@ -28,7 +28,9 @@
     The models the 10 ms tick calls. They live in this compilation unit
     with the board so that the tick's calls into them inline and pass
     floats unboxed; [Board] re-exports each under its own name
-    ([Board.Dvfs], [Board.Power], ...). *)
+    ([Board.Dvfs], [Board.Power], ...). Programs reach them only through
+    the tick; they are exported so the board tests can check each model
+    on its own against the paper's limits, the seams of DESIGN.md §15. *)
 
 (** DVFS tables of the simulated Exynos 5422 big.LITTLE processor.
 
@@ -45,9 +47,6 @@ module Dvfs : sig
 
   val f_max : cluster -> float
   (** 2.0 GHz (big) / 1.4 GHz (little). *)
-
-  val levels : cluster -> float array
-  (** All frequency levels, ascending. *)
 
   val quantize : cluster -> float -> float
   (** Project an arbitrary request onto the DVFS table. *)
@@ -102,10 +101,6 @@ module Perf : sig
     float
   (** Aggregate GIPS of a cluster whose [threads] threads share the
       [busy] cores {!cluster_busy} gives; zero when [busy] is zero. *)
-
-  val speedup_big_over_little : mem_intensity:float -> float
-  (** Convenience ratio used by schedulers: throughput of a big core at
-      [f_max] over a little core at its [f_max] for the given mix. *)
 end
 
 (** Power model of the simulated big.LITTLE processor.
@@ -128,9 +123,6 @@ module Power : sig
       0-4) at [freq] GHz, [utilization] the mean busy fraction of the
       powered cores (0-1) and [temperature] in Celsius (for leakage).
       @raise Invalid_argument if [cores_on] is outside 0-4. *)
-
-  val max_power : Dvfs.cluster -> float
-  (** Power with all cores busy at maximum frequency and 85C. *)
 end
 
 (** Two-node RC thermal model of the board.
@@ -156,11 +148,6 @@ module Thermal : sig
 
   val temperature : t -> float
   (** Current hot-spot temperature (C). *)
-
-  val steady_state : power_big:float -> power_little:float -> float
-  (** Temperature reached if the given powers were held forever. *)
-
-  val copy : t -> t
 end
 
 (** Sensor emulation.
@@ -187,11 +174,6 @@ module Sensors : sig
   (** Feed the true instantaneous cluster powers at the given simulation
       time: the held readings take them (noise applied) if the sensor is
       due a refresh, and keep their values otherwise. *)
-
-  val reset : t -> unit
-  (** Restore the creation state: held values, the refresh clock, {e and}
-      the noise RNG (re-seeded from the creation seed), so a reset sensor
-      replays the identical noise sequence. *)
 
   val read : t -> float * float
   (** The held (big, little) power readings. *)
@@ -246,8 +228,6 @@ module Emergency : sig
       limiters) trips a ["power_cap"] clamp on both clusters. Omitting
       [cap] leaves the trip machinery bit-identical to a build without
       it. *)
-
-  val tripped : t -> bool
 
   val trip_count : t -> int
   (** Total trips since creation — a proxy for how badly a controller

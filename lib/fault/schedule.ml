@@ -12,15 +12,17 @@ type profile = {
 
 let default_guardband = 0.40
 
-let in_guardband ?(horizon = 120.0) ?(count = 6) () =
-  if horizon <= 0.0 then invalid_arg "Fault.Schedule: horizon must be positive";
+let make_profile label ~severity ~horizon ~count =
+  if not (Float.is_finite horizon && horizon > 0.0) then
+    invalid_arg "Fault.Schedule: horizon must be finite and positive";
   if count < 1 then invalid_arg "Fault.Schedule: count must be at least 1";
-  { label = "in-guardband"; horizon; count; severity = 0.75 }
+  { label; horizon; count; severity }
+
+let in_guardband ?(horizon = 120.0) ?(count = 6) () =
+  make_profile "in-guardband" ~severity:0.75 ~horizon ~count
 
 let out_of_guardband ?(horizon = 120.0) ?(count = 6) () =
-  if horizon <= 0.0 then invalid_arg "Fault.Schedule: horizon must be positive";
-  if count < 1 then invalid_arg "Fault.Schedule: count must be at least 1";
-  { label = "out-of-guardband"; horizon; count; severity = 2.5 }
+  make_profile "out-of-guardband" ~severity:2.5 ~horizon ~count
 
 (* Uniform draw in [lo, hi) from the schedule's private RNG. *)
 let range st lo hi = lo +. Random.State.float st (hi -. lo)

@@ -20,12 +20,14 @@ val default_guardband : float
 
 val in_guardband : ?horizon:float -> ?count:int -> unit -> profile
 (** Severity 0.75: every plant drift stays inside the uncertainty ball
-    the SSV synthesis certified. Defaults: 120 s horizon, 6 faults. *)
+    the SSV synthesis certified. Defaults: 120 s horizon, 6 faults.
+    @raise Invalid_argument unless [horizon] is finite and positive and
+    [count >= 1]. *)
 
 val out_of_guardband : ?horizon:float -> ?count:int -> unit -> profile
 (** Severity 2.5: plant drifts leave the certified ball — nothing is
     guaranteed for anyone out here; the question is who degrades
-    gracefully. *)
+    gracefully. Defaults and errors as {!in_guardband}. *)
 
 val generate : seed:int -> profile -> Spec.timed list
 (** Deterministic: same seed and profile, same schedule (sorted by

@@ -21,15 +21,7 @@ module Welford = struct
     if x < t.min_v then t.min_v <- x;
     if x > t.max_v then t.max_v <- x
 
-  let count t = t.n
-
   let mean t = if t.n = 0 then Float.nan else t.mean
-
-  let variance t = if t.n = 0 then Float.nan else t.m2 /. Float.of_int t.n
-
-  let std t = Float.sqrt (variance t)
-
-  let min_v t = t.min_v
 
   let max_v t = t.max_v
 
@@ -70,7 +62,8 @@ module Welford = struct
         [
           ("count", Json.Int t.n);
           ("mean", Json.Float t.mean);
-          ("std", Json.Float (std t));
+          (* Population standard deviation: divides by [n]. *)
+          ("std", Json.Float (Float.sqrt (t.m2 /. Float.of_int t.n)));
           ("min", Json.Float t.min_v);
           ("max", Json.Float t.max_v);
         ]
@@ -112,8 +105,6 @@ module Hist = struct
     t.n <- t.n + 1
 
   let count t = t.n
-
-  let counts t = Array.copy t.slots
 
   let percentile t ~lo ~hi q =
     if t.n = 0 then Float.nan

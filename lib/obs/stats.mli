@@ -24,17 +24,8 @@ module Welford : sig
 
   val add : t -> float -> unit
 
-  val count : t -> int
-
   val mean : t -> float
   (** [nan] when empty. *)
-
-  val variance : t -> float
-  (** Population variance (divides by [n]); [nan] when empty. *)
-
-  val std : t -> float
-
-  val min_v : t -> float
 
   val max_v : t -> float
 
@@ -45,8 +36,9 @@ module Welford : sig
       the test suite pins the tolerance). *)
 
   val to_json : t -> Json.t
-  (** [{"count":...,"mean":...,"std":...,"min":...,"max":...}] with
-      zeros (not [nan]/[null]) for the empty accumulator, so documents
+  (** [{"count":...,"mean":...,"std":...,"min":...,"max":...}], [std]
+      the population standard deviation (divides by [count]), with zeros
+      (not [nan]/[null]) for the empty accumulator, so documents
       embedding it stay grep-ably finite. *)
 end
 
@@ -69,10 +61,6 @@ module Hist : sig
 
   val count : t -> int
   (** Total observations. *)
-
-  val counts : t -> int array
-  (** Per-bucket counts, one more than the bounds (last is overflow); a
-      copy. *)
 
   val percentile : t -> lo:float -> hi:float -> float -> float
   (** [percentile h ~lo ~hi q] for [q] in [0, 1]: the value of rank

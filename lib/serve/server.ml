@@ -66,7 +66,7 @@ let sockaddr_of_address = function
 
 let create ?(idle_timeout = default_idle_timeout)
     ?(step_budget = default_step_budget) address =
-  if idle_timeout <= 0.0 then
+  if not (idle_timeout > 0.0) then
     invalid_arg "Server.create: idle_timeout must be positive";
   if step_budget < 1 then
     invalid_arg "Server.create: step_budget must be >= 1";

@@ -23,8 +23,9 @@ val create : ?idle_timeout:float -> ?step_budget:int -> address -> t
     an unframed peer is disconnected with a fatal error
     instead of growing the buffer forever. A pre-existing Unix socket
     path is unlinked first (and removed again on shutdown).
-    @raise Invalid_argument on a non-positive [idle_timeout] or
-    [step_budget]; [Unix.Unix_error] when the bind fails. *)
+    @raise Invalid_argument on a non-positive or NaN [idle_timeout] or
+    a non-positive [step_budget]; [Unix.Unix_error] when the bind
+    fails. *)
 
 val address : t -> Unix.sockaddr
 (** The bound address (after ephemeral-port resolution). *)

@@ -256,11 +256,7 @@ module Drift = struct
       trip
     end
 
-  let tripped d = d.is_tripped
-
   let level d = d.avg
 
   let baseline d = d.base
-
-  let calibrated d = d.n >= warmup
 end

@@ -69,15 +69,11 @@ module Drift : sig
   (** Feed one residual; [true] exactly when this sample trips the
       detector (subsequent samples return [false] until {!reset}). *)
 
-  val tripped : detector -> bool
-
   val level : detector -> float
   (** Current residual EWMA. *)
 
   val baseline : detector -> float
   (** Calibrated baseline ([nan] until warm-up completes). *)
-
-  val calibrated : detector -> bool
 
   val reset : detector -> unit
   (** Forget everything, including the baseline — called after a

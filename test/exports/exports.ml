@@ -5,27 +5,27 @@
      exports.exe EXPORTS_OUT KNOBS_OUT LIB_DIR CALLER_DIR...
 
    Reads the compiler's typed trees after `dune build @check`: the
-   exports are the top-level [val]s of every [.cmti] under LIB_DIR, and
-   a caller is any identifier in a [.cmt] under LIB_DIR or a CALLER_DIR
-   that resolves to one of them from another compilation unit. The two
-   are matched by the declaration's unique id, so a local module alias,
-   an [open] or the library wrapper leaves the match intact. Writes one
+   exports are the [val]s of every [.cmti] under LIB_DIR, those of
+   nested module signatures included, and a caller is any identifier
+   in a [.cmt] under LIB_DIR or a CALLER_DIR that resolves to one of
+   them from another compilation unit. The two are matched by the
+   declaration's unique id, so a local module alias, an [open] or the
+   library wrapper leaves the match intact. Writes one
    [Library.Module.value] per unreached export, sorted, to EXPORTS_OUT;
    test/exports.expected holds the ones kept as seams (DESIGN.md §15).
 
-   The knobs are the optional parameters of those [val]s and of the
-   [val]s of nested module signatures. Each call site in a [.cmt] under
-   LIB_DIR or a CALLER_DIR, its own module included, gives each of the
-   callee's optional parameters one value: an omitted argument is the
-   default, a literal is itself, and anything else varies. A caller's
-   own optional parameter passed on ([?x], or [~x] for one with a
-   default) varies, unless the caller's parameter is itself a knob:
-   then it passes on the caller's values, and passed to the caller
-   itself it passes nothing. Knobs are found again until none is added,
-   so making one a constant can expose the parameter it fed. Writes one
-   [Library.Module.value ?label] per parameter with fewer than two
-   values, sorted, to KNOBS_OUT; test/knobs.expected holds the seams
-   (DESIGN.md §15a). *)
+   The knobs are the optional parameters of those [val]s. Each call
+   site in a [.cmt] under LIB_DIR or a CALLER_DIR, its own module
+   included, gives each of the callee's optional parameters one value:
+   an omitted argument is the default, a literal is itself, and
+   anything else varies. A caller's own optional parameter passed on
+   ([?x], or [~x] for one with a default) varies, unless the caller's
+   parameter is itself a knob: then it passes on the caller's values,
+   and passed to the caller itself it passes nothing. Knobs are found
+   again until none is added, so making one a constant can expose the
+   parameter it fed. Writes one [Library.Module.value ?label] per
+   parameter with fewer than two values, sorted, to KNOBS_OUT;
+   test/knobs.expected holds the seams (DESIGN.md §15a). *)
 
 open Typedtree
 
@@ -38,21 +38,22 @@ let rec files_under dir =
 let unit_path (cmt : Cmt_format.cmt_infos) =
   Str.global_replace (Str.regexp_string "__") "." cmt.cmt_modname
 
-(* Every [val] of an interface as (id, path, type, top-level?). *)
-let rec sig_values ~top prefix (items : signature_item list) =
+(* Every [val] of an interface, nested module signatures included, as
+   (id, path, type). *)
+let rec sig_values prefix (items : signature_item list) =
   List.concat_map
     (fun (item : signature_item) ->
       match item.sig_desc with
       | Tsig_value v ->
           let vd = v.val_val in
-          [ (vd.val_uid, prefix ^ "." ^ v.val_name.txt, vd.val_type, top) ]
+          [ (vd.val_uid, prefix ^ "." ^ v.val_name.txt, vd.val_type) ]
       | Tsig_module
           {
             md_name = { txt = Some m; _ };
             md_type = { mty_desc = Tmty_signature s; _ };
             _;
           } ->
-          sig_values ~top:false (prefix ^ "." ^ m) s.sig_items
+          sig_values (prefix ^ "." ^ m) s.sig_items
       | _ -> [])
     items
 
@@ -305,7 +306,7 @@ let () =
                let cmt = Cmt_format.read_cmt f in
                match cmt.cmt_annots with
                | Interface s ->
-                   sig_values ~top:true (unit_path cmt) s.sig_items
+                   sig_values (unit_path cmt) s.sig_items
                | _ -> [])
       in
       let write path lines =
@@ -318,16 +319,16 @@ let () =
       List.iter (fun cmt -> references cmt reached) cmts;
       write exports_out
         (List.filter_map
-           (fun (uid, path, _, top) ->
-             if top && not (Hashtbl.mem reached uid) then Some path else None)
+           (fun (uid, path, _) ->
+             if not (Hashtbl.mem reached uid) then Some path else None)
            values);
       let paths = Hashtbl.create 1024 in
-      List.iter (fun (uid, path, _, _) -> Hashtbl.replace paths uid path) values;
+      List.iter (fun (uid, path, _) -> Hashtbl.replace paths uid path) values;
       let omitted = Hashtbl.create 256 in
       let calls = List.concat_map (calls ~paths omitted) cmts in
       let knobs =
         List.concat_map
-          (fun (_, path, ty, _) -> List.map (knob path) (optional_labels ty))
+          (fun (_, path, ty) -> List.map (knob path) (optional_labels ty))
           values
       in
       write knobs_out (flagged knobs calls omitted)

@@ -13,9 +13,15 @@ let check_int = Alcotest.(check int)
 (* Dvfs                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The distinct frequencies [Dvfs.quantize] lands on from requests
+   0-3 GHz in 0.1 GHz steps, ascending: the cluster's DVFS table. *)
+let levels kind =
+  List.init 31 (fun i -> Dvfs.quantize kind (0.1 *. Float.of_int i))
+  |> List.sort_uniq compare |> Array.of_list
+
 let test_dvfs_tables () =
-  check_int "big levels" 19 (Array.length (Dvfs.levels Dvfs.Big));
-  check_int "little levels" 13 (Array.length (Dvfs.levels Dvfs.Little));
+  check_int "big levels" 19 (Array.length (levels Dvfs.Big));
+  check_int "little levels" 13 (Array.length (levels Dvfs.Little));
   check_float "big max" 2.0 (Dvfs.f_max Dvfs.Big);
   check_float "little max" 1.4 (Dvfs.f_max Dvfs.Little);
   check_float "min" 0.2 (Dvfs.f_min Dvfs.Big)
@@ -27,7 +33,7 @@ let test_dvfs_quantize () =
 
 let test_dvfs_voltage_monotone () =
   let increasing kind =
-    let l = Dvfs.levels kind in
+    let l = levels kind in
     let ok = ref true in
     for i = 1 to Array.length l - 1 do
       if Dvfs.voltage kind l.(i) <= Dvfs.voltage kind l.(i - 1) then ok := false
@@ -43,18 +49,19 @@ let test_dvfs_voltage_monotone () =
 (* Power                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let full_load kind =
+(* Every core of the cluster busy at its top frequency. *)
+let full_load ~temperature kind =
   Power.cluster_power kind ~cores_on:4 ~freq:(Dvfs.f_max kind)
-    ~utilization:1.0 ~temperature:70.0
+    ~utilization:1.0 ~temperature
 
 let test_power_calibration () =
   (* Full big cluster must exceed the paper's 3.3 W limit; full little the
      0.33 W limit — otherwise the power caps would never bind. *)
   check_bool "big exceeds limit" true
-    (full_load Dvfs.Big > 3.3);
+    (full_load ~temperature:70.0 Dvfs.Big > 3.3);
   check_bool "little exceeds limit" true
-    (full_load Dvfs.Little > 0.33);
-  check_bool "big below 8W" true (Power.max_power Dvfs.Big < 8.0)
+    (full_load ~temperature:70.0 Dvfs.Little > 0.33);
+  check_bool "big below 8W" true (full_load ~temperature:85.0 Dvfs.Big < 8.0)
 
 let test_power_monotone_freq () =
   let p f =
@@ -102,16 +109,26 @@ let test_thermal_starts_ambient () =
   let th = Thermal.create () in
   check_float "ambient" Thermal.ambient (Thermal.temperature th)
 
+(* The temperature the given powers settle at if held forever. One step
+   long enough that both nodes' decay factors [exp (-dt/tau)] underflow
+   to 0 (dt >= 1.4e4 s for the 18 s package node) lands exactly on the
+   RC network's targets. *)
+let steady_state ~power_big ~power_little =
+  let th = Thermal.create () in
+  Thermal.step th ~power_big ~power_little ~dt:1e5;
+  Thermal.temperature th
+
 let test_thermal_steady_state_at_limits () =
   (* Running exactly at the paper's limits must settle just below 79 C. *)
-  let s = Thermal.steady_state ~power_big:3.3 ~power_little:0.33 in
+  let s = steady_state ~power_big:3.3 ~power_little:0.33 in
   check_bool "below 79" true (s < 79.0);
   check_bool "above 74" true (s > 74.0)
 
 let test_thermal_overshoot_at_full_power () =
   let s =
-    Thermal.steady_state ~power_big:(Power.max_power Dvfs.Big)
-      ~power_little:(Power.max_power Dvfs.Little)
+    steady_state
+      ~power_big:(full_load ~temperature:85.0 Dvfs.Big)
+      ~power_little:(full_load ~temperature:85.0 Dvfs.Little)
   in
   check_bool "full power overheats" true (s > Emergency.thermal_trip)
 
@@ -121,7 +138,7 @@ let test_thermal_convergence () =
     Thermal.step th ~power_big:2.0 ~power_little:0.2 ~dt:0.01
   done;
   check_float_loose "converges to steady state"
-    (Thermal.steady_state ~power_big:2.0 ~power_little:0.2)
+    (steady_state ~power_big:2.0 ~power_little:0.2)
     (Thermal.temperature th)
 
 let test_thermal_monotone_step () =
@@ -131,12 +148,6 @@ let test_thermal_monotone_step () =
   Thermal.step th ~power_big:3.0 ~power_little:0.3 ~dt:1.0;
   let t2 = Thermal.temperature th in
   check_bool "heating" true (t2 > t1 && t1 > Thermal.ambient)
-
-let test_thermal_copy_independent () =
-  let th = Thermal.create () in
-  let snapshot = Thermal.copy th in
-  Thermal.step th ~power_big:5.0 ~power_little:0.5 ~dt:10.0;
-  check_float "copy unchanged" Thermal.ambient (Thermal.temperature snapshot)
 
 (* ------------------------------------------------------------------ *)
 (* Perf                                                                *)
@@ -210,8 +221,17 @@ let test_perf_cluster_clamps () =
   check_float "no busy core, no throughput" 0.0 (cluster_gips 0)
 
 let test_perf_speedup_ratio () =
-  let compute = Perf.speedup_big_over_little ~mem_intensity:0.0 in
-  let memory = Perf.speedup_big_over_little ~mem_intensity:0.9 in
+  (* Throughput of one big core over one little core, each at its top
+     frequency. *)
+  let speedup ~mem_intensity =
+    let at kind =
+      Perf.core_throughput ~kind ~freq:(Dvfs.f_max kind) ~mem_intensity
+        ~ipc_scale:1.0 ~threads_on_core:1.0
+    in
+    at Dvfs.Big /. at Dvfs.Little
+  in
+  let compute = speedup ~mem_intensity:0.0 in
+  let memory = speedup ~mem_intensity:0.9 in
   check_bool "big advantage shrinks when memory-bound" true (memory < compute);
   check_bool "big always at least as fast" true (memory > 1.0)
 
@@ -292,15 +312,19 @@ let test_sensor_read_is_pure () =
 
 let test_sensor_noise_bounded () =
   let s = Sensors.create ~noise:0.05 ~seed:3 () in
-  let worst = ref 0.0 in
-  for i = 0 to 99 do
-    Sensors.reset s;
-    let b =
-      sample_big s ~time:(Float.of_int i) ~power_big:3.0 ~power_little:0.3
-    in
-    worst := Float.max !worst (Float.abs (b -. 3.0) /. 3.0)
-  done;
-  check_bool "noise around 5 percent" true (!worst < 0.35 && !worst > 0.001)
+  (* Samples 1 s apart: each is due a refresh and draws fresh noise. *)
+  let samples =
+    List.init 100 (fun i ->
+        sample_big s ~time:(Float.of_int i) ~power_big:3.0 ~power_little:0.3)
+  in
+  let worst =
+    List.fold_left
+      (fun w b -> Float.max w (Float.abs (b -. 3.0) /. 3.0))
+      0.0 samples
+  in
+  check_bool "noise around 5 percent" true (worst < 0.35 && worst > 0.001);
+  check_int "every sample draws its own noise" 100
+    (List.length (List.sort_uniq compare samples))
 
 (* ------------------------------------------------------------------ *)
 (* Emergency                                                           *)
@@ -313,7 +337,7 @@ let test_emergency_quiet_below_limits () =
   in
   check_bool "no caps" true
     (a.Emergency.cap_freq_big = None && a.Emergency.cap_freq_little = None);
-  check_bool "not tripped" false (Emergency.tripped e)
+  check_int "no trip" 0 (Emergency.trip_count e)
 
 let test_emergency_thermal_trip () =
   let e = Emergency.create () in
@@ -322,7 +346,6 @@ let test_emergency_thermal_trip () =
   in
   check_bool "freq clamped" true (a.Emergency.cap_freq_big = Some 0.5);
   check_bool "cores clamped" true (a.Emergency.cap_big_cores = Some 2);
-  check_bool "tripped" true (Emergency.tripped e);
   check_int "counted" 1 (Emergency.trip_count e)
 
 let test_emergency_power_needs_sustained_overage () =
@@ -347,8 +370,10 @@ let test_emergency_recovers () =
   let a =
     Emergency.step e ~dt:5.0 ~temperature:70.0 ~power_big:2.0 ~power_little:0.2 ()
   in
-  check_bool "caps lifted" true (a.Emergency.cap_freq_big = None);
-  check_bool "recovered" false (Emergency.tripped e)
+  check_bool "caps lifted" true
+    (a.Emergency.cap_freq_big = None
+    && a.Emergency.cap_freq_little = None
+    && a.Emergency.cap_big_cores = None)
 
 let test_emergency_trip_dumps_recorder () =
   (* A trip with the flight recorder armed snapshots the event window
@@ -586,7 +611,7 @@ let prop_thermal_bounded_by_steady_state =
     (fun (pb, pl) ->
       let th = Thermal.create () in
       let ok = ref true in
-      let ss = Thermal.steady_state ~power_big:pb ~power_little:pl in
+      let ss = steady_state ~power_big:pb ~power_little:pl in
       for _ = 1 to 1000 do
         Thermal.step th ~power_big:pb ~power_little:pl ~dt:0.1;
         if Thermal.temperature th > ss +. 1e-6 then ok := false
@@ -751,7 +776,6 @@ let () =
           Alcotest.test_case "convergence" `Quick test_thermal_convergence;
           Alcotest.test_case "monotone heating" `Quick
             test_thermal_monotone_step;
-          Alcotest.test_case "copy" `Quick test_thermal_copy_independent;
         ] );
       ( "perf",
         [

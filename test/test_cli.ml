@@ -1,9 +1,10 @@
 (* Help sync: every registered yukta_cli subcommand must appear in the
    top-level --help, so the CLI's own documentation can never silently
    fall behind the command group; `run` prints the same bytes at any -j;
-   `bench compare` exits with the codes the CI perf gate reads; and every
-   bench entry point documents its flags and refuses an unknown one (the
-   dune rule makes both built executables test dependencies). *)
+   a bad flag value or an unwritable output path is an error that names
+   it; `bench compare` exits with the codes the CI perf gate reads; and
+   every bench entry point documents its flags and refuses an unknown one
+   (the dune rule makes both built executables test dependencies). *)
 
 let subcommands =
   (* The full command group of bin/yukta_cli.ml; adding a subcommand
@@ -128,6 +129,64 @@ let test_unknown_app_named () =
         && contains out "blackscholes" && contains out "blmc"
         && not (contains out "internal error")))
     [ "run -s coord -a nope"; "csv -s coord -a nope"; "faults --run -a nope" ]
+
+(* A numeric flag given a value out of its range (a count below 1, a
+   duration that is not finite and positive, a port above 65535) is a
+   usage error naming the flag, refused before any work starts. *)
+let test_bad_values_named () =
+  let file = Filename.quote exe in
+  List.iter
+    (fun (args, flag) ->
+      let out, status = run_cli (args ^ " 2>&1") in
+      (match status with
+      | Unix.WEXITED 124 -> ()
+      | _ -> Alcotest.failf "yukta_cli %s: expected exit 124" args);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names %s" args flag)
+        true
+        (contains out (Printf.sprintf "option '%s'" flag)
+        && not (contains out "internal error")))
+    [
+      ("run -s coord -j 0", "-j");
+      ("run -s coord --recorder 0", "--recorder");
+      ("faults --count 0", "--count");
+      ("faults --horizon 0", "--horizon");
+      ("faults --horizon nan", "--horizon");
+      ("faults --horizon inf", "--horizon");
+      ("trace -f --poll nan " ^ file, "--poll");
+      ("trace -f --idle-exit nan " ^ file, "--idle-exit");
+      ("serve --idle-timeout nan", "--idle-timeout");
+      ("serve --step-budget 0", "--step-budget");
+      ("serve --socket unused.sock --port 70000", "--port");
+    ]
+
+(* An output path in a directory that does not exist is an error naming
+   the path: `run --jsonl` exits 1 (as `trace` does for a bad file) and
+   bench exits 2 (its IO errors), with no uncaught exception. *)
+let test_unwritable_output_named () =
+  let dir = Filename.temp_dir "cli-output" "" in
+  let path = Filename.concat (Filename.concat dir "absent") "out.json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (what, exe, args, code) ->
+          let out, status = run_exe exe (args ^ " 2>&1") in
+          (match status with
+          | Unix.WEXITED c -> Alcotest.(check int) (what ^ " exit") code c
+          | _ -> Alcotest.failf "%s did not exit" what);
+          Alcotest.(check bool)
+            (what ^ " names the path")
+            true
+            (contains out path
+            && not (contains out "internal error" || contains out "Fatal error")))
+        [
+          ( "yukta_cli run --jsonl",
+            exe,
+            "run -s coord --jsonl " ^ Filename.quote path,
+            1 );
+          ("bench --json", bench_exe, "--tables --json " ^ Filename.quote path, 2);
+        ])
 
 (* [bench args --help] exits 0 and names each of [flags]. *)
 let check_bench_help args flags =
@@ -254,6 +313,9 @@ let () =
           Alcotest.test_case "-j1/-j2 stdout identical" `Quick
             test_run_jobs_identical;
           Alcotest.test_case "unknown app named" `Quick test_unknown_app_named;
+          Alcotest.test_case "bad values named" `Quick test_bad_values_named;
+          Alcotest.test_case "unwritable output named" `Quick
+            test_unwritable_output_named;
         ] );
       ( "bench",
         [

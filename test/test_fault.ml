@@ -1,7 +1,7 @@
 (* Tests for the fault-injection subsystem: the schedule generator's
    determinism, the injector's strict pass-through on an empty schedule
    (bit-identical metrics), campaign degradation on a smoke-sized run,
-   the configurable stepping epoch, and the sensor RNG reset. *)
+   the configurable stepping epoch. *)
 
 open Board
 open Yukta
@@ -69,6 +69,31 @@ let test_schedule_deterministic () =
       check_bool "positive duration" true (f.Fault.Spec.duration > 0.0))
     a;
   check_bool "sorted by start" true !sorted
+
+(* Both profiles refuse a horizon that is not finite and positive, and
+   fewer than one fault. *)
+let test_schedule_validation () =
+  let refused f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  List.iter
+    (fun ( name,
+           (profile :
+             ?horizon:float -> ?count:int -> unit -> Fault.Schedule.profile) ) ->
+      List.iter
+        (fun horizon ->
+          check_bool
+            (Printf.sprintf "%s horizon %g refused" name horizon)
+            true
+            (refused (fun () -> profile ~horizon ())))
+        [ 0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ];
+      check_bool (name ^ " count 0 refused") true
+        (refused (fun () -> profile ~count:0 ()));
+      check_bool (name ^ " defaults accepted") false (refused profile))
+    [
+      ("in-guardband", Fault.Schedule.in_guardband);
+      ("out-of-guardband", Fault.Schedule.out_of_guardband);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Injector pass-through                                               *)
@@ -179,22 +204,6 @@ let test_epoch_validated () =
   check_bool "zero epoch rejected" true (raises (run 0.0));
   check_bool "negative epoch rejected" true (raises (run (-0.5)))
 
-(* ------------------------------------------------------------------ *)
-(* Sensor RNG reset                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_sensor_reset_replays_noise () =
-  let s = Sensors.create ~noise:0.05 ~seed:11 () in
-  let sample t =
-    Sensors.refresh s ~time:t ~power_big:3.0 ~power_little:0.4;
-    Sensors.read s
-  in
-  let first = List.map sample [ 0.0; 0.3; 0.6; 0.9; 1.2 ] in
-  Sensors.reset s;
-  let second = List.map sample [ 0.0; 0.3; 0.6; 0.9; 1.2 ] in
-  check_bool "reset replays the identical noise sequence" true
-    (first = second)
-
 let () =
   Alcotest.run "fault"
     [
@@ -204,6 +213,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick
             test_schedule_deterministic;
+          Alcotest.test_case "validation" `Quick test_schedule_validation;
         ] );
       ( "injector",
         [
@@ -220,10 +230,5 @@ let () =
         [
           Alcotest.test_case "configurable" `Quick test_epoch_configurable;
           Alcotest.test_case "validated" `Quick test_epoch_validated;
-        ] );
-      ( "sensors",
-        [
-          Alcotest.test_case "reset replays noise" `Quick
-            test_sensor_reset_replays_noise;
         ] );
     ]

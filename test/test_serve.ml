@@ -589,6 +589,26 @@ let test_server_idle_sweep () =
       check_int "swept" 0 (Serve.Server.stats srv).active;
       Unix.close fd)
 
+(* A non-positive or NaN idle timeout and a budget below one epoch are
+   refused before anything is bound. *)
+let test_server_create_validates () =
+  let refused ?idle_timeout ?step_budget () =
+    match
+      Serve.Server.create ?idle_timeout ?step_budget (Serve.Server.Tcp ("", 0))
+    with
+    | exception Invalid_argument _ -> true
+    | srv ->
+      Serve.Server.stop srv;
+      Serve.Server.run srv;
+      false
+  in
+  List.iter
+    (fun t ->
+      check_bool (Printf.sprintf "idle timeout %g refused" t) true
+        (refused ~idle_timeout:t ()))
+    [ 0.0; -1.0; Float.nan ];
+  check_bool "step budget 0 refused" true (refused ~step_budget:0 ())
+
 let () =
   Alcotest.run "serve"
     [
@@ -622,5 +642,7 @@ let () =
           Alcotest.test_case "disconnect isolation" `Quick
             test_server_disconnect_isolation;
           Alcotest.test_case "idle sweep" `Quick test_server_idle_sweep;
+          Alcotest.test_case "create validates" `Quick
+            test_server_create_validates;
         ] );
     ]

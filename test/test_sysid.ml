@@ -359,24 +359,35 @@ let test_rls_error_shrinks () =
   check_bool "late << early" true (mean (n - 50) n < 0.01 *. mean 0 50)
 
 let test_drift_detector () =
-  let d = Recursive.Drift.create () in
-  (* Clean phase: residuals around 0.1 — calibrates, never trips. *)
-  for i = 0 to 99 do
-    let e = 0.1 +. (0.01 *. sin (float_of_int i)) in
-    check_bool "clean never trips" false (Recursive.Drift.observe d e)
-  done;
-  check_bool "calibrated" true (Recursive.Drift.calibrated d);
-  check_bool "baseline near level" true
-    (Float.abs (Recursive.Drift.baseline d -. 0.1) < 0.02);
-  (* Drift: residuals jump 10x — must trip exactly once. *)
-  let trips = ref 0 in
-  for _ = 0 to 99 do
-    if Recursive.Drift.observe d 1.0 then incr trips
-  done;
-  check_int "trips once" 1 !trips;
-  check_bool "latched" true (Recursive.Drift.tripped d);
-  Recursive.Drift.reset d;
-  check_bool "reset clears" true (not (Recursive.Drift.tripped d))
+  let module D = Recursive.Drift in
+  let d = D.create () in
+  let clean i = 0.1 +. (0.01 *. sin (float_of_int i)) in
+  let drifted _ = 1.0 in
+  (* Feeds [n] residuals; how many of them tripped the detector. *)
+  let feed n residual =
+    let trips = ref 0 in
+    for i = 0 to n - 1 do
+      if D.observe d (residual i) then incr trips
+    done;
+    !trips
+  in
+  let calibrated () = not (Float.is_nan (D.baseline d)) in
+  (* Clean phase: residuals around 0.1 — the first 30 calibrate the
+     baseline, and none trips. *)
+  check_int "clean warm-up never trips" 0 (feed 29 clean);
+  check_bool "no baseline during warm-up" false (calibrated ());
+  check_int "clean never trips" 0 (feed 71 clean);
+  check_bool "baseline near level" true (Float.abs (D.baseline d -. 0.1) < 0.02);
+  (* Drift: residuals jump 10x — must trip exactly once, then latch. *)
+  check_int "trips once" 1 (feed 100 drifted);
+  check_int "latched" 0 (feed 100 drifted);
+  (* Reset forgets the baseline: the detector calibrates and trips
+     again. *)
+  D.reset d;
+  check_bool "reset forgets the baseline" false (calibrated ());
+  check_int "clean after reset never trips" 0 (feed 100 clean);
+  check_bool "recalibrated" true (calibrated ());
+  check_int "trips again" 1 (feed 100 drifted)
 
 let test_rls_reset_covariance () =
   let u, y = training_data ~length:200 () in
